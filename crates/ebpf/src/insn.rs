@@ -268,7 +268,7 @@ impl fmt::Display for HelperId {
 }
 
 /// One instruction of the miniature eBPF machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Insn {
     /// 64-bit ALU operation: `dst = dst <op> src`.
     Alu64 {

@@ -80,9 +80,11 @@
 
 mod asm_text;
 mod bytecode;
+mod hash;
 mod insn;
 mod interp;
 mod kprobe;
+mod load;
 mod map;
 pub mod opt;
 mod program;
@@ -96,10 +98,9 @@ pub use insn::{
 };
 pub use interp::{Interpreter, KfuncHost, NoKfuncs, RunError, RunOutcome, INSN_BUDGET};
 pub use kprobe::{FireResult, KprobeRegistry, ProbeError, ProbeId};
+pub use load::{LoadCache, OptOutcome, ShapeKey};
 pub use map::{MapDef, MapError, MapId, MapKind, MapSet, NCPUS};
-pub use opt::{
-    lint_program, Diagnostic, Lint, LintReport, OptCache, OptStats, PassManager, Severity,
-};
+pub use opt::{lint_program, Diagnostic, Lint, LintReport, OptStats, PassManager, Severity};
 pub use program::{AsmError, Label, Program, ProgramBuilder};
 pub use telemetry::{
     telemetry_ring_def, telemetry_stats_def, TelemetryDecodeError, TelemetryRecord,
@@ -107,6 +108,6 @@ pub use telemetry::{
     TELEMETRY_RECORD_BYTES,
 };
 pub use verify::{
-    KfuncSig, VerifiedProgram, Verifier, VerifierLog, VerifierStats, VerifyCache, VerifyError,
-    VerifyErrorKind, COMPLEXITY_LIMIT,
+    KfuncSig, VerifiedProgram, Verifier, VerifierLog, VerifierStats, VerifyError, VerifyErrorKind,
+    COMPLEXITY_LIMIT,
 };

@@ -53,7 +53,7 @@ impl fmt::Display for MapId {
 }
 
 /// Map type and shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapKind {
     /// Array map: `max_entries` values of `value_size` bytes, keyed
     /// by `u32` index; entries are zero-initialized and always
@@ -74,7 +74,7 @@ pub enum MapKind {
 }
 
 /// Definition of a map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MapDef {
     /// The map type.
     pub kind: MapKind,

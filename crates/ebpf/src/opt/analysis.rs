@@ -59,6 +59,68 @@ impl Facts {
     }
 }
 
+/// Facts and liveness for one instruction vector, shared by every
+/// pass of one [`super::PassManager::optimize`] run. Both analyses are
+/// pure functions of the instructions (the maps and kfuncs are fixed
+/// for the run), so they are recomputed only when the vector differs
+/// from the snapshot they were computed for: a pass that changes
+/// nothing hands its analyses on to the next.
+pub(crate) struct Analyses<'a> {
+    maps: &'a MapSet,
+    kfuncs: &'a [KfuncSig],
+    snapshot: Vec<Insn>,
+    facts: Option<Facts>,
+    live: Option<Liveness>,
+}
+
+impl<'a> Analyses<'a> {
+    pub(crate) fn new(maps: &'a MapSet, kfuncs: &'a [KfuncSig]) -> Self {
+        Analyses {
+            maps,
+            kfuncs,
+            snapshot: Vec::new(),
+            facts: None,
+            live: None,
+        }
+    }
+
+    /// The map set the analyses resolve helper spans against.
+    pub(crate) fn maps(&self) -> &'a MapSet {
+        self.maps
+    }
+
+    /// Drops the cached analyses unless `insns` equals the snapshot.
+    fn sync(&mut self, insns: &[Insn]) {
+        if self.snapshot != insns {
+            self.snapshot.clear();
+            self.snapshot.extend_from_slice(insns);
+            self.facts = None;
+            self.live = None;
+        }
+    }
+
+    /// The forward range facts of `insns`.
+    pub(crate) fn facts(&mut self, insns: &[Insn]) -> &Facts {
+        self.sync(insns);
+        self.facts.get_or_insert_with(|| compute_facts(insns))
+    }
+
+    /// The liveness of `insns`.
+    pub(crate) fn liveness(&mut self, insns: &[Insn]) -> &Liveness {
+        self.facts_and_liveness(insns).1
+    }
+
+    /// The facts and the liveness of `insns`.
+    pub(crate) fn facts_and_liveness(&mut self, insns: &[Insn]) -> (&Facts, &Liveness) {
+        self.sync(insns);
+        let facts = self.facts.get_or_insert_with(|| compute_facts(insns));
+        let live = self
+            .live
+            .get_or_insert_with(|| compute_liveness(insns, self.maps, self.kfuncs, facts));
+        (facts, live)
+    }
+}
+
 /// Runs the forward range analysis.
 pub(crate) fn compute_facts(insns: &[Insn]) -> Facts {
     let mut entry: Vec<Option<AbsState>> = vec![None; insns.len()];

@@ -18,16 +18,15 @@
 pub(crate) mod analysis;
 pub(crate) mod cfg;
 
-mod cache;
 mod lint;
 mod passes;
 
-pub use cache::OptCache;
 pub use lint::{lint_program, Diagnostic, Lint, LintContext, LintReport, Severity};
 
 use crate::map::MapSet;
 use crate::program::Program;
 use crate::verify::KfuncSig;
+use analysis::Analyses;
 
 use std::fmt;
 
@@ -123,18 +122,19 @@ impl PassManager {
             insns_before: insns.len() as u64,
             ..OptStats::default()
         };
+        let mut an = Analyses::new(maps, kfuncs);
         while stats.rounds < MAX_ROUNDS {
             stats.rounds += 1;
             let mut changed = false;
-            changed |= passes::const_fold(&mut insns, &mut stats);
-            changed |= passes::branch_elim(&mut insns, &mut stats);
-            changed |= passes::dce(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::dse(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::peephole(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::licm(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::ivsr(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::slot_unify(&mut insns, maps, kfuncs, &mut stats);
-            changed |= passes::promote(&mut insns, maps, &mut stats);
+            changed |= passes::const_fold(&mut insns, &mut an, &mut stats);
+            changed |= passes::branch_elim(&mut insns, &mut an, &mut stats);
+            changed |= passes::dce(&mut insns, &mut an, &mut stats);
+            changed |= passes::dse(&mut insns, &mut an, &mut stats);
+            changed |= passes::peephole(&mut insns, &mut an, &mut stats);
+            changed |= passes::licm(&mut insns, &mut an, &mut stats);
+            changed |= passes::ivsr(&mut insns, &mut an, &mut stats);
+            changed |= passes::slot_unify(&mut insns, &mut an, &mut stats);
+            changed |= passes::promote(&mut insns, &mut an, &mut stats);
             if !changed {
                 // Rotation destroys the single-entry loop shape the
                 // other loop passes need, so it only runs once the

@@ -24,11 +24,9 @@
 
 use crate::insn::{AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, STACK_SIZE};
 use crate::map::MapSet;
-use crate::verify::{eval_alu32, eval_alu64, refine_branch, KfuncSig, RegType};
+use crate::verify::{eval_alu32, eval_alu64, refine_branch, RegType};
 
-use super::analysis::{
-    compute_facts, compute_liveness, exact_stack_span, stack_byte, stack_reads_of, Facts, Liveness,
-};
+use super::analysis::{exact_stack_span, stack_byte, stack_reads_of, Analyses, Facts, Liveness};
 use super::cfg::{contiguous_loops, delete_at, insert_at, leaders, static_reachable, target_of};
 use super::OptStats;
 
@@ -123,8 +121,8 @@ fn apply_rewrites(insns: &mut Vec<Insn>, rewrites: Vec<Rewrite>) -> bool {
 /// whose operands are provably constant become `mov dst, imm`;
 /// register operands with a constant fact are materialized as
 /// immediates (in ALU ops, branches, and stores).
-pub(crate) fn const_fold(insns: &mut [Insn], stats: &mut OptStats) -> bool {
-    let facts = compute_facts(insns);
+pub(crate) fn const_fold(insns: &mut [Insn], an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let facts = an.facts(insns);
     let mut changed = false;
     for pc in 0..insns.len() {
         if facts.entry[pc].is_none() {
@@ -220,8 +218,8 @@ pub(crate) fn const_fold(insns: &mut [Insn], stats: &mut OptStats) -> bool {
 /// (or fall-through) edge is range-infeasible becomes a fall-through
 /// (or unconditional jump). Scalar operands only — feasibility comes
 /// straight from the verifier's `refine_branch`.
-pub(crate) fn branch_elim(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
-    let facts = compute_facts(insns);
+pub(crate) fn branch_elim(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let facts = an.facts(insns);
     let mut changed = false;
     for pc in (0..insns.len()).rev() {
         let Insn::JumpIf {
@@ -267,12 +265,7 @@ pub(crate) fn branch_elim(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
 /// side-effect-free definitions whose register is dead. Pure helper
 /// calls (`map_lookup`, `ktime`, `cpu-id`) with a dead `r0` count as
 /// dead definitions too.
-pub(crate) fn dce(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
+pub(crate) fn dce(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
     let mut changed = false;
     let reach = static_reachable(insns);
     for pc in (0..insns.len()).rev() {
@@ -282,8 +275,7 @@ pub(crate) fn dce(
             changed = true;
         }
     }
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+    let live = an.liveness(insns);
     for pc in (0..insns.len()).rev() {
         let dead = |r: Reg| !live.live_out[pc].reg(r);
         let del = match insns[pc] {
@@ -313,14 +305,8 @@ pub(crate) fn dce(
 
 /// Dead-store elimination: an exact stack store none of whose bytes
 /// are live afterwards is deleted.
-pub(crate) fn dse(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+pub(crate) fn dse(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let (facts, live) = an.facts_and_liveness(insns);
     let mut changed = false;
     for pc in (0..insns.len()).rev() {
         let span = match insns[pc] {
@@ -348,18 +334,13 @@ pub(crate) fn dse(
 /// returns; the pass-manager fixpoint supplies iteration. Families
 /// stay separate so every batch of rewrites is justified against the
 /// same unmodified instruction stream.
-pub(crate) fn peephole(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
+pub(crate) fn peephole(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
     identities(insns, stats)
-        || forward_loads(insns, stats)
-        || coalesce_movs(insns, maps, kfuncs, stats)
-        || fuse_mov_store(insns, maps, kfuncs, stats)
-        || fuse_load_mov(insns, maps, kfuncs, stats)
-        || copy_prop(insns, maps, kfuncs, stats)
+        || forward_loads(insns, an, stats)
+        || coalesce_movs(insns, an, stats)
+        || fuse_mov_store(insns, an, stats)
+        || fuse_load_mov(insns, an, stats)
+        || copy_prop(insns, an, stats)
 }
 
 /// ALU identities and no-op jumps. 32-bit ops zero-extend, so the
@@ -428,8 +409,8 @@ fn avail_refs(v: AvailVal, r: Reg) -> bool {
 /// self-stores (writing back a value the slot already holds) are
 /// deleted. Slots survive helper calls because helpers never write
 /// stack memory.
-fn forward_loads(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
-    let facts = compute_facts(insns);
+fn forward_loads(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let facts = an.facts(insns);
     let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut avail: Vec<(usize, usize, AvailVal)> = Vec::new();
@@ -546,14 +527,8 @@ fn forward_loads(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
 /// single `alu b, src[a→b]` when `a` is dead afterwards. This is
 /// what collapses a promoted stack accumulator back into its
 /// register.
-fn coalesce_movs(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+fn coalesce_movs(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let live = an.liveness(insns);
     let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut claimed = vec![false; insns.len()];
@@ -648,14 +623,8 @@ fn rename_src(src: Operand, from: Reg, to: Reg) -> Operand {
 
 /// Fuses `mov t, v; store [base+off], t` into a direct store of `v`
 /// when `t` is dead afterwards.
-fn fuse_mov_store(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+fn fuse_mov_store(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let live = an.liveness(insns);
     let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut p = 0;
@@ -713,14 +682,8 @@ fn fuse_mov_store(
 /// when `t` is dead afterwards. (`base == t` is fine: the rewritten
 /// load reads the base *before* any write, exactly as the original
 /// pair did.)
-fn fuse_load_mov(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+fn fuse_load_mov(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let live = an.liveness(insns);
     let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut p = 0;
@@ -767,14 +730,8 @@ fn fuse_load_mov(
 /// Copy propagation for the adjacent pair `mov a, b; alu d, a`:
 /// rewrites the ALU source to `b` and drops the mov when `a` dies at
 /// the ALU instruction.
-fn copy_prop(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+fn copy_prop(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let live = an.liveness(insns);
     let lead = leaders(insns);
     let mut rewrites = Vec::new();
     let mut p = 0;
@@ -834,15 +791,10 @@ fn copy_prop(
 /// helper reads (`ktime`, `cpu-id`) paired with an adjacent spill.
 /// Hoisted code lands in a preheader that back edges skip (see
 /// [`insert_at`]).
-pub(crate) fn licm(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
+pub(crate) fn licm(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
     let loops = contiguous_loops(insns);
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+    let maps = an.maps();
+    let (facts, live) = an.facts_and_liveness(insns);
     let lead = leaders(insns);
     for lp in loops {
         if !lp.single_entry {
@@ -905,7 +857,7 @@ pub(crate) fn licm(
         // pre-loop value where the hoisted store already wrote.
         let reads_clear = |s_end: usize, sb: usize, ln: usize| -> bool {
             for pc in h..s_end {
-                match stack_reads_of(insns, &facts, maps, pc) {
+                match stack_reads_of(insns, facts, maps, pc) {
                     None => return false,
                     Some(spans) => {
                         if spans.iter().any(|&(rs, rl)| rs < sb + ln && sb < rs + rl) {
@@ -1017,15 +969,9 @@ pub(crate) fn licm(
 /// `mov x, i; mul x, m; add x, c` collapses to `add x, delta` with a
 /// preheader seeding `x`. Multiple derived triples of the same pair
 /// reduce together.
-pub(crate) fn ivsr(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
+pub(crate) fn ivsr(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
     let loops = contiguous_loops(insns);
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+    let live = an.liveness(insns);
     for lp in loops {
         if !lp.single_entry {
             continue;
@@ -1231,14 +1177,9 @@ fn triple_at(insns: &[Insn], q: usize, i: Reg, x: Reg) -> Option<(i64, i64)> {
 /// and neither slot is live at a write to the other. Every `A`
 /// access is renamed to `B`; the copy-store becomes a self-store and
 /// is deleted (the load dies in the next DCE round).
-pub(crate) fn slot_unify(
-    insns: &mut Vec<Insn>,
-    maps: &MapSet,
-    kfuncs: &[KfuncSig],
-    stats: &mut OptStats,
-) -> bool {
-    let facts = compute_facts(insns);
-    let live = compute_liveness(insns, maps, kfuncs, &facts);
+pub(crate) fn slot_unify(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let maps = an.maps();
+    let (facts, live) = an.facts_and_liveness(insns);
     let lead = leaders(insns);
     for p in 0..insns.len().saturating_sub(1) {
         let Insn::Load {
@@ -1265,7 +1206,7 @@ pub(crate) fn slot_unify(
         let (Some(ab), Some(bb)) = (stack_byte(a_off as i64), stack_byte(b_off as i64)) else {
             continue;
         };
-        if !unify_ok(insns, &facts, &live, maps, p + 1, a_off, b_off, ab, bb) {
+        if !unify_ok(insns, facts, live, maps, p + 1, a_off, b_off, ab, bb) {
             continue;
         }
         for insn in insns.iter_mut() {
@@ -1383,8 +1324,9 @@ fn unify_ok(
 /// 8-byte frame-pointer access and no helper reads it. Access count
 /// is unchanged (loads/stores become movs); the win comes from the
 /// forwarding and coalescing passes that follow.
-pub(crate) fn promote(insns: &mut [Insn], maps: &MapSet, stats: &mut OptStats) -> bool {
-    let facts = compute_facts(insns);
+pub(crate) fn promote(insns: &mut [Insn], an: &mut Analyses, stats: &mut OptStats) -> bool {
+    let maps = an.maps();
+    let facts = an.facts(insns);
     let free: Vec<Reg> = [Reg::R6, Reg::R7, Reg::R8, Reg::R9]
         .into_iter()
         .filter(|&r| !insns.iter().any(|i| touches(i, r)))
@@ -1429,7 +1371,7 @@ pub(crate) fn promote(insns: &mut [Insn], maps: &MapSet, stats: &mut OptStats) -
                     }
                 }
             }
-            Insn::Call { .. } => match stack_reads_of(insns, &facts, maps, pc) {
+            Insn::Call { .. } => match stack_reads_of(insns, facts, maps, pc) {
                 None => return false,
                 Some(spans) => {
                     for (s, l) in spans {

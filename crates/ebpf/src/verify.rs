@@ -30,9 +30,11 @@
 //! state transitions, rejection reasons, and summary
 //! [`VerifierStats`].
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
+use crate::hash::{WordHasher, WordState};
 use crate::insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, STACK_SIZE,
 };
@@ -53,7 +55,7 @@ const WIDE_CAND_LIMIT: usize = 64;
 const LOG_LINE_LIMIT: usize = 4096;
 
 /// Signature of a kfunc as known to the verifier.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KfuncSig {
     /// Name, for diagnostics.
     pub name: &'static str,
@@ -538,6 +540,16 @@ pub struct VerifiedProgram {
 }
 
 impl VerifiedProgram {
+    /// The token for a program whose shape already verified: no walk
+    /// ran, so the statistics are empty.
+    pub(crate) fn proven(program: Program) -> Self {
+        VerifiedProgram {
+            program,
+            stats: VerifierStats::default(),
+            log: None,
+        }
+    }
+
     /// The underlying program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -560,65 +572,119 @@ impl VerifiedProgram {
     }
 }
 
-/// Per-instruction memory of *fully explored* states: exact states
-/// for O(1) revisit pruning plus wider-than-a-point states for
-/// subsumption pruning. States still on the walk path are tracked
-/// separately — pruning against an unfinished state would let a
-/// loop justify itself circularly.
-#[derive(Default)]
-struct SeenAt {
-    all: HashSet<AbsState>,
-    wide: Vec<AbsState>,
+/// A `(pc, state)` pair with its hash, computed once when the walk
+/// first reaches the pair and carried with it, so no set ever
+/// rehashes the 504-byte state. The hash only narrows a lookup to a
+/// chain of candidates; membership is decided by exact comparison.
+#[derive(Clone, Copy)]
+struct Visit {
+    hash: u64,
+    pc: usize,
+    state: AbsState,
+}
+
+impl Visit {
+    fn new(pc: usize, state: AbsState) -> Self {
+        let mut h = WordHasher::default();
+        pc.hash(&mut h);
+        state.hash(&mut h);
+        Visit {
+            hash: h.finish(),
+            pc,
+            state,
+        }
+    }
+
+    fn same(&self, other: &Visit) -> bool {
+        self.pc == other.pc && self.state == other.state
+    }
+}
+
+/// End of an index chain.
+const NO_INDEX: u32 = u32::MAX;
+
+/// The fully explored visits. The visits live in one arena; the
+/// table maps each hash to the newest arena index with that hash, and
+/// `older` chains the rest, so the table itself stays a few bytes per
+/// entry however large the states are.
+struct Explored {
+    visits: Vec<Visit>,
+    older: Vec<u32>,
+    newest: HashMap<u64, u32, WordState>,
+}
+
+impl Explored {
+    fn with_capacity(n: usize) -> Self {
+        Explored {
+            visits: Vec::new(),
+            older: Vec::new(),
+            newest: HashMap::with_capacity_and_hasher(n, WordState::default()),
+        }
+    }
+
+    fn contains(&self, v: &Visit) -> bool {
+        let mut i = self.newest.get(&v.hash).copied().unwrap_or(NO_INDEX);
+        while i != NO_INDEX {
+            if self.visits[i as usize].same(v) {
+                return true;
+            }
+            i = self.older[i as usize];
+        }
+        false
+    }
+
+    /// Adds a visit the set does not hold yet.
+    fn insert(&mut self, v: Visit) {
+        let i = self.visits.len() as u32;
+        self.older
+            .push(self.newest.insert(v.hash, i).unwrap_or(NO_INDEX));
+        self.visits.push(v);
+    }
 }
 
 /// One node on the depth-first walk path: the state being explored
-/// at `pc` plus its not-yet-visited successors.
+/// at `pc`, how many of its successors still wait on the shared
+/// successor stack, and the next frame down the path whose visit has
+/// the same hash.
 struct Frame {
-    pc: usize,
-    state: AbsState,
+    visit: Visit,
     depth: usize,
     branched: bool,
-    succs: Vec<(usize, AbsState)>,
+    pending: usize,
+    shadowed: u32,
 }
 
-/// Memo of successful verifications keyed by *program shape*: the
-/// canonical instruction text with every map reference replaced by
-/// the referenced map's definition (kind / key / value / capacity),
-/// plus the kfunc signature table. Two programs with the same key
-/// are verifier-equivalent — the abstract interpreter consults a map
-/// id only to fetch its [`MapDef`](crate::MapDef) — so re-verifying one of them is
-/// pure waste. This mirrors production reality: a kernel verifies a
-/// program image once at load, not once per sandbox restore, and
-/// SnapBPF reloads an *identical* prefetch program (modulo fresh map
-/// ids) on every cold start.
-///
-/// Keys are exact strings, not hashes of them, so a collision can
-/// never smuggle an unverified program past the verifier.
-#[derive(Debug, Default)]
-pub struct VerifyCache {
-    ok: HashSet<String>,
-    hits: u64,
+/// The successors of one abstract step, in exploration order: none
+/// for `exit`, one for straight-line code, at most two for a
+/// conditional branch. Held inline, so a step allocates nothing.
+#[derive(Default)]
+struct Succs([Option<(usize, AbsState)>; 2]);
+
+impl Succs {
+    fn one(pc: usize, st: AbsState) -> Self {
+        Succs([Some((pc, st)), None])
+    }
+
+    fn two(first: (usize, AbsState), second: (usize, AbsState)) -> Self {
+        Succs([Some(first), Some(second)])
+    }
+
+    fn push(&mut self, succ: (usize, AbsState)) {
+        let slot = usize::from(self.0[0].is_some());
+        self.0[slot] = Some(succ);
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
 }
 
-impl VerifyCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl IntoIterator for Succs {
+    type Item = (usize, AbsState);
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<(usize, AbsState)>, 2>>;
 
-    /// Distinct program shapes verified so far.
-    pub fn len(&self) -> usize {
-        self.ok.len()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.ok.is_empty()
-    }
-
-    /// Verifications skipped because the shape was already proven.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().flatten()
     }
 }
 
@@ -643,66 +709,6 @@ impl<'a> Verifier<'a> {
     /// Returns the first [`VerifyError`] found on any path.
     pub fn verify(&self, program: &Program) -> Result<VerifiedProgram, VerifyError> {
         self.verify_impl(program, false).0
-    }
-
-    /// Verifies `program`, consulting (and feeding) `cache`: when an
-    /// identically-shaped program already verified against maps with
-    /// these definitions, the walk is skipped entirely and the
-    /// returned token carries empty [`VerifierStats`] (no work was
-    /// done). Failures are never cached.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`VerifyError`] found on any path.
-    pub fn verify_cached(
-        &self,
-        program: &Program,
-        cache: &mut VerifyCache,
-    ) -> Result<VerifiedProgram, VerifyError> {
-        let Some(key) = self.shape_key(program) else {
-            // A map reference that does not resolve: take the full
-            // path so the walk reports the proper error.
-            return self.verify(program);
-        };
-        if cache.ok.contains(&key) {
-            cache.hits += 1;
-            return Ok(VerifiedProgram {
-                program: program.clone(),
-                stats: VerifierStats::default(),
-                log: None,
-            });
-        }
-        let verified = self.verify(program)?;
-        cache.ok.insert(key);
-        Ok(verified)
-    }
-
-    /// The cache key for `program`: every instruction rendered in
-    /// canonical asm text except map references, which render as the
-    /// referenced map's definition instead of its id. `None` when a
-    /// referenced map does not exist in this map set.
-    fn shape_key(&self, program: &Program) -> Option<String> {
-        use fmt::Write as _;
-        let mut key = String::with_capacity(program.insns().len() * 24);
-        for sig in self.kfuncs {
-            let _ = writeln!(key, "kfunc {} args={}", sig.name, sig.args);
-        }
-        for insn in program.insns() {
-            match insn {
-                Insn::LoadMapRef { dst, map } => {
-                    let def = self.maps.def(*map).ok()?;
-                    let _ = writeln!(
-                        key,
-                        "lddw {dst}, map<{:?} k={} v={} n={}>",
-                        def.kind, def.key_size, def.value_size, def.max_entries
-                    );
-                }
-                other => {
-                    let _ = writeln!(key, "{other}");
-                }
-            }
-        }
-        Some(key)
     }
 
     /// Verifies `program` with the verifier log enabled; the log is
@@ -734,8 +740,18 @@ impl<'a> Verifier<'a> {
 
         let insns = program.insns();
         let reachable = static_reachable(insns);
-        let mut completed: Vec<SeenAt> = (0..insns.len()).map(|_| SeenAt::default()).collect();
-        let mut path_set: HashSet<(usize, AbsState)> = HashSet::new();
+        // Memory of *fully explored* states: exact `(pc, state)`
+        // pairs for O(1) revisit pruning, plus per-pc wider-than-a-
+        // point states for subsumption pruning. States still on the
+        // walk path are tracked separately — pruning against an
+        // unfinished state would let a loop justify itself
+        // circularly.
+        let mut explored = Explored::with_capacity(insns.len() * 4);
+        let mut wide: Vec<Vec<AbsState>> = vec![Vec::new(); insns.len()];
+        // The newest path frame for each hash on the path; older ones
+        // chain through `Frame::shadowed`.
+        let mut on_path: HashMap<u64, u32, WordState> =
+            HashMap::with_capacity_and_hasher(insns.len(), WordState::default());
         let mut visited = vec![false; insns.len()];
         let mut stats = VerifierStats::default();
 
@@ -748,8 +764,11 @@ impl<'a> Verifier<'a> {
         // Depth-first walk with an explicit path. A state is pruned
         // only against states whose whole subtree already verified;
         // re-entering a (pc, state) still on the current path is a
-        // cycle with no abstract progress — an unprovable loop.
-        let mut path: Vec<Frame> = Vec::new();
+        // cycle with no abstract progress — an unprovable loop. Each
+        // frame's unvisited successors sit on top of `succs` whenever
+        // that frame is the top of the path.
+        let mut path: Vec<Frame> = Vec::with_capacity(insns.len());
+        let mut succs: Vec<(usize, AbsState)> = Vec::with_capacity(insns.len());
         let mut next: Option<(usize, AbsState, Option<usize>, usize)> =
             Some((0, AbsState::entry(), None, 0));
 
@@ -764,13 +783,14 @@ impl<'a> Verifier<'a> {
                     return reject(e, stats, log);
                 }
 
-                if completed[pc].all.contains(&state) {
+                let visit = Visit::new(pc, state);
+                if explored.contains(&visit) {
                     stats.states_pruned += 1;
                     log.note(|| format!("{pc}: pruned (state already explored)"));
-                } else if completed[pc].wide.iter().any(|w| w.subsumes(&state)) {
+                } else if wide[pc].iter().any(|w| w.subsumes(&state)) {
                     stats.states_pruned += 1;
                     log.note(|| format!("{pc}: pruned (subsumed by wider explored state)"));
-                } else if path_set.contains(&(pc, state)) {
+                } else if path_contains(&path, &on_path, &visit) {
                     let from = parent.unwrap_or(pc);
                     let e = VerifyError::new(
                         Some(from),
@@ -789,42 +809,56 @@ impl<'a> Verifier<'a> {
                     visited[pc] = true;
                     log.note(|| format!("{pc}: {} ; {}", insns[pc], format_regs(&state)));
 
-                    let succs = match self.step(pc, insns[pc], state, insns.len()) {
+                    let step = match self.step(pc, insns[pc], state, insns.len()) {
                         Ok(s) => s,
                         Err(e) => return reject(e.with_regs(&state), stats, log),
                     };
-                    let branched = succs.len() > 1;
-                    path_set.insert((pc, state));
+                    let pending = step.len();
+                    succs.extend(step);
+                    let shadowed = on_path
+                        .insert(visit.hash, path.len() as u32)
+                        .unwrap_or(NO_INDEX);
                     path.push(Frame {
-                        pc,
-                        state,
+                        visit,
                         depth,
-                        branched,
-                        succs,
+                        branched: pending > 1,
+                        pending,
+                        shadowed,
                     });
                 }
             }
 
-            // Advance to the next unvisited successor, retiring
-            // fully explored frames into the prune sets as we pop.
+            // Advance to the next unvisited successor (last pushed
+            // first), retiring fully explored frames into the prune
+            // sets as we pop.
             next = loop {
                 let Some(top) = path.last_mut() else {
                     break 'walk;
                 };
-                if let Some((npc, nst)) = top.succs.pop() {
+                if top.pending > 0 {
+                    top.pending -= 1;
+                    let (npc, nst) = succs.pop().expect("the top frame's successors");
                     break Some((
                         npc,
                         nst,
-                        Some(top.pc),
+                        Some(top.visit.pc),
                         top.depth + usize::from(top.branched),
                     ));
                 }
-                let done = path.pop().expect("path non-empty");
-                path_set.remove(&(done.pc, done.state));
-                if done.state.widenable() && completed[done.pc].wide.len() < WIDE_CAND_LIMIT {
-                    completed[done.pc].wide.push(done.state);
+                let Frame {
+                    visit: done,
+                    shadowed,
+                    ..
+                } = path.pop().expect("path non-empty");
+                if shadowed == NO_INDEX {
+                    on_path.remove(&done.hash);
+                } else {
+                    on_path.insert(done.hash, shadowed);
                 }
-                completed[done.pc].all.insert(done.state);
+                if done.state.widenable() && wide[done.pc].len() < WIDE_CAND_LIMIT {
+                    wide[done.pc].push(done.state);
+                }
+                explored.insert(done);
             };
         }
 
@@ -868,7 +902,7 @@ impl<'a> Verifier<'a> {
         insn: Insn,
         mut st: AbsState,
         prog_len: usize,
-    ) -> Result<Vec<(usize, AbsState)>, VerifyError> {
+    ) -> Result<Succs, VerifyError> {
         let err = |kind| VerifyError::new(Some(pc), kind);
         let jump_target = |off: i32| -> Result<usize, VerifyError> {
             let target = pc as i64 + 1 + off as i64;
@@ -945,7 +979,7 @@ impl<'a> Verifier<'a> {
                     }
                 };
                 st.regs[dst.index()] = new_ty;
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::Neg { dst } => {
                 if dst.is_frame_pointer() {
@@ -954,7 +988,7 @@ impl<'a> Verifier<'a> {
                 match st.regs[dst.index()] {
                     RegType::Scalar(s) => {
                         st.regs[dst.index()] = RegType::Scalar(neg_range(s));
-                        Ok(vec![(pc + 1, st)])
+                        Ok(Succs::one(pc + 1, st))
                     }
                     RegType::Uninit => Err(err(VerifyErrorKind::UninitRegister(dst))),
                     _ => Err(err(VerifyErrorKind::BadPointerArithmetic(dst))),
@@ -965,7 +999,7 @@ impl<'a> Verifier<'a> {
                     return Err(err(VerifyErrorKind::FramePointerWrite));
                 }
                 st.regs[dst.index()] = RegType::scalar_exact(imm);
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::LoadMapRef { dst, map } => {
                 if dst.is_frame_pointer() {
@@ -975,7 +1009,7 @@ impl<'a> Verifier<'a> {
                     return Err(err(VerifyErrorKind::UnknownMap(map)));
                 }
                 st.regs[dst.index()] = RegType::MapRef(map);
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::LoadCtx { dst, index } => {
                 if dst.is_frame_pointer() {
@@ -985,7 +1019,7 @@ impl<'a> Verifier<'a> {
                     return Err(err(VerifyErrorKind::BadCtxIndex(index)));
                 }
                 st.regs[dst.index()] = RegType::scalar_unknown();
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::Load {
                 dst,
@@ -1007,7 +1041,7 @@ impl<'a> Verifier<'a> {
                     }
                 }
                 st.regs[dst.index()] = RegType::scalar_unknown();
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::Store {
                 base,
@@ -1028,7 +1062,7 @@ impl<'a> Verifier<'a> {
                         st.stack_mark_init(lo, size.bytes());
                     }
                 }
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::StoreImm {
                 base, off, size, ..
@@ -1039,11 +1073,11 @@ impl<'a> Verifier<'a> {
                         st.stack_mark_init(lo, size.bytes());
                     }
                 }
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::Jump { off } => {
                 let target = jump_target(off)?;
-                Ok(vec![(target, st)])
+                Ok(Succs::one(target, st))
             }
             Insn::JumpIf {
                 cond,
@@ -1075,9 +1109,9 @@ impl<'a> Verifier<'a> {
                         let mut valid_state = st;
                         valid_state.regs[dst.index()] = RegType::MapValue(map, VarOff::exact(0));
                         return Ok(if cond == JmpCond::Eq {
-                            vec![(target, null_state), (pc + 1, valid_state)]
+                            Succs::two((target, null_state), (pc + 1, valid_state))
                         } else {
-                            vec![(target, valid_state), (pc + 1, null_state)]
+                            Succs::two((target, valid_state), (pc + 1, null_state))
                         });
                     }
                     return Err(err(VerifyErrorKind::PossiblyNull(dst)));
@@ -1090,7 +1124,7 @@ impl<'a> Verifier<'a> {
                 // Branch pruning: each direction gets ranges refined
                 // by the condition; a provably-infeasible direction
                 // is simply not explored.
-                let mut succs = Vec::with_capacity(2);
+                let mut succs = Succs::default();
                 if let Some((d, s)) = refine_branch(cond, true, dst_range, src_range) {
                     let mut t = st;
                     t.regs[dst.index()] = RegType::Scalar(d);
@@ -1111,7 +1145,7 @@ impl<'a> Verifier<'a> {
             }
             Insn::Call { helper } => {
                 self.check_helper(&mut st, pc, helper)?;
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::CallKfunc { kfunc } => {
                 let sig = self
@@ -1126,13 +1160,13 @@ impl<'a> Verifier<'a> {
                 }
                 clobber_caller_saved(&mut st);
                 st.regs[0] = RegType::scalar_unknown();
-                Ok(vec![(pc + 1, st)])
+                Ok(Succs::one(pc + 1, st))
             }
             Insn::Exit => {
                 if !matches!(st.regs[0], RegType::Scalar(_)) {
                     return Err(err(VerifyErrorKind::BadReturnValue));
                 }
-                Ok(vec![])
+                Ok(Succs::default())
             }
         }
     }
@@ -1322,6 +1356,20 @@ impl<'a> Verifier<'a> {
         st.regs[0] = ret;
         Ok(())
     }
+}
+
+/// Whether `v` is on the walk path: the frames with its hash, newest
+/// first, compared exactly.
+fn path_contains(path: &[Frame], newest: &HashMap<u64, u32, WordState>, v: &Visit) -> bool {
+    let mut i = newest.get(&v.hash).copied().unwrap_or(NO_INDEX);
+    while i != NO_INDEX {
+        let frame = &path[i as usize];
+        if frame.visit.same(v) {
+            return true;
+        }
+        i = frame.shadowed;
+    }
+    false
 }
 
 /// Caller-saved registers become uninitialized after a call.
@@ -2591,93 +2639,5 @@ mod tests {
             .mov(Reg::R0, 0)
             .exit();
         assert!(verify(&b.build().unwrap(), &maps).is_ok());
-    }
-
-    /// A null-checked lookup program against `m` — the shape SnapBPF
-    /// reloads with fresh map ids on every restore.
-    fn lookup_program(name: &str, m: MapId) -> Program {
-        let mut b = ProgramBuilder::new(name);
-        let out = b.label();
-        b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .call(HelperId::MapLookup)
-            .mov(Reg::R6, Reg::R0)
-            .jump_if(JmpCond::Eq, Reg::R6, 0i64, out)
-            .load(Reg::R6, Reg::R6, 0, AccessSize::B8)
-            .bind(out)
-            .unwrap()
-            .mov(Reg::R0, 0)
-            .exit();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn cache_skips_reverification_of_identical_shapes() {
-        let mut maps = MapSet::new();
-        let a = maps.create(MapDef::array(8, 16)).unwrap();
-        let b = maps.create(MapDef::array(8, 16)).unwrap();
-        let mut cache = VerifyCache::new();
-        let verifier = Verifier::new(&maps, &[]);
-
-        let first = verifier
-            .verify_cached(&lookup_program("p1", a), &mut cache)
-            .unwrap();
-        assert!(first.states_explored() > 0, "first load walks");
-        assert_eq!((cache.len(), cache.hits()), (1, 0));
-
-        // Different map id, identical definition: verifier-equivalent.
-        let second = verifier
-            .verify_cached(&lookup_program("p2", b), &mut cache)
-            .unwrap();
-        assert_eq!(second.states_explored(), 0, "cache hit does no work");
-        assert_eq!((cache.len(), cache.hits()), (1, 1));
-    }
-
-    #[test]
-    fn cache_distinguishes_map_shapes() {
-        let mut maps = MapSet::new();
-        let small = maps.create(MapDef::array(8, 16)).unwrap();
-        let big = maps.create(MapDef::array(8, 1024)).unwrap();
-        let mut cache = VerifyCache::new();
-        let verifier = Verifier::new(&maps, &[]);
-
-        verifier
-            .verify_cached(&lookup_program("p", small), &mut cache)
-            .unwrap();
-        let other = verifier
-            .verify_cached(&lookup_program("p", big), &mut cache)
-            .unwrap();
-        assert!(
-            other.states_explored() > 0,
-            "different max_entries is a different shape"
-        );
-        assert_eq!((cache.len(), cache.hits()), (2, 0));
-    }
-
-    #[test]
-    fn cache_never_stores_failures() {
-        let (maps, m) = maps_with_array();
-        let mut b = ProgramBuilder::new("bad");
-        b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .call(HelperId::MapLookup)
-            // Missing null check.
-            .load(Reg::R0, Reg::R0, 0, AccessSize::B8)
-            .exit();
-        let prog = b.build().unwrap();
-        let mut cache = VerifyCache::new();
-        let verifier = Verifier::new(&maps, &[]);
-        for _ in 0..2 {
-            assert!(matches!(
-                verifier.verify_cached(&prog, &mut cache).unwrap_err().kind,
-                VerifyErrorKind::PossiblyNull(_)
-            ));
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 }

@@ -222,9 +222,8 @@ pub struct HostKernel {
     trace: Tracer,
     verifier_log_enabled: bool,
     verifier_logs: Vec<String>,
-    verify_cache: snapbpf_ebpf::VerifyCache,
+    load_cache: snapbpf_ebpf::LoadCache,
     optimizer_enabled: bool,
-    opt_cache: snapbpf_ebpf::OptCache,
 }
 
 impl HostKernel {
@@ -251,9 +250,8 @@ impl HostKernel {
             trace: Tracer::disabled(),
             verifier_log_enabled: false,
             verifier_logs: Vec::new(),
-            verify_cache: snapbpf_ebpf::VerifyCache::new(),
+            load_cache: snapbpf_ebpf::LoadCache::new(),
             optimizer_enabled: true,
-            opt_cache: snapbpf_ebpf::OptCache::new(),
             config,
         }
     }
@@ -317,14 +315,15 @@ impl HostKernel {
     /// Verifies `program` against the current maps and kfuncs and
     /// attaches it to `hook` — the `bpf()` load + attach path.
     ///
-    /// Verification verdicts are memoized per program *shape*
-    /// ([`snapbpf_ebpf::VerifyCache`]): reloading an
+    /// Loads are memoized per program *shape*
+    /// ([`snapbpf_ebpf::LoadCache`], keyed by one
+    /// [`snapbpf_ebpf::ShapeKey`] computed per load): reloading an
     /// identically-shaped program against identically-defined maps —
     /// what every SnapBPF cold restore after the first does — skips
     /// the abstract-interpretation walk and counts as
     /// `ebpf.verifier.cache_hits` instead of processed instructions.
-    /// The cache is bypassed while verifier-log capture is on, so
-    /// captured logs always reflect a full walk.
+    /// The verdict cache is bypassed while verifier-log capture is on,
+    /// so captured logs always reflect a full walk.
     ///
     /// # Errors
     ///
@@ -334,16 +333,18 @@ impl HostKernel {
         hook: &str,
         program: &Program,
     ) -> Result<ProbeId, KernelError> {
-        let verifier = snapbpf_ebpf::Verifier::new(&self.maps, &self.kfunc_sigs);
+        let key = snapbpf_ebpf::ShapeKey::of(program, &self.maps, &self.kfunc_sigs);
         let (result, stats) = if self.verifier_log_enabled {
+            let verifier = snapbpf_ebpf::Verifier::new(&self.maps, &self.kfunc_sigs);
             let (result, log) = verifier.verify_logged(program);
             let stats = log.stats().clone();
             self.verifier_logs.push(log.render());
             (result, stats)
         } else {
-            let hits_before = self.verify_cache.hits();
-            let result = verifier.verify_cached(program, &mut self.verify_cache);
-            if self.verify_cache.hits() > hits_before {
+            let (result, hit) =
+                self.load_cache
+                    .verify(program, key.as_ref(), &self.maps, &self.kfunc_sigs);
+            if hit {
                 self.trace.incr("ebpf.verifier.cache_hits");
             }
             let stats = match &result {
@@ -365,7 +366,7 @@ impl HostKernel {
             Ok(verified) => {
                 self.trace.incr("ebpf.verifier.programs");
                 let attached = if self.optimizer_enabled {
-                    self.optimize_for_attach(program, verified)
+                    self.optimize_for_attach(program, key.as_ref(), verified)
                 } else {
                     verified
                 };
@@ -382,49 +383,32 @@ impl HostKernel {
     /// re-verifies the result. The optimized image is attached only
     /// when it passes the verifier again; otherwise the original
     /// `verified` image is kept and `ebpf.opt.reverify_rejections`
-    /// counts the fallback. Optimization results are memoized per
-    /// program shape like verification verdicts.
+    /// counts the fallback. The optimized image and both verdicts are
+    /// memoized in the same shape entry as the verdict.
     fn optimize_for_attach(
         &mut self,
         program: &Program,
+        key: Option<&snapbpf_ebpf::ShapeKey>,
         verified: snapbpf_ebpf::VerifiedProgram,
     ) -> snapbpf_ebpf::VerifiedProgram {
-        let (optimized, stats) = match self.opt_cache.lookup(program, &self.maps, &self.kfunc_sigs)
-        {
-            Some(hit) => {
-                self.trace.incr("ebpf.opt.cache_hits");
-                hit
-            }
-            None => {
-                let (optimized, stats) = snapbpf_ebpf::PassManager::new().optimize(
-                    program,
-                    &self.maps,
-                    &self.kfunc_sigs,
-                );
-                self.opt_cache.insert(
-                    program,
-                    &optimized,
-                    stats.clone(),
-                    &self.maps,
-                    &self.kfunc_sigs,
-                );
-                (optimized, stats)
-            }
-        };
-        self.trace.incr("ebpf.opt.programs");
-        self.trace.add("ebpf.opt.insns_before", stats.insns_before);
-        self.trace.add("ebpf.opt.insns_after", stats.insns_after);
         // Re-verification is silent: no verifier metrics or captured
         // logs, so enabling the optimizer never changes what the
         // verifier reports about the program the author wrote.
-        let verifier = snapbpf_ebpf::Verifier::new(&self.maps, &self.kfunc_sigs);
-        match verifier.verify_cached(&optimized, &mut self.verify_cache) {
-            Ok(v) => v,
-            Err(_) => {
-                self.trace.incr("ebpf.opt.reverify_rejections");
-                verified
-            }
+        let (attached, outcome) =
+            self.load_cache
+                .optimize(program, key, verified, &self.maps, &self.kfunc_sigs);
+        if outcome.cache_hit {
+            self.trace.incr("ebpf.opt.cache_hits");
         }
+        self.trace.incr("ebpf.opt.programs");
+        self.trace
+            .add("ebpf.opt.insns_before", outcome.stats.insns_before);
+        self.trace
+            .add("ebpf.opt.insns_after", outcome.stats.insns_after);
+        if outcome.reverify_rejected {
+            self.trace.incr("ebpf.opt.reverify_rejections");
+        }
+        attached
     }
 
     /// Enables or disables the optimize-then-re-verify step in
