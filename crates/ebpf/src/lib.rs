@@ -80,7 +80,6 @@
 
 mod asm_text;
 mod bytecode;
-mod hash;
 mod insn;
 mod interp;
 mod kprobe;

@@ -18,7 +18,8 @@
 
 use std::collections::HashMap;
 
-use crate::hash::WordState;
+use snapbpf_sim::WordState;
+
 use crate::insn::{Insn, Reg};
 use crate::map::{MapDef, MapId, MapSet};
 use crate::opt::{OptStats, PassManager};

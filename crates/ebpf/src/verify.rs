@@ -34,7 +34,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::hash::{WordHasher, WordState};
+use snapbpf_sim::{WordHasher, WordState};
+
 use crate::insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, STACK_SIZE,
 };

@@ -238,7 +238,7 @@ impl Host<'_> {
     }
 
     /// Executes the event at `active[i]`: completion bookkeeping when
-    /// the sandbox is done, otherwise its next restore / vCPU step.
+    /// the sandbox is done, otherwise its next restore step or VM entry.
     pub(crate) fn step_event(&mut self, i: usize) -> Result<(), StrategyError> {
         if self.active[i].is_done() {
             self.finalize(i)

@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use snapbpf_mem::{FrameId, OwnerId, PageKey};
-use snapbpf_sim::{SimDuration, SimTime};
+use snapbpf_sim::{SimDuration, SimTime, WordState};
 use snapbpf_storage::FileId;
 
 use crate::host::{HostKernel, KernelError};
@@ -160,10 +160,10 @@ pub struct KvmVm {
     snapshot_file: FileId,
     pages: u64,
     cow_policy: CowPolicy,
-    mappings: HashMap<u64, GuestMapping>,
+    mappings: HashMap<u64, GuestMapping, WordState>,
     uffd: Option<(u64, u64)>, // registered [start, end) gpfn range
     overlays: Vec<Overlay>,
-    anon_filter: HashSet<u64>,
+    anon_filter: HashSet<u64, WordState>,
     stats: VmMemStats,
     /// When enabled, first-touch guest page numbers in fault order —
     /// the VMM-level access profiling FaaSnap's record phase uses.
@@ -180,10 +180,10 @@ impl KvmVm {
             snapshot_file,
             pages,
             cow_policy,
-            mappings: HashMap::new(),
+            mappings: HashMap::default(),
             uffd: None,
             overlays: Vec::new(),
-            anon_filter: HashSet::new(),
+            anon_filter: HashSet::default(),
             stats: VmMemStats::default(),
             access_log: None,
         }
@@ -271,6 +271,21 @@ impl KvmVm {
         self.uffd.is_some_and(|(s, e)| gpfn >= s && gpfn < e)
     }
 
+    /// Retires a guest access that needs no VM exit: any access to
+    /// an anonymous page, or a read of a shared page-cache page.
+    /// Returns `true` and counts the hit exactly as
+    /// [`KvmVm::access`] would; returns `false` and changes nothing
+    /// when the access must exit to the host.
+    pub fn try_hit(&mut self, gpfn_raw: u64, write: bool) -> bool {
+        let hit = match self.mappings.get(&(gpfn_raw & !PV_MIRROR_BIT)) {
+            Some(GuestMapping::Cache { .. }) => !write,
+            Some(GuestMapping::Anon { .. }) => true,
+            None => false,
+        };
+        self.stats.hits += u64::from(hit);
+        hit
+    }
+
     /// Handles one guest access to `gpfn_raw` (which may carry the
     /// [`PV_MIRROR_BIT`]). `write` selects the access type.
     ///
@@ -286,49 +301,40 @@ impl KvmVm {
     ) -> Result<AccessOutcome, KernelError> {
         let mirrored = gpfn_raw & PV_MIRROR_BIT != 0;
         let gpfn = gpfn_raw & !PV_MIRROR_BIT;
-        let cfg = host.config().clone();
 
         // Fast path: already mapped.
-        if let Some(mapping) = self.mappings.get(&gpfn).copied() {
-            match mapping {
-                GuestMapping::Anon { .. } => {
-                    self.stats.hits += 1;
-                    return Ok(AccessOutcome {
-                        ready_at: now,
-                        cpu: SimDuration::ZERO,
-                        kind: AccessKind::Hit,
-                    });
-                }
-                GuestMapping::Cache { key } => {
-                    if !write {
-                        self.stats.hits += 1;
-                        return Ok(AccessOutcome {
-                            ready_at: now,
-                            cpu: SimDuration::ZERO,
-                            kind: AccessKind::Hit,
-                        });
-                    }
-                    // Write to a shared read-only page: CoW break.
-                    let cpu = cfg.nested_fault_exit + cfg.anon_zero_fill + cfg.page_copy;
-                    let (frame, _) = host.alloc_anon_page(self.owner)?;
-                    host.cache_mut().unmap_page(key)?;
-                    host.note_cow_break();
-                    self.mappings.insert(gpfn, GuestMapping::Anon { frame });
-                    self.stats.cow_breaks += 1;
-                    return Ok(AccessOutcome {
-                        ready_at: now + cpu,
-                        cpu,
-                        kind: AccessKind::CowBreak,
-                    });
-                }
+        match self.mappings.get(&gpfn) {
+            Some(&GuestMapping::Cache { key }) if write => {
+                // Write to a shared read-only page: CoW break.
+                let c = host.config();
+                let cpu = c.nested_fault_exit + c.anon_zero_fill + c.page_copy;
+                let (frame, _) = host.alloc_anon_page(self.owner)?;
+                host.cache_mut().unmap_page(key)?;
+                host.note_cow_break();
+                self.mappings.insert(gpfn, GuestMapping::Anon { frame });
+                self.stats.cow_breaks += 1;
+                return Ok(AccessOutcome {
+                    ready_at: now + cpu,
+                    cpu,
+                    kind: AccessKind::CowBreak,
+                });
             }
+            Some(_) => {
+                self.stats.hits += 1;
+                return Ok(AccessOutcome {
+                    ready_at: now,
+                    cpu: SimDuration::ZERO,
+                    kind: AccessKind::Hit,
+                });
+            }
+            None => {}
         }
 
         // Nested page fault.
         if let Some(log) = &mut self.access_log {
             log.push(gpfn);
         }
-        let mut cpu = cfg.nested_fault_exit;
+        let mut cpu = host.config().nested_fault_exit;
 
         // PV PTE marking: mirrored PFN ⇒ fresh allocation, serve
         // anonymously, map both views (paper §3.2 steps ④–⑥).
@@ -372,7 +378,7 @@ impl KvmVm {
         let read = host.read_file_page(now, file, file_page)?;
         cpu += read.cpu;
         let kind = if read.hit {
-            cpu += cfg.minor_fault;
+            cpu += host.config().minor_fault;
             self.stats.minor_faults += 1;
             AccessKind::Minor
         } else {
@@ -386,7 +392,7 @@ impl KvmVm {
             // Copy the (possibly still in-flight) page to anonymous
             // memory once its data is available.
             let (frame, alloc_cpu) = host.alloc_anon_page(self.owner)?;
-            let copy_cpu = alloc_cpu + cfg.page_copy;
+            let copy_cpu = alloc_cpu + host.config().page_copy;
             cpu += copy_cpu;
             host.note_cow_break();
             self.mappings.insert(gpfn, GuestMapping::Anon { frame });
@@ -424,9 +430,8 @@ impl KvmVm {
         data_ready: SimTime,
         host: &mut HostKernel,
     ) -> Result<AccessOutcome, KernelError> {
-        let cfg = host.config().clone();
         let (frame, alloc_cpu) = host.alloc_anon_page(self.owner)?;
-        let cpu = alloc_cpu + cfg.page_copy;
+        let cpu = alloc_cpu + host.config().page_copy;
         self.mappings.insert(gpfn, GuestMapping::Anon { frame });
         Ok(AccessOutcome {
             ready_at: data_ready.max(now) + cpu,

@@ -1,15 +1,15 @@
 //! Property-based tests for the host kernel: arbitrary interleavings
 //! of reads, prefetches, cache drops, and VM faults must preserve
 //! the accounting invariant and agree with a reference residency
-//! model.
+//! model, and KVM's no-exit check must agree with its fault path.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use snapbpf_kernel::{CowPolicy, HostKernel, KernelConfig, KvmVm};
-use snapbpf_mem::OwnerId;
+use snapbpf_kernel::{AccessKind, CowPolicy, HostKernel, KernelConfig, KvmVm, PV_MIRROR_BIT};
+use snapbpf_mem::{MemorySnapshot, OwnerId, PageKey, PageView};
 use snapbpf_sim::{SimDuration, SimTime};
-use snapbpf_storage::{Disk, SsdModel};
+use snapbpf_storage::{Disk, FileId, SsdModel};
 
 const FILE_PAGES: u64 = 256;
 
@@ -40,8 +40,132 @@ fn kernel_ops() -> impl Strategy<Value = Vec<KernelOp>> {
     )
 }
 
+/// Which restore features the VM under test carries.
+#[derive(Debug, Clone, Copy)]
+struct VmShape {
+    pv_marking: bool,
+    forced_write: bool,
+    uffd: bool,
+    overlay: bool,
+    anon_filter: bool,
+}
+
+fn vm_shapes() -> impl Strategy<Value = VmShape> {
+    (
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(pv_marking, forced_write, uffd, overlay, anon_filter)| VmShape {
+                pv_marking,
+                forced_write,
+                uffd,
+                overlay,
+                anon_filter,
+            },
+        )
+}
+
+/// A host with the snapshot file and a working-set file, and a VM of
+/// `shape` on it (pages 64..128 uffd-registered, 128..160 overlaid,
+/// every seventh page filtered to anonymous memory).
+fn shaped_vm(shape: VmShape) -> (HostKernel, KvmVm, [FileId; 2]) {
+    let mut host = HostKernel::new(
+        Disk::new(Box::new(SsdModel::micron_5300())),
+        KernelConfig::default(),
+    );
+    let snap = host.disk_mut().create_file("snap", FILE_PAGES).unwrap();
+    let ws = host.disk_mut().create_file("ws", 32).unwrap();
+    let policy = if shape.forced_write {
+        CowPolicy::ForcedWrite
+    } else {
+        CowPolicy::Opportunistic
+    };
+    let mut vm = KvmVm::new(OwnerId::new(0), snap, FILE_PAGES, policy);
+    if shape.uffd {
+        vm.register_uffd(64, 64);
+    }
+    if shape.overlay {
+        vm.add_overlay(128, 32, ws, 0);
+    }
+    if shape.anon_filter {
+        vm.add_anon_filter((0..FILE_PAGES).step_by(7));
+    }
+    (host, vm, [snap, ws])
+}
+
+/// Everything a guest access can change on the host side.
+fn host_view(
+    host: &HostKernel,
+    files: [FileId; 2],
+) -> (MemorySnapshot, u64, Vec<Option<PageView>>) {
+    let pages = files
+        .iter()
+        .flat_map(|&f| (0..FILE_PAGES).map(move |p| PageKey::new(f, p)))
+        .map(|key| host.cache().get(key))
+        .collect();
+    (
+        host.memory_snapshot(),
+        host.disk().tracer().read_requests(),
+        pages,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `KvmVm::try_hit` retires an access exactly when `access` would
+    /// report a hit, counting it identically, and a `false` leaves
+    /// the VM and the host untouched. Two identical hosts run in
+    /// lockstep: one probes with `try_hit` first, the other always
+    /// takes `access`.
+    #[test]
+    fn try_hit_agrees_with_access(
+        shape in vm_shapes(),
+        // (page, write, alloc): an allocation is always a write,
+        // mirror-marked under PV marking.
+        accesses in prop::collection::vec((0u64..FILE_PAGES, any::<bool>(), any::<bool>()), 1..160),
+    ) {
+        let (mut probe_host, mut probe, files) = shaped_vm(shape);
+        let (mut ref_host, mut reference, _) = shaped_vm(shape);
+        let mut t = SimTime::ZERO;
+        for (page, write, alloc) in accesses {
+            let (raw, write): (u64, bool) = if alloc && shape.pv_marking {
+                (page | PV_MIRROR_BIT, true)
+            } else {
+                (page, write || alloc)
+            };
+            let expected = reference.access(t, raw, write, &mut ref_host).unwrap();
+            let (vm_before, host_before) = (probe.stats(), host_view(&probe_host, files));
+            let mapped_before = probe.mapped_pages();
+            let hit = probe.try_hit(raw, write);
+            prop_assert_eq!(hit, expected.kind == AccessKind::Hit);
+            if hit {
+                prop_assert_eq!(expected.ready_at, t);
+                prop_assert_eq!(expected.cpu, SimDuration::ZERO);
+            } else {
+                prop_assert_eq!(probe.stats(), vm_before);
+                prop_assert_eq!(probe.mapped_pages(), mapped_before);
+                prop_assert_eq!(host_view(&probe_host, files), host_before);
+                let out = probe.access(t, raw, write, &mut probe_host).unwrap();
+                prop_assert_eq!(out, expected);
+            }
+            let mut ready = expected.ready_at;
+            if expected.kind == AccessKind::Uffd {
+                // The userspace handler installs the page, as the
+                // engine's resolver would.
+                let data = t + SimDuration::from_micros(50);
+                ready = reference.uffd_install(t, page, data, &mut ref_host).unwrap().ready_at;
+                probe.uffd_install(t, page, data, &mut probe_host).unwrap();
+            }
+            prop_assert_eq!(probe.stats(), reference.stats());
+            prop_assert_eq!(host_view(&probe_host, files), host_view(&ref_host, files));
+            t = ready + SimDuration::from_micros(1);
+        }
+    }
 
     /// Accounting (buddy = cache + anon) holds across arbitrary
     /// operation interleavings, and residency agrees with a model

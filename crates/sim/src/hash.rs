@@ -1,22 +1,25 @@
-//! A word-at-a-time hasher for the program-load hot paths.
+//! A word-at-a-time hasher for the simulator's hot tables.
 //!
-//! The verifier keys its prune and path sets by 504-byte abstract
-//! states, and the load cache keys programs by their full structural
-//! shape. `std`'s default SipHash costs more than the lookups it
-//! serves on both. This hasher folds each 64-bit word into the state
-//! with one rotate, xor and multiply (the FxHash step) and finishes
-//! with a rotation, so the high bits the tables probe with depend on
-//! every input word. It is not DoS-resistant, which is fine here:
-//! every key is compared exactly after its hash matches, so a
-//! collision only costs time.
+//! The eBPF verifier keys its prune and path sets by 504-byte
+//! abstract states, the program-load cache keys programs by their
+//! full structural shape, and KVM's guest page tables are probed by
+//! guest page number on every guest access. `std`'s default SipHash
+//! costs more than the lookups it serves on all three. This hasher
+//! folds each 64-bit word into the state with one rotate, xor and
+//! multiply (the FxHash step) and finishes with a rotation, so the
+//! high bits the tables probe with depend on every input word. It is
+//! not DoS-resistant, which is fine here: every key is generated by
+//! the simulator itself and compared exactly after its hash matches,
+//! so a collision only costs time.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// The word-at-a-time hasher.
+/// The word-at-a-time hasher: one rotate, xor and multiply per
+/// 64-bit word, not DoS-resistant (keys must come from the program).
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 impl WordHasher {
     #[inline]
@@ -72,7 +75,7 @@ impl Hasher for WordHasher {
 }
 
 /// `BuildHasher` for hash maps and sets keyed through [`WordHasher`].
-pub(crate) type WordState = BuildHasherDefault<WordHasher>;
+pub type WordState = BuildHasherDefault<WordHasher>;
 
 #[cfg(test)]
 mod tests {

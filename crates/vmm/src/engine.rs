@@ -11,6 +11,15 @@
 //! interleaves several VMs deterministically in virtual-time order —
 //! each VM has its own pinned vCPU (as in the paper's methodology),
 //! so they only contend on the shared disk and page cache.
+//!
+//! Every replay loop advances a VM one *entry* at a time, as KVM
+//! runs a guest: an event executes the pending step, which may exit
+//! to the host, then keeps running the guest through compute and
+//! accesses to pages it already maps, and stops at the next step
+//! that needs the host. Those no-exit steps touch only VM-private
+//! state, so the virtual-time order of every shared page-cache, disk
+//! and allocator operation is the same as stepping one trace step
+//! per event.
 
 use snapbpf_kernel::{AccessKind, HostKernel, KernelError, VmMemStats};
 use snapbpf_sim::{sandbox_tid, SimDuration, SimTime};
@@ -94,17 +103,92 @@ pub fn run_invocation(
     host: &mut HostKernel,
     uffd: &mut dyn UffdResolver,
 ) -> Result<InvocationResult, KernelError> {
-    let mut t = start;
-    let mut uffd_resolved = 0;
-    for step in trace.steps() {
-        t = advance(t, vm, *step, host, uffd, &mut uffd_resolved)?;
+    let mut replay = Replay::new(start);
+    while !replay.is_done(trace) {
+        replay.enter(vm, trace, host, uffd)?;
     }
-    Ok(InvocationResult {
-        end_time: t,
-        e2e_latency: t.saturating_since(start),
-        stats: vm.kvm().stats(),
-        uffd_resolved,
-    })
+    Ok(replay.result(vm))
+}
+
+/// Where one invocation's replay stands. [`run_invocation`],
+/// [`run_concurrent`] and [`InvocationCursor`] all advance through
+/// [`Replay::enter`], so they share one definition of an event: one
+/// VM entry.
+struct Replay {
+    next_step: usize,
+    t: SimTime,
+    start: SimTime,
+    uffd_resolved: u64,
+}
+
+impl Replay {
+    fn new(start: SimTime) -> Replay {
+        Replay {
+            next_step: 0,
+            t: start,
+            start,
+            uffd_resolved: 0,
+        }
+    }
+
+    fn is_done(&self, trace: &InvocationTrace) -> bool {
+        self.next_step >= trace.steps().len()
+    }
+
+    /// One VM entry: executes the pending step, which may exit to the
+    /// host, then runs on through every following step that needs no
+    /// exit (see [`run_in_guest`]). The clock stops at the start of
+    /// the next step that needs the host. Does nothing once done.
+    fn enter(
+        &mut self,
+        vm: &mut MicroVm,
+        trace: &InvocationTrace,
+        host: &mut HostKernel,
+        uffd: &mut dyn UffdResolver,
+    ) -> Result<(), KernelError> {
+        let steps = trace.steps();
+        let Some(&step) = steps.get(self.next_step) else {
+            return Ok(());
+        };
+        self.t = advance(self.t, vm, step, host, uffd, &mut self.uffd_resolved)?;
+        self.next_step += 1;
+        while let Some(t) = steps
+            .get(self.next_step)
+            .and_then(|&step| run_in_guest(self.t, vm, step))
+        {
+            self.t = t;
+            self.next_step += 1;
+        }
+        Ok(())
+    }
+
+    fn result(&self, vm: &MicroVm) -> InvocationResult {
+        InvocationResult {
+            end_time: self.t,
+            e2e_latency: self.t.saturating_since(self.start),
+            stats: vm.kvm().stats(),
+            uffd_resolved: self.uffd_resolved,
+        }
+    }
+}
+
+/// Retires `step` inside the guest when it needs no VM exit —
+/// compute, or an access or allocation that hits a page the VM
+/// already maps — returning the new vCPU time. Returns `None`, with
+/// the VM unchanged, when the step needs the host.
+fn run_in_guest(t: SimTime, vm: &mut MicroVm, step: Step) -> Option<SimTime> {
+    match step {
+        Step::Compute(d) => Some(t + d),
+        Step::Access { gpfn, write } => vm.kvm_mut().try_hit(gpfn, write).then_some(t),
+        Step::Alloc { gpfn } => {
+            let gpfn_as_mapped = vm.guest().alloc_pfn(gpfn);
+            if !vm.kvm_mut().try_hit(gpfn_as_mapped, true) {
+                return None;
+            }
+            vm.guest_mut().alloc_page(gpfn);
+            Some(t)
+        }
+    }
 }
 
 /// Executes one step, returning the new vCPU time.
@@ -223,10 +307,7 @@ pub struct InvocationCursor {
     vm: MicroVm,
     resolver: Box<dyn UffdResolver>,
     trace: InvocationTrace,
-    next_step: usize,
-    t: SimTime,
-    start: SimTime,
-    uffd_resolved: u64,
+    replay: Replay,
 }
 
 /// Builds an [`InvocationCursor`]: the microVM and trace are
@@ -263,10 +344,7 @@ impl InvocationCursorBuilder {
             vm: self.vm,
             resolver: self.resolver,
             trace: self.trace,
-            next_step: 0,
-            t: self.start,
-            start: self.start,
-            uffd_resolved: 0,
+            replay: Replay::new(self.start),
         }
     }
 }
@@ -285,37 +363,40 @@ impl InvocationCursor {
 
     /// The invocation's vCPU clock (completion time once done).
     pub fn clock(&self) -> SimTime {
-        self.t
+        self.replay.t
     }
 
     /// When the invocation started.
     pub fn start(&self) -> SimTime {
-        self.start
+        self.replay.start
     }
 
     /// Whether every step of the trace has executed.
     pub fn is_done(&self) -> bool {
-        self.next_step >= self.trace.steps().len()
+        self.replay.is_done(&self.trace)
     }
 
-    /// Executes the next step of the trace; does nothing once done.
+    /// Enters the guest once: executes the pending step, which may
+    /// exit to the host (a nested page fault, a CoW break, a
+    /// userfaultfd round trip), then keeps running the guest for as
+    /// long as it needs no exit — compute, and accesses to pages the
+    /// VM already maps (any access to an anonymous page, a read of a
+    /// shared page-cache page). [`InvocationCursor::clock`] then
+    /// stops at the start of the next step that needs the host, so
+    /// one scheduler event is one VM entry, not one trace step. Does
+    /// nothing once done.
+    ///
+    /// The steps run ahead touch only this VM's mappings, hit count
+    /// and guest allocator counters, which nothing outside the VM
+    /// reads before its next exit; every step with a shared effect
+    /// still runs when this cursor is the scheduler's earliest event.
     ///
     /// # Errors
     ///
     /// Kernel errors (I/O, memory exhaustion) propagate.
     pub fn step(&mut self, host: &mut HostKernel) -> Result<(), KernelError> {
-        if let Some(&step) = self.trace.steps().get(self.next_step) {
-            self.t = advance(
-                self.t,
-                &mut self.vm,
-                step,
-                host,
-                self.resolver.as_mut(),
-                &mut self.uffd_resolved,
-            )?;
-            self.next_step += 1;
-        }
-        Ok(())
+        self.replay
+            .enter(&mut self.vm, &self.trace, host, self.resolver.as_mut())
     }
 
     /// Finishes the invocation, handing back the sandbox (for reuse
@@ -326,12 +407,7 @@ impl InvocationCursor {
     /// Panics if the invocation has steps left.
     pub fn finish(self) -> (MicroVm, Box<dyn UffdResolver>, InvocationResult) {
         assert!(self.is_done(), "finish() before the trace completed");
-        let result = InvocationResult {
-            end_time: self.t,
-            e2e_latency: self.t.saturating_since(self.start),
-            stats: self.vm.kvm().stats(),
-            uffd_resolved: self.uffd_resolved,
-        };
+        let result = self.replay.result(&self.vm);
         (self.vm, self.resolver, result)
     }
 
@@ -348,16 +424,12 @@ impl InvocationCursor {
 struct VmCursor<'a> {
     vm: &'a mut MicroVm,
     trace: &'a InvocationTrace,
-    next_step: usize,
-    t: SimTime,
-    start: SimTime,
-    uffd_resolved: u64,
-    done: bool,
+    replay: Replay,
 }
 
-/// Replays one invocation on each VM concurrently, interleaving
-/// steps in virtual-time order (the VM whose vCPU clock is furthest
-/// behind executes next). `starts[i]` is when VM `i` begins guest
+/// Replays one invocation on each VM concurrently, interleaving VM
+/// entries in virtual-time order (the VM whose vCPU clock is furthest
+/// behind enters next). `starts[i]` is when VM `i` begins guest
 /// execution (restores complete at different times). Returns per-VM
 /// results in input order.
 ///
@@ -387,11 +459,7 @@ pub fn run_concurrent(
         .map(|((vm, trace), &start)| VmCursor {
             vm,
             trace,
-            next_step: 0,
-            t: start,
-            start,
-            uffd_resolved: 0,
-            done: false,
+            replay: Replay::new(start),
         })
         .collect();
 
@@ -400,29 +468,15 @@ pub fn run_concurrent(
     while let Some(i) = cursors
         .iter()
         .enumerate()
-        .filter(|(_, c)| !c.done)
-        .min_by_key(|(i, c)| (c.t, *i))
+        .filter(|(_, c)| !c.replay.is_done(c.trace))
+        .min_by_key(|(i, c)| (c.replay.t, *i))
         .map(|(i, _)| i)
     {
         let c = &mut cursors[i];
-        match c.trace.steps().get(c.next_step) {
-            Some(&step) => {
-                c.t = advance(c.t, c.vm, step, host, resolvers[i], &mut c.uffd_resolved)?;
-                c.next_step += 1;
-            }
-            None => c.done = true,
-        }
+        c.replay.enter(c.vm, c.trace, host, resolvers[i])?;
     }
 
-    Ok(cursors
-        .into_iter()
-        .map(|c| InvocationResult {
-            end_time: c.t,
-            e2e_latency: c.t.saturating_since(c.start),
-            stats: c.vm.kvm().stats(),
-            uffd_resolved: c.uffd_resolved,
-        })
-        .collect())
+    Ok(cursors.iter().map(|c| c.replay.result(c.vm)).collect())
 }
 
 #[cfg(test)]
@@ -443,6 +497,23 @@ mod tests {
         let (snap, _) =
             Snapshot::create(SimTime::ZERO, name, w.snapshot_pages(), &mut host).unwrap();
         (host, snap, w.trace())
+    }
+
+    /// A uffd handler whose data is always ready; counts its calls.
+    struct InstantResolver {
+        calls: u64,
+    }
+
+    impl UffdResolver for InstantResolver {
+        fn resolve(
+            &mut self,
+            now: SimTime,
+            _gpfn: u64,
+            _host: &mut HostKernel,
+        ) -> Result<SimTime, KernelError> {
+            self.calls += 1;
+            Ok(now)
+        }
     }
 
     #[test]
@@ -498,20 +569,6 @@ mod tests {
 
     #[test]
     fn uffd_resolver_is_consulted() {
-        struct InstantResolver {
-            calls: u64,
-        }
-        impl UffdResolver for InstantResolver {
-            fn resolve(
-                &mut self,
-                now: SimTime,
-                _gpfn: u64,
-                _host: &mut HostKernel,
-            ) -> Result<SimTime, KernelError> {
-                self.calls += 1;
-                Ok(now)
-            }
-        }
         let (mut host, snap, trace) = setup("html", 0.1);
         let mut vm = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
         vm.kvm_mut().register_uffd(0, snap.memory_pages());
@@ -580,25 +637,139 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn cursor_matches_run_invocation() {
-        let (mut host_a, snap_a, trace_a) = setup("json", 0.1);
-        let mut vm = MicroVm::restore(OwnerId::new(0), &snap_a, CowPolicy::Opportunistic, false);
-        let direct =
-            run_invocation(SimTime::ZERO, &mut vm, &trace_a, &mut host_a, &mut NoUffd).unwrap();
+    /// The reference replay: one event per trace step.
+    fn replay_per_step(
+        start: SimTime,
+        vm: &mut MicroVm,
+        trace: &InvocationTrace,
+        host: &mut HostKernel,
+        uffd: &mut dyn UffdResolver,
+    ) -> InvocationResult {
+        let (mut t, mut uffd_resolved) = (start, 0);
+        for &step in trace.steps() {
+            t = advance(t, vm, step, host, uffd, &mut uffd_resolved).unwrap();
+        }
+        InvocationResult {
+            end_time: t,
+            e2e_latency: t.saturating_since(start),
+            stats: vm.kvm().stats(),
+            uffd_resolved,
+        }
+    }
 
-        let (mut host_b, snap_b, trace_b) = setup("json", 0.1);
-        let vm = MicroVm::restore(OwnerId::new(0), &snap_b, CowPolicy::Opportunistic, false);
-        let mut cursor = InvocationCursor::builder(vm, trace_b).begin();
-        assert_eq!(cursor.start(), SimTime::ZERO);
+    /// Drives `trace` through an [`InvocationCursor`], checking that
+    /// each `step` is one VM entry; returns the result and the numbers
+    /// of exits and entries.
+    fn replay_by_cursor(
+        start: SimTime,
+        vm: MicroVm,
+        trace: &InvocationTrace,
+        host: &mut HostKernel,
+        resolver: Box<dyn UffdResolver>,
+    ) -> (InvocationResult, u64, u64) {
+        let hits_before = vm.kvm().stats().hits;
+        let accesses = trace
+            .steps()
+            .iter()
+            .filter(|s| !matches!(s, Step::Compute(_)))
+            .count() as u64;
+        let mut cursor = InvocationCursor::builder(vm, trace.clone())
+            .starting_at(start)
+            .with_resolver(resolver)
+            .begin();
+        assert_eq!(cursor.start(), start);
+        let mut entries = 0;
         while !cursor.is_done() {
-            cursor.step(&mut host_b).unwrap();
+            cursor.step(host).unwrap();
+            entries += 1;
         }
         let before_done = cursor.clock();
-        cursor.step(&mut host_b).unwrap(); // no-op past the end
+        cursor.step(host).unwrap(); // no-op past the end
         assert_eq!(cursor.clock(), before_done);
-        let (_vm, _resolver, stepped) = cursor.finish();
-        assert_eq!(stepped, direct);
+        let (_vm, _resolver, result) = cursor.finish();
+        // Every entry but possibly the first begins with an exit.
+        let exits = accesses - (result.stats.hits - hits_before);
+        assert!(
+            (exits..=exits + 1).contains(&entries),
+            "{entries} entries for {exits} exits"
+        );
+        (result, exits, entries)
+    }
+
+    #[test]
+    fn cursor_matches_run_invocation() {
+        struct Case {
+            workload: &'static str,
+            policy: CowPolicy,
+            pv: bool,
+            uffd: bool,
+            /// Compare a second invocation on a VM that first ran
+            /// this input variant of the trace.
+            warmed_by: Option<u32>,
+        }
+        let case = |workload, policy, pv, uffd, warmed_by| Case {
+            workload,
+            policy,
+            pv,
+            uffd,
+            warmed_by,
+        };
+        use CowPolicy::{ForcedWrite, Opportunistic};
+        let cases = [
+            case("json", Opportunistic, false, false, None),
+            case("image", Opportunistic, true, false, None),
+            case("image", ForcedWrite, false, false, None),
+            case("html", Opportunistic, false, true, None),
+            case("json", Opportunistic, false, false, Some(0)),
+            case("image", Opportunistic, true, false, Some(0)),
+            // Another input writes pages the first one only read:
+            // CoW breaks on shared cache pages must still exit.
+            case("json", Opportunistic, false, false, Some(1)),
+        ];
+        for c in cases {
+            let name = format!(
+                "{} {:?} pv={} uffd={} warmed_by={:?}",
+                c.workload, c.policy, c.pv, c.uffd, c.warmed_by
+            );
+            // Per step, run_invocation, cursor: each on a fresh host.
+            let mut results = Vec::new();
+            for driver in 0..3 {
+                let (mut host, snap, trace) = setup(c.workload, 0.05);
+                let mut vm = MicroVm::restore(OwnerId::new(0), &snap, c.policy, c.pv);
+                let mut resolver: Box<dyn UffdResolver> = if c.uffd {
+                    vm.kvm_mut().register_uffd(0, snap.memory_pages());
+                    Box::new(InstantResolver { calls: 0 })
+                } else {
+                    Box::new(NoUffd)
+                };
+                let mut start = SimTime::ZERO;
+                if let Some(variant) = c.warmed_by {
+                    let w = Workload::by_name(c.workload).unwrap().scaled(0.05);
+                    let first = w.trace_variant(variant);
+                    let first =
+                        run_invocation(start, &mut vm, &first, &mut host, resolver.as_mut());
+                    start = first.unwrap().end_time;
+                }
+                let host = &mut host;
+                results.push(match driver {
+                    0 => replay_per_step(start, &mut vm, &trace, host, resolver.as_mut()),
+                    1 => run_invocation(start, &mut vm, &trace, host, resolver.as_mut()).unwrap(),
+                    _ => {
+                        let (result, exits, entries) =
+                            replay_by_cursor(start, vm, &trace, host, resolver);
+                        if c.warmed_by == Some(0) {
+                            // A warm VM maps its whole trace: one entry.
+                            assert_eq!((exits, entries), (0, 1), "{name}");
+                        } else {
+                            assert!(exits > 0, "{name}: must fault");
+                        }
+                        result
+                    }
+                });
+            }
+            assert_eq!(results[1], results[0], "{name}: run_invocation");
+            assert_eq!(results[2], results[0], "{name}: cursor");
+        }
     }
 
     #[test]

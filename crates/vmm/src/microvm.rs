@@ -34,17 +34,26 @@ impl GuestKernel {
         self.pv_marking
     }
 
-    /// The guest allocator maps a freshly allocated page: returns
-    /// the guest PFN as it appears to the host — mirror-marked when
-    /// the PV patch is in (paper §3.2 step ③).
+    /// The guest PFN a fresh allocation of `gpfn` is mapped through,
+    /// as it appears to the host — mirror-marked when the PV patch is
+    /// in (paper §3.2 step ③).
+    pub fn alloc_pfn(&self, gpfn: u64) -> u64 {
+        if self.pv_marking {
+            gpfn | PV_MIRROR_BIT
+        } else {
+            gpfn
+        }
+    }
+
+    /// The guest allocator maps a freshly allocated page: counts the
+    /// allocation and returns [`GuestKernel::alloc_pfn`].
     pub fn alloc_page(&mut self, gpfn: u64) -> u64 {
         if self.pv_marking {
             self.marked_allocs += 1;
-            gpfn | PV_MIRROR_BIT
         } else {
             self.unmarked_allocs += 1;
-            gpfn
         }
+        self.alloc_pfn(gpfn)
     }
 
     /// Allocations mapped through the mirror space.
