@@ -1,7 +1,6 @@
 //! # snapbpf-bench — the figure-regeneration harness
 //!
-//! Shared plumbing for the `figures` binary and the Criterion
-//! benches: standard configurations and result output.
+//! Shared plumbing for the `figures` binary: result output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,27 +9,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use snapbpf::figures::FigureConfig;
-use snapbpf::DeviceKind;
 use snapbpf::FigureData;
-use snapbpf_workloads::Workload;
-
-/// The configuration benches run at: the full 14-function suite at a
-/// reduced (but shape-preserving) scale with 10 concurrent
-/// instances, exactly as the paper's concurrency experiments.
-pub fn bench_config() -> FigureConfig {
-    FigureConfig {
-        scale: 0.15,
-        instances: 10,
-        workloads: Workload::suite(),
-        device: DeviceKind::Sata5300,
-    }
-}
-
-/// A minimal configuration for smoke tests.
-pub fn smoke_config() -> FigureConfig {
-    FigureConfig::quick(0.03)
-}
 
 /// Writes a figure's JSON next to its rendered table under `dir`.
 ///
@@ -50,13 +29,6 @@ pub fn write_figure(dir: &Path, fig: &FigureData) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn configs_are_usable() {
-        assert_eq!(bench_config().workloads.len(), 14);
-        assert_eq!(bench_config().instances, 10);
-        assert!(smoke_config().scale < 0.1);
-    }
 
     #[test]
     fn write_figure_creates_files() {

@@ -43,11 +43,12 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
+use snapbpf_mem::BuddyAllocator;
 use snapbpf_sim::{
     chrome_trace_json, MetricsRegistry, SeriesRegistry, SimDuration, SimTime, TraceEvent, Tracer,
     TracerClass, TID_CONTROL, TID_DISK, TID_KERNEL,
 };
-use snapbpf_workloads::Workload;
+use snapbpf_workloads::{FunctionSpec, Workload};
 
 use crate::config::{FaultKind, FleetConfig, RetryPolicy};
 use crate::host::{build_host, draw_arrivals, Host, Request};
@@ -157,6 +158,21 @@ pub(crate) fn validate(cfg: &FleetConfig, workloads: &[Workload]) -> Result<(), 
         return Err(StrategyError::Config(
             "max_concurrency must be at least 1".to_owned(),
         ));
+    }
+    if !FunctionSpec::valid_scale(cfg.scale) {
+        return Err(StrategyError::Config(format!(
+            "scale must be in (0, 1], not {}",
+            cfg.scale
+        )));
+    }
+    if let Some(pages) = cfg.memory_pages.filter(|&p| p < BuddyAllocator::MIN_PAGES) {
+        return Err(StrategyError::Config(format!(
+            "memory_pages = {pages} is below the {} pages a host's frame allocator needs",
+            BuddyAllocator::MIN_PAGES
+        )));
+    }
+    if let Some(Err(msg)) = cfg.arrival.process().map(|p| p.check()) {
+        return Err(StrategyError::Config(msg.to_owned()));
     }
     if !cfg.faults.is_empty() {
         if cfg.hosts < 2 {
@@ -971,6 +987,74 @@ mod tests {
         cfg.max_concurrency = 0;
         let err = run(&cfg, &w).unwrap_err();
         assert!(matches!(err, StrategyError::Config(_)), "got {err}");
+    }
+
+    #[test]
+    fn out_of_range_scale_is_a_config_error() {
+        let w: Vec<Workload> = vec![Workload::by_name("json").unwrap()];
+        for scale in [0.0, -1.0, f64::NAN] {
+            let cfg = FleetConfig::new(StrategyKind::SnapBpf, 1, 10.0).at_scale(scale);
+            let err = run(&cfg, &w).unwrap_err();
+            assert!(matches!(err, StrategyError::Config(_)), "got {err}");
+            assert!(err.to_string().contains("scale must be in (0, 1]"), "{err}");
+        }
+    }
+
+    #[test]
+    fn memory_below_one_allocator_block_is_a_config_error() {
+        let w: Vec<Workload> = vec![Workload::by_name("json").unwrap()];
+        for (hosts, pages) in [(1, 16), (1, 0), (2, 16), (2, 0)] {
+            let mut cfg = FleetConfig::new(StrategyKind::SnapBpf, 1, 10.0);
+            cfg.hosts = hosts;
+            cfg.memory_pages = Some(pages);
+            let err = run(&cfg, &w).unwrap_err();
+            assert!(matches!(err, StrategyError::Config(_)), "got {err}");
+            assert!(err.to_string().contains("frame allocator"), "{err}");
+        }
+    }
+
+    #[test]
+    fn invalid_arrival_process_is_a_config_error() {
+        use snapbpf_sim::{ArrivalProcess, ArrivalSource, ComposedArrivals};
+        let w: Vec<Workload> = vec![Workload::by_name("json").unwrap()];
+        let ms = SimDuration::from_millis(1);
+        let poisson = |rate_rps| ArrivalProcess::Poisson { rate_rps };
+        let periodic = |period, jitter_frac| ArrivalProcess::Periodic {
+            period,
+            jitter_frac,
+        };
+        let mmpp = ArrivalProcess::Mmpp {
+            low_rps: 0.0,
+            high_rps: 10.0,
+            mean_dwell: ms,
+        };
+        let bad = [
+            poisson(0.0),
+            poisson(-5.0),
+            poisson(f64::NAN),
+            mmpp,
+            periodic(SimDuration::ZERO, 0.0),
+            periodic(ms, 2.0),
+        ];
+        for process in bad {
+            let expected = process.check().unwrap_err();
+            // Plain on one host, composed (checked through its base)
+            // on two.
+            let sources: [(usize, ArrivalSource); 2] = [
+                (1, process.into()),
+                (2, ComposedArrivals::over(process).into()),
+            ];
+            for (hosts, arrival) in sources {
+                let mut cfg =
+                    FleetConfig::new(StrategyKind::SnapBpf, 1, 10.0).with_arrivals(arrival);
+                cfg.hosts = hosts;
+                let err = run(&cfg, &w).unwrap_err();
+                assert!(
+                    matches!(&err, StrategyError::Config(m) if m == expected),
+                    "got {err}"
+                );
+            }
+        }
     }
 
     #[test]

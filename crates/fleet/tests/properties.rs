@@ -22,7 +22,7 @@ proptest! {
     // configurations is plenty to catch nondeterminism.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Acceptance criterion: the same (config, workloads) pair must
+    /// Acceptance check: the same (config, workloads) pair must
     /// reproduce the entire result — every histogram bucket, counter,
     /// and byte count — bit for bit.
     #[test]

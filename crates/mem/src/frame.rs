@@ -102,18 +102,24 @@ pub struct BuddyAllocator {
 }
 
 impl BuddyAllocator {
+    /// The smallest memory [`BuddyAllocator::new`] accepts: one
+    /// max-order block (2^10 pages).
+    pub const MIN_PAGES: u64 = 1 << MAX_ORDER;
+
     /// Creates an allocator managing `total_pages` frames starting at
     /// frame 0. The total is rounded *down* to a multiple of the
     /// largest block size for simplicity.
     ///
     /// # Panics
     ///
-    /// Panics if `total_pages` is smaller than one max-order block
-    /// (2^10 pages).
+    /// Panics if `total_pages` is below [`BuddyAllocator::MIN_PAGES`].
     pub fn new(total_pages: u64) -> Self {
-        let block = 1u64 << MAX_ORDER;
+        let block = Self::MIN_PAGES;
+        assert!(
+            total_pages >= block,
+            "buddy allocator needs at least {block} pages"
+        );
         let usable = (total_pages / block) * block;
-        assert!(usable > 0, "buddy allocator needs at least {block} pages");
         let mut free_lists = vec![BTreeSet::new(); MAX_ORDER as usize + 1];
         let mut base = 0;
         while base < usable {

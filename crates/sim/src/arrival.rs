@@ -74,8 +74,42 @@ impl ArrivalProcess {
         }
     }
 
+    /// Checks the parameters [`ArrivalProcess::generator`] needs:
+    /// positive rates (NaN is not), a non-zero period and a jitter
+    /// fraction in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// The violated condition, as a message.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let (ok, msg) = match *self {
+            ArrivalProcess::Poisson { rate_rps } => {
+                (rate_rps > 0.0, "Poisson rate must be positive")
+            }
+            ArrivalProcess::Mmpp {
+                low_rps, high_rps, ..
+            } => (
+                low_rps > 0.0 && high_rps > 0.0,
+                "MMPP rates must be positive",
+            ),
+            ArrivalProcess::Periodic {
+                period,
+                jitter_frac,
+            } => (
+                !period.is_zero() && (0.0..=1.0).contains(&jitter_frac),
+                "a periodic process needs a positive period and a jitter fraction in [0, 1]",
+            ),
+        };
+        ok.then_some(()).ok_or(msg)
+    }
+
     /// Starts generating this process from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ArrivalProcess::check`] rejects the process.
     pub fn generator(&self, seed: u64) -> ArrivalGen {
+        self.check().unwrap_or_else(|msg| panic!("{msg}"));
         ArrivalGen {
             process: *self,
             rng: SplitMix64::new(seed),
@@ -116,7 +150,6 @@ impl ArrivalGen {
     pub fn next_arrival(&mut self) -> SimTime {
         match self.process {
             ArrivalProcess::Poisson { rate_rps } => {
-                assert!(rate_rps > 0.0, "Poisson rate must be positive");
                 let gap = SimDuration::from_secs_f64(exp_secs(&mut self.rng, 1.0 / rate_rps));
                 self.next_at += gap.max(SimDuration::from_nanos(1));
             }
@@ -125,10 +158,6 @@ impl ArrivalGen {
                 high_rps,
                 mean_dwell,
             } => {
-                assert!(
-                    low_rps > 0.0 && high_rps > 0.0,
-                    "MMPP rates must be positive"
-                );
                 // Consume state dwell time until an arrival fits in
                 // the current state.
                 loop {
@@ -158,11 +187,6 @@ impl ArrivalGen {
                 period,
                 jitter_frac,
             } => {
-                assert!(!period.is_zero(), "period must be positive");
-                assert!(
-                    (0.0..=1.0).contains(&jitter_frac),
-                    "jitter fraction must be in [0, 1]"
-                );
                 self.tick += 1;
                 let base = SimDuration::from_nanos(period.as_nanos() * self.tick);
                 let jitter = period.mul_f64(jitter_frac * self.rng.next_f64());
@@ -688,6 +712,16 @@ impl ArrivalSource {
             ArrivalSource::Process(_) => None,
             ArrivalSource::Trace(t) => Some(t),
             ArrivalSource::Composed(c) => c.base().trace(),
+        }
+    }
+
+    /// The synthetic process, if this source draws from one
+    /// (composed sources answer for their base).
+    pub fn process(&self) -> Option<&ArrivalProcess> {
+        match self {
+            ArrivalSource::Process(p) => Some(p),
+            ArrivalSource::Trace(_) => None,
+            ArrivalSource::Composed(c) => c.base().process(),
         }
     }
 

@@ -56,6 +56,12 @@ impl FunctionSpec {
         (self.ephemeral_mib * 256.0) as u64
     }
 
+    /// Whether `factor` is a valid [`FunctionSpec::scaled`] factor:
+    /// in `(0, 1]` (NaN is not).
+    pub fn valid_scale(factor: f64) -> bool {
+        factor > 0.0 && factor <= 1.0
+    }
+
     /// A copy with every dimension — sizes *and* compute time —
     /// scaled by `factor`, used to keep debug-profile tests fast.
     /// Scaling compute along with data keeps the latency *ratios*
@@ -64,13 +70,10 @@ impl FunctionSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is not in `(0, 1]`.
+    /// Panics unless [`FunctionSpec::valid_scale`] accepts `factor`.
     #[must_use]
     pub fn scaled(&self, factor: f64) -> FunctionSpec {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "scale factor must be in (0, 1]"
-        );
+        assert!(Self::valid_scale(factor), "scale factor must be in (0, 1]");
         FunctionSpec {
             snapshot_mib: ((self.snapshot_mib as f64 * factor) as u64).max(1),
             ws_mib: (self.ws_mib * factor).max(4096.0 / (1 << 20) as f64),
