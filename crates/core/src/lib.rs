@@ -7,7 +7,7 @@
 //! The crate provides:
 //!
 //! * the **SnapBPF mechanisms** — the eBPF capture/prefetch programs
-//!   ([`build_capture_program`], [`build_prefetch_program`]),
+//!   ([`build_capture_program`], [`build_prefetch_program_telemetry`]),
 //!   working-set offset [grouping and sorting](group_offsets), and
 //!   the PV-PTE-marking restore path — wired into the simulated
 //!   kernel end-to-end,
@@ -64,10 +64,9 @@ pub use experiment::{
     RunResult,
 };
 pub use programs::{
-    build_capture_program, build_prefetch_program, build_prefetch_program_cascade,
-    build_prefetch_program_telemetry, groups_map_def, groups_map_image, lint_report, opt_report,
-    read_captured_samples, verifier_log_report, wset_map_def, GROUPS_COUNT_SLOT,
-    GROUPS_CURSOR_SLOT, WSET_COUNT_SLOT,
+    build_capture_program, build_prefetch_program_telemetry, groups_map_def, groups_map_image,
+    lint_report, opt_report, read_captured_samples, verifier_log_report, wset_map_def,
+    GROUPS_COUNT_SLOT, GROUPS_CURSOR_SLOT, WSET_COUNT_SLOT,
 };
 pub use report::{FigureData, Series};
 pub use restore::{RestoreCursor, RestoreOps, RestoreStage, StageTimings, StepOutcome};

@@ -6,14 +6,12 @@
 //! * the **capture** program filters insertions to the snapshot file
 //!   and appends `(page offset, first-access timestamp)` samples to
 //!   the working-set map,
-//! * the **prefetch** program walks the pre-loaded, access-order
-//!   sorted group list in a single bounded loop, issuing one
-//!   contiguous range per group via the `snapbpf_prefetch()` kfunc
-//!   and disabling itself once the list is exhausted — one hook
-//!   invocation per restore. The pre-5.3 "re-trigger" variant
-//!   ([`build_prefetch_program_cascade`]), which issued one range
-//!   per trigger and relied on each range's insertions re-firing the
-//!   hook, is retained for comparison.
+//! * the **prefetch** program ([`build_prefetch_program_telemetry`])
+//!   walks the pre-loaded, access-order sorted group list in a single
+//!   bounded loop, issuing one contiguous range per group via the
+//!   `snapbpf_prefetch()` kfunc, reporting each range over a
+//!   telemetry ring buffer, and disabling itself once the list is
+//!   exhausted — one hook invocation per restore.
 //!
 //! Both are built with [`ProgramBuilder`], verified by the kernel's
 //! verifier at attach time, and executed by the interpreter — the
@@ -114,73 +112,6 @@ pub fn build_capture_program(snapshot: FileId, wset: MapId, max_samples: u32) ->
     b.build().expect("capture program assembles")
 }
 
-/// Builds the looped prefetch program for `snapshot` reading ranges
-/// from `groups` (an array map shaped by [`groups_map_def`] for
-/// `max_groups`).
-///
-/// A single invocation loops `cursor` from 0 to `ngroups` (clamped
-/// to `max_groups`, which is what lets the verifier bound the trip
-/// count), calling `snapbpf_prefetch(snapshot, start, len)` per
-/// group, then publishes the final cursor and returns
-/// [`PROG_RET_DISABLE`]. The self-disable lands before the prefetch
-/// queue drains, so the hook re-fires from the issued ranges hit a
-/// disabled probe: one program invocation per restore instead of the
-/// cascade's `ngroups + 1`.
-///
-/// Register roles: `r6` ngroups, `r7` loop cursor, `r9` slot index
-/// scratch; `(start, len)` are staged at `fp-24`/`fp-32` across the
-/// kfunc call.
-pub fn build_prefetch_program(snapshot: FileId, groups: MapId, max_groups: u32) -> Program {
-    let mut b = ProgramBuilder::new("snapbpf_prefetch_loop");
-    let out = b.label();
-    let top = b.label();
-    let done = b.label();
-
-    // r6 = ngroups, clamped so the verifier sees a loop bound.
-    emit_array_lookup(&mut b, groups, None, GROUPS_COUNT_SLOT as i64, out);
-    b.load(Reg::R6, Reg::R0, 0, AccessSize::B8)
-        .jump_if(JmpCond::Gt, Reg::R6, max_groups as i64, out)
-        .mov(Reg::R7, 0);
-
-    b.bind(top)
-        .expect("label bound once")
-        .jump_if(JmpCond::Ge, Reg::R7, Reg::R6, done);
-
-    // start = groups[2 + 2*cursor]  -> stash at fp-24.
-    b.mov(Reg::R9, Reg::R7).mul(Reg::R9, 2).add(Reg::R9, 2);
-    emit_array_lookup(&mut b, groups, Some(Reg::R9), 0, out);
-    b.load(Reg::R2, Reg::R0, 0, AccessSize::B8)
-        .store(Reg::R10, -24, Reg::R2, AccessSize::B8);
-
-    // len = groups[3 + 2*cursor]    -> stash at fp-32.
-    b.mov(Reg::R9, Reg::R7).mul(Reg::R9, 2).add(Reg::R9, 3);
-    emit_array_lookup(&mut b, groups, Some(Reg::R9), 0, out);
-    b.load(Reg::R2, Reg::R0, 0, AccessSize::B8)
-        .store(Reg::R10, -32, Reg::R2, AccessSize::B8);
-
-    // snapbpf_prefetch(snapshot, start, len); r6/r7 survive the call.
-    b.mov(Reg::R1, snapshot.as_u32() as i64)
-        .load(Reg::R2, Reg::R10, -24, AccessSize::B8)
-        .load(Reg::R3, Reg::R10, -32, AccessSize::B8)
-        .call_kfunc(KFUNC_SNAPBPF_PREFETCH)
-        .add(Reg::R7, 1)
-        .jump(top);
-
-    // done: publish cursor = ngroups (same end state the cascade
-    // leaves behind), then self-disable.
-    b.bind(done).expect("label bound once");
-    emit_array_lookup(&mut b, groups, None, GROUPS_CURSOR_SLOT as i64, out);
-    b.store(Reg::R0, 0, Reg::R7, AccessSize::B8)
-        .mov(Reg::R0, PROG_RET_DISABLE as i64)
-        .exit();
-
-    b.bind(out)
-        .expect("label bound once")
-        .mov(Reg::R0, 0)
-        .exit();
-    b.build().expect("looped prefetch program assembles")
-}
-
 /// Emits `*stats[slot] += delta` against a per-CPU stats map: the
 /// lookup resolves to the current CPU's slot, so parallel shards
 /// never contend. `delta` is either an immediate 1 or a `u64` staged
@@ -209,7 +140,7 @@ fn emit_stat_bump(
 /// Stack frame of the telemetry record staged for `RingbufOutput`:
 /// five `u64` words at `fp-72 .. fp-32` (kind, now_ns, then three
 /// kind-specific fields), below the `fp-24`/`fp-32` range stashes
-/// the base prefetch loop already uses.
+/// of the prefetch loop.
 const TEL_RECORD_FP: i16 = -72;
 
 /// Emits `ringbuf_output(ring, fp-72, 40, 0)`; on `-ENOSPC` (or any
@@ -228,17 +159,27 @@ fn emit_ring_emit(b: &mut ProgramBuilder, ring: MapId, stats: MapId, out: snapbp
     b.bind(sent).expect("label bound once");
 }
 
-/// Builds the telemetry-instrumented looped prefetch program: the
-/// exact range-issuing behaviour of [`build_prefetch_program`], plus
-/// the kernel→user reporting channel of DESIGN.md §12 — one
-/// `PrefetchIssued` record per group and a final `PrefetchCompleted`
-/// record over `ring`, with per-CPU counters (issued / pages /
-/// enospc) bumped in `stats` (shaped by
+/// Builds the prefetch program for `snapshot` reading ranges from
+/// `groups` (an array map shaped by [`groups_map_def`] for
+/// `max_groups`), reporting over `ring` and `stats` (shaped by
 /// [`snapbpf_ebpf::telemetry_stats_def`]).
 ///
-/// Register roles match the base program (`r6` ngroups, `r7` cursor,
-/// `r9` slot scratch); the 40-byte record is staged at
-/// `fp-72..fp-32` and the running page total at `fp-80`.
+/// A single invocation loops `cursor` from 0 to `ngroups` (clamped
+/// to `max_groups`, which is what lets the verifier bound the trip
+/// count), calling `snapbpf_prefetch(snapshot, start, len)` per
+/// group, then publishes the final cursor and returns
+/// [`PROG_RET_DISABLE`]. The self-disable lands before the prefetch
+/// queue drains, so the hook re-fires from the issued ranges hit a
+/// disabled probe: one program invocation per restore. Each group
+/// also emits a `PrefetchIssued` record and the loop's end a
+/// `PrefetchCompleted` record over `ring` — the kernel→user
+/// reporting channel of DESIGN.md §12 — with per-CPU counters
+/// (issued / pages / enospc) bumped in `stats`.
+///
+/// Register roles: `r6` ngroups, `r7` loop cursor, `r9` slot index
+/// scratch; `(start, len)` are staged at `fp-24`/`fp-32` across the
+/// kfunc call, the 40-byte record at `fp-72..fp-32` and the running
+/// page total at `fp-80`.
 pub fn build_prefetch_program_telemetry(
     snapshot: FileId,
     groups: MapId,
@@ -325,74 +266,10 @@ pub fn build_prefetch_program_telemetry(
     b.build().expect("telemetry prefetch program assembles")
 }
 
-/// Builds the pre-5.3 "re-trigger" prefetch program for `snapshot`
-/// reading ranges from `groups` (an array map shaped by
-/// [`groups_map_def`]).
-///
-/// Per trigger: load `ngroups` and `cursor`; if `cursor >= ngroups`
-/// return [`PROG_RET_DISABLE`]; otherwise advance the cursor, read
-/// the group's `(start, len)`, and call
-/// `snapbpf_prefetch(snapshot, start, len)` — each issued range's
-/// insertions re-fire the hook, cascading through the list one group
-/// per invocation. Retained as the comparison baseline for the
-/// looped [`build_prefetch_program`].
-pub fn build_prefetch_program_cascade(snapshot: FileId, groups: MapId) -> Program {
-    let mut b = ProgramBuilder::new("snapbpf_prefetch");
-    let out = b.label();
-    let disable = b.label();
-
-    // r6 = ngroups.
-    emit_array_lookup(&mut b, groups, None, GROUPS_COUNT_SLOT as i64, out);
-    b.load(Reg::R6, Reg::R0, 0, AccessSize::B8);
-
-    // r8 = &cursor; r7 = cursor.
-    emit_array_lookup(&mut b, groups, None, GROUPS_CURSOR_SLOT as i64, out);
-    b.mov(Reg::R8, Reg::R0)
-        .load(Reg::R7, Reg::R8, 0, AccessSize::B8)
-        .jump_if(JmpCond::Ge, Reg::R7, Reg::R6, disable);
-
-    // start = groups[2 + 2*cursor]  -> stash at fp-24.
-    b.mov(Reg::R9, Reg::R7).mul(Reg::R9, 2).add(Reg::R9, 2);
-    emit_array_lookup(&mut b, groups, Some(Reg::R9), 0, out);
-    b.load(Reg::R2, Reg::R0, 0, AccessSize::B8)
-        .store(Reg::R10, -24, Reg::R2, AccessSize::B8);
-
-    // len = groups[3 + 2*cursor]    -> stash at fp-32.
-    b.mov(Reg::R9, Reg::R7).mul(Reg::R9, 2).add(Reg::R9, 3);
-    emit_array_lookup(&mut b, groups, Some(Reg::R9), 0, out);
-    b.load(Reg::R2, Reg::R0, 0, AccessSize::B8)
-        .store(Reg::R10, -32, Reg::R2, AccessSize::B8);
-
-    // cursor += 1 *before* the kfunc so the cascade sees progress.
-    b.mov(Reg::R9, Reg::R7)
-        .add(Reg::R9, 1)
-        .store(Reg::R8, 0, Reg::R9, AccessSize::B8);
-
-    // snapbpf_prefetch(snapshot, start, len).
-    b.mov(Reg::R1, snapshot.as_u32() as i64)
-        .load(Reg::R2, Reg::R10, -24, AccessSize::B8)
-        .load(Reg::R3, Reg::R10, -32, AccessSize::B8)
-        .call_kfunc(KFUNC_SNAPBPF_PREFETCH)
-        .mov(Reg::R0, 0)
-        .exit();
-
-    b.bind(disable)
-        .expect("label bound once")
-        .mov(Reg::R0, PROG_RET_DISABLE as i64)
-        .exit();
-    b.bind(out)
-        .expect("label bound once")
-        .mov(Reg::R0, 0)
-        .exit();
-    b.build().expect("prefetch program assembles")
-}
-
-/// Verifies every shipped program — capture, the looped prefetch
-/// program, its telemetry-instrumented variant, and the re-trigger
-/// cascade baseline — against a fresh
-/// host kernel with the verifier log enabled, returning the
+/// Verifies every shipped program — capture and prefetch — against
+/// a fresh host kernel with the verifier log enabled, returning the
 /// concatenated rendered logs. This backs the `figures` CLI's
-/// `--verifier-log` flag and the CI `verifier-corpus` smoke step.
+/// `--verifier-log` flag.
 ///
 /// # Errors
 ///
@@ -414,10 +291,8 @@ const HOST_KFUNCS: &[snapbpf_ebpf::KfuncSig] = &[snapbpf_ebpf::KfuncSig {
     args: 3,
 }];
 
-/// Builds a fresh host kernel plus every shipped program — capture,
-/// the looped prefetch program, its telemetry-instrumented variant,
-/// and the re-trigger cascade baseline — against representatively
-/// sized maps.
+/// Builds a fresh host kernel plus every shipped program — capture
+/// and prefetch — against representatively sized maps.
 fn shipped_programs(
 ) -> Result<(snapbpf_kernel::HostKernel, Vec<Program>), snapbpf_kernel::KernelError> {
     use snapbpf_kernel::{HostKernel, KernelConfig};
@@ -434,9 +309,7 @@ fn shipped_programs(
     let stats = k.create_map(snapbpf_ebpf::telemetry_stats_def())?;
     let programs = vec![
         build_capture_program(snap, wset, 4096),
-        build_prefetch_program(snap, groups, 256),
         build_prefetch_program_telemetry(snap, groups, 256, ring, stats),
-        build_prefetch_program_cascade(snap, groups),
     ];
     Ok((k, programs))
 }
@@ -444,8 +317,8 @@ fn shipped_programs(
 /// Lints every shipped program with the full
 /// [`snapbpf_ebpf::lint_program`] suite and returns the concatenated
 /// rendered reports. This backs the `figures` CLI's `lint-report`
-/// output and the CI `opt_check` smoke step; shipped programs must
-/// stay free of `deny`-severity diagnostics.
+/// output; shipped programs must stay free of `deny`-severity
+/// diagnostics.
 ///
 /// # Errors
 ///
@@ -599,13 +472,24 @@ mod tests {
         ]
     }
 
-    /// Runs one restore with `prog` attached and returns the ordered
-    /// `(start_page, pages)` prefetch-range sequence plus the probe's
-    /// invocation count.
-    fn run_prefetch(
-        groups: &[WsGroup],
-        build: impl FnOnce(snapbpf_storage::FileId, snapbpf_ebpf::MapId) -> snapbpf_ebpf::Program,
-    ) -> (Vec<(u64, u64)>, u64) {
+    /// What one restore with the prefetch program attached left
+    /// behind.
+    struct PrefetchRun {
+        snap: snapbpf_storage::FileId,
+        /// Ordered `(start_page, pages)` prefetch-range sequence.
+        ranges: Vec<(u64, u64)>,
+        /// Probe invocations.
+        runs: u64,
+        records: Vec<snapbpf_ebpf::TelemetryRecord>,
+        /// Merged issued / pages / enospc stat slots.
+        stats: [u64; 3],
+    }
+
+    /// Runs one restore over `groups` with the prefetch program
+    /// attached, asserting what every restore must leave behind:
+    /// every group's pages cached, the probe self-disabled, the final
+    /// cursor at `ngroups`, and no ring drops.
+    fn run_prefetch(groups: &[WsGroup]) -> PrefetchRun {
         let mut k = kernel();
         let tracer = snapbpf_sim::Tracer::recording();
         k.install_tracer(&tracer);
@@ -614,7 +498,9 @@ mod tests {
         let map = k.create_map(groups_map_def(groups.len() as u32)).unwrap();
         k.load_map_from_user(map, 0, &groups_map_image(groups))
             .unwrap();
-        let prog = build(snap, map);
+        let ring = k.create_map(snapbpf_ebpf::telemetry_ring_def()).unwrap();
+        let stats = k.create_map(snapbpf_ebpf::telemetry_stats_def()).unwrap();
+        let prog = build_prefetch_program_telemetry(snap, map, groups.len() as u32, ring, stats);
         let probe = k.load_and_attach(PAGE_CACHE_ADD_HOOK, &prog).unwrap();
 
         k.trigger_access(SimTime::ZERO, snap, 0).unwrap();
@@ -630,6 +516,7 @@ mod tests {
             groups.len() as u64,
             "final cursor must equal ngroups"
         );
+        assert_eq!(k.maps().ring_dropped(ring).unwrap(), 0);
 
         let ranges = tracer
             .take_events()
@@ -648,55 +535,22 @@ mod tests {
                 (field("start_page"), field("pages"))
             })
             .collect();
-        (ranges, k.probe_runs(probe).unwrap())
-    }
-
-    #[test]
-    fn prefetch_program_cascades_through_groups() {
-        let groups = test_groups();
-        let (_, runs) = run_prefetch(&groups, build_prefetch_program_cascade);
-        // One invocation per issued group plus the final self-disable.
-        assert_eq!(runs, groups.len() as u64 + 1);
-    }
-
-    #[test]
-    fn looped_prefetch_program_runs_once() {
-        let groups = test_groups();
-        let (ranges, runs) = run_prefetch(&groups, |snap, map| {
-            build_prefetch_program(snap, map, groups.len() as u32)
-        });
-        assert_eq!(runs, 1, "looped program must need a single invocation");
-        assert_eq!(
+        let mut records = Vec::new();
+        while let Some(raw) = k.maps_mut().ring_pop(ring).unwrap() {
+            records.push(snapbpf_ebpf::TelemetryRecord::decode(&raw).unwrap());
+        }
+        let stat = |slot| k.maps().percpu_load_merged_u64(stats, slot).unwrap();
+        PrefetchRun {
+            snap,
             ranges,
-            groups.iter().map(|g| (g.start, g.len)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn looped_and_cascade_prefetch_identical_sequences() {
-        // The equivalence the verifier upgrade must preserve: on the
-        // same recorded working set, the looped program issues the
-        // exact range sequence of the re-trigger cascade — while
-        // cutting `ebpf.prog.invocations` from `ngroups + 1` to 1.
-        let groups = test_groups();
-        let (cascade_seq, cascade_runs) = run_prefetch(&groups, build_prefetch_program_cascade);
-        let (looped_seq, looped_runs) = run_prefetch(&groups, |snap, map| {
-            build_prefetch_program(snap, map, groups.len() as u32)
-        });
-        assert_eq!(looped_seq, cascade_seq);
-        assert!(!looped_seq.is_empty());
-        assert_eq!(cascade_runs, groups.len() as u64 + 1);
-        assert_eq!(looped_runs, 1);
-        assert!(looped_runs < cascade_runs);
-    }
-
-    #[test]
-    fn looped_prefetch_handles_empty_and_full_maps() {
-        // ngroups == 0: the loop body never runs, the program still
-        // self-disables on its first invocation.
-        let (ranges, runs) = run_prefetch(&[], |snap, map| build_prefetch_program(snap, map, 0));
-        assert_eq!(ranges, vec![]);
-        assert_eq!(runs, 1);
+            runs: k.probe_runs(probe).unwrap(),
+            records,
+            stats: [
+                stat(snapbpf_ebpf::STAT_SLOT_ISSUED),
+                stat(snapbpf_ebpf::STAT_SLOT_PAGES),
+                stat(snapbpf_ebpf::STAT_SLOT_ENOSPC),
+            ],
+        }
     }
 
     #[test]
@@ -729,10 +583,38 @@ mod tests {
         let report = verifier_log_report().unwrap();
         assert_eq!(
             report.matches("verification OK").count(),
-            4,
-            "capture, looped prefetch, telemetry prefetch, and cascade must all verify:\n{report}"
+            2,
+            "capture and prefetch must both verify:\n{report}"
         );
-        assert_eq!(report.matches("verifying program ").count(), 4);
+        let logs: Vec<&str> = report.split("verifying program ").skip(1).collect();
+        assert_eq!(logs.len(), 2, "one log per shipped program:\n{report}");
+        for log in logs {
+            let processed = log
+                .lines()
+                .find_map(|l| l.strip_prefix("verification stats: insns_processed="))
+                .and_then(|rest| rest.split_whitespace().next())
+                .and_then(|n| n.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("log has no stats footer:\n{log}"));
+            assert!(processed > 0, "verifier processed no instructions:\n{log}");
+        }
+    }
+
+    #[test]
+    fn shipped_programs_carry_no_deny_lint() {
+        let report = lint_report().unwrap();
+        assert_eq!(
+            report.lines().filter(|l| l.starts_with("lint ")).count(),
+            2,
+            "one lint report per shipped program:\n{report}"
+        );
+        let deny: Vec<&str> = report
+            .lines()
+            .filter(|l| l.split_whitespace().nth(1) == Some("deny"))
+            .collect();
+        assert!(
+            deny.is_empty(),
+            "shipped programs carry deny lints: {deny:?}"
+        );
     }
 
     #[test]
@@ -740,33 +622,23 @@ mod tests {
         use snapbpf_ebpf::TelemetryRecord;
 
         let groups = test_groups();
-        let mut k = kernel();
-        k.set_readahead(false);
-        let snap = k.disk_mut().create_file("snap", 8192).unwrap();
-        let map = k.create_map(groups_map_def(groups.len() as u32)).unwrap();
-        k.load_map_from_user(map, 0, &groups_map_image(&groups))
-            .unwrap();
-        let ring = k.create_map(snapbpf_ebpf::telemetry_ring_def()).unwrap();
-        let stats = k.create_map(snapbpf_ebpf::telemetry_stats_def()).unwrap();
-        let prog = build_prefetch_program_telemetry(snap, map, groups.len() as u32, ring, stats);
-        let probe = k.load_and_attach(PAGE_CACHE_ADD_HOOK, &prog).unwrap();
-
-        k.trigger_access(SimTime::ZERO, snap, 0).unwrap();
-        assert!(!k.probe_enabled(probe), "program must disable itself");
+        let run = run_prefetch(&groups);
+        // One invocation issues the group list, in order.
+        assert_eq!(run.runs, 1, "the bounded loop needs a single invocation");
+        assert_eq!(
+            run.ranges,
+            groups.iter().map(|g| (g.start, g.len)).collect::<Vec<_>>()
+        );
 
         // The ring carries one PrefetchIssued per group, in group
         // order, then the PrefetchCompleted marker.
-        let mut records = Vec::new();
-        while let Some(raw) = k.maps_mut().ring_pop(ring).unwrap() {
-            records.push(TelemetryRecord::decode(&raw).unwrap());
-        }
-        assert_eq!(records.len(), groups.len() + 1);
-        for (rec, g) in records.iter().zip(&groups) {
+        assert_eq!(run.records.len(), groups.len() + 1);
+        for (rec, g) in run.records.iter().zip(&groups) {
             assert_eq!(
                 *rec,
                 TelemetryRecord::PrefetchIssued {
                     now_ns: 0,
-                    file: snap.as_u32() as u64,
+                    file: run.snap.as_u32() as u64,
                     start_page: g.start,
                     pages: g.len,
                 }
@@ -774,7 +646,7 @@ mod tests {
         }
         let total: u64 = groups.iter().map(|g| g.len).sum();
         assert_eq!(
-            records[groups.len()],
+            run.records[groups.len()],
             TelemetryRecord::PrefetchCompleted {
                 now_ns: 0,
                 groups: groups.len() as u64,
@@ -782,12 +654,26 @@ mod tests {
             }
         );
 
-        // Per-CPU stats agree, and nothing was dropped.
-        let stat = |slot| k.maps().percpu_load_merged_u64(stats, slot).unwrap();
-        assert_eq!(stat(snapbpf_ebpf::STAT_SLOT_ISSUED), groups.len() as u64);
-        assert_eq!(stat(snapbpf_ebpf::STAT_SLOT_PAGES), total);
-        assert_eq!(stat(snapbpf_ebpf::STAT_SLOT_ENOSPC), 0);
-        assert_eq!(k.maps().ring_dropped(ring).unwrap(), 0);
+        // Per-CPU stats agree: issued, pages, and no ENOSPC drops.
+        assert_eq!(run.stats, [groups.len() as u64, total, 0]);
+    }
+
+    #[test]
+    fn telemetry_prefetch_self_disables_on_an_empty_map() {
+        // ngroups == 0: the loop body never runs, the program still
+        // reports completion and self-disables on its first invocation.
+        let run = run_prefetch(&[]);
+        assert_eq!(run.runs, 1);
+        assert_eq!(run.ranges, vec![]);
+        assert_eq!(
+            run.records,
+            vec![snapbpf_ebpf::TelemetryRecord::PrefetchCompleted {
+                now_ns: 0,
+                groups: 0,
+                pages: 0,
+            }]
+        );
+        assert_eq!(run.stats, [0, 0, 0]);
     }
 
     #[test]

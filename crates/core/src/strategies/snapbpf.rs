@@ -14,8 +14,7 @@
 //!   *prefetch* program to the same kprobe, and touch the first page
 //!   of the snapshot to kick it off: a single verified bounded-loop
 //!   invocation issues every range and disables itself (the 5.3
-//!   verifier's range analysis proves the loop safe; the pre-5.3
-//!   re-trigger cascade is retained only as a comparison baseline).
+//!   verifier's range analysis proves the loop safe).
 //!   Pages land directly in the shared page cache — no working-set
 //!   file, no userspace copies, natural cross-sandbox deduplication.
 

@@ -13,8 +13,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use snapbpf::{
-    build_capture_program, build_prefetch_program, build_prefetch_program_telemetry,
-    groups_map_def, wset_map_def,
+    build_capture_program, build_prefetch_program_telemetry, groups_map_def, wset_map_def,
 };
 use snapbpf_ebpf::{parse_program, KfuncSig, MapDef, MapSet, PassManager, Program, Verifier};
 use snapbpf_kernel::{HostKernel, KernelConfig, PAGE_CACHE_ADD_HOOK};
@@ -26,7 +25,7 @@ const KFUNCS: &[KfuncSig] = &[KfuncSig {
     args: 3,
 }];
 
-/// Group counts the prefetch builders are pinned at.
+/// Group counts the prefetch builder is pinned at.
 const GROUP_COUNTS: [u32; 4] = [1, 8, 64, 256];
 
 fn assert_golden(name: &str, actual: &str) {
@@ -107,12 +106,6 @@ fn render_builders(out: &mut String) {
             .expect("stats map");
         render_load(
             out,
-            &format!("looped ({n} groups)"),
-            &build_prefetch_program(snap, groups, n),
-            &maps,
-        );
-        render_load(
-            out,
             &format!("telemetry ({n} groups)"),
             &build_prefetch_program_telemetry(snap, groups, n, ring, stats),
             &maps,
@@ -152,29 +145,22 @@ fn render_host_loads(out: &mut String) {
     let tracer = Tracer::recording();
     k.install_tracer(&tracer);
     let snap = k.disk_mut().create_file("snap", 8192).expect("snapshot");
-    let load = |k: &mut HostKernel, n: u32, telemetry: bool| {
+    let load = |k: &mut HostKernel, n: u32| {
         let groups = k.create_map(groups_map_def(n)).expect("groups map");
-        let program = if telemetry {
-            let ring = k
-                .create_map(snapbpf_ebpf::telemetry_ring_def())
-                .expect("ring map");
-            let stats = k
-                .create_map(snapbpf_ebpf::telemetry_stats_def())
-                .expect("stats map");
-            build_prefetch_program_telemetry(snap, groups, n, ring, stats)
-        } else {
-            build_prefetch_program(snap, groups, n)
-        };
+        let ring = k
+            .create_map(snapbpf_ebpf::telemetry_ring_def())
+            .expect("ring map");
+        let stats = k
+            .create_map(snapbpf_ebpf::telemetry_stats_def())
+            .expect("stats map");
+        let program = build_prefetch_program_telemetry(snap, groups, n, ring, stats);
         let probe = k
             .load_and_attach(PAGE_CACHE_ADD_HOOK, &program)
             .expect("shipped program loads");
         k.detach(probe).expect("detach");
     };
-    for (n, telemetry) in [(8, true), (8, true), (64, true), (8, false), (8, true)] {
-        load(&mut k, n, telemetry);
-    }
     let wset = k.create_map(wset_map_def(4096)).expect("wset map");
-    for _ in 0..2 {
+    let load_capture = |k: &mut HostKernel| {
         let probe = k
             .load_and_attach(
                 PAGE_CACHE_ADD_HOOK,
@@ -182,12 +168,19 @@ fn render_host_loads(out: &mut String) {
             )
             .expect("capture loads");
         k.detach(probe).expect("detach");
+    };
+    for n in [8, 8, 64] {
+        load(&mut k, n);
     }
+    load_capture(&mut k);
+    load(&mut k, 8);
+    load_capture(&mut k);
+    load_capture(&mut k);
     k.set_verifier_log(true);
-    load(&mut k, 8, true);
-    load(&mut k, 16, true);
+    load(&mut k, 8);
+    load(&mut k, 16);
     k.set_verifier_log(false);
-    load(&mut k, 16, true);
+    load(&mut k, 16);
     let _ = writeln!(out, "== host loads");
     out.push_str(&tracer.metrics_snapshot().to_json().pretty());
     out.push('\n');

@@ -1,17 +1,87 @@
-//! Optimizer equivalence on the shipped prefetch builders: with the
-//! host kernel's optimizer on vs off, both the looped prefetch
-//! program and its telemetry-instrumented variant must issue the
-//! identical prefetch-range sequence, produce byte-identical
-//! telemetry, and leave identical stat slots — while executing
-//! measurably fewer instructions per invocation.
+//! Optimizer equivalence on the shipped prefetch program: its
+//! original image and its `PassManager` image, run through the
+//! interpreter against the same group list, must make the identical
+//! kfunc calls, produce byte-identical telemetry ring records, leave
+//! identical stat slots and map contents, and return the same value —
+//! while executing measurably fewer instructions per invocation.
 
-use snapbpf::{
-    build_prefetch_program, build_prefetch_program_cascade, build_prefetch_program_telemetry,
-    groups_map_def, groups_map_image, WsGroup, GROUPS_CURSOR_SLOT,
+use snapbpf::{build_prefetch_program_telemetry, groups_map_def, groups_map_image, WsGroup};
+use snapbpf_ebpf::{
+    Interpreter, KfuncHost, KfuncSig, MapId, MapKind, MapSet, PassManager, Program, Verifier,
 };
-use snapbpf_kernel::{HostKernel, KernelConfig, PAGE_CACHE_ADD_HOOK};
-use snapbpf_sim::{SimTime, TraceValue, Tracer};
+use snapbpf_kernel::PROG_RET_DISABLE;
 use snapbpf_storage::{Disk, SsdModel};
+
+const KFUNCS: &[KfuncSig] = &[KfuncSig {
+    name: "snapbpf_prefetch",
+    args: 3,
+}];
+
+/// Records every kfunc call (index plus the signature-covered args)
+/// and returns 0, standing in for the host kernel's prefetch path.
+#[derive(Default)]
+struct RecordingKfuncs {
+    calls: Vec<(u32, Vec<u64>)>,
+}
+
+impl KfuncHost for RecordingKfuncs {
+    fn call_kfunc(&mut self, index: u32, args: [u64; 5]) -> Result<u64, String> {
+        let arity = KFUNCS
+            .get(index as usize)
+            .map(|s| s.args as usize)
+            .unwrap_or(args.len());
+        self.calls.push((index, args[..arity].to_vec()));
+        Ok(0)
+    }
+}
+
+/// Everything observable from one invocation: the return value, the
+/// ordered kfunc calls, the raw (undecoded) ring records, and every
+/// other map slot (per-CPU slots merged).
+#[derive(Debug, PartialEq)]
+struct RunObservables {
+    return_value: u64,
+    calls: Vec<(u32, Vec<u64>)>,
+    ring_bytes: Vec<Vec<u8>>,
+    slots: Vec<u64>,
+}
+
+/// Verifies `program`, runs it once on a copy of `maps`, and returns
+/// its observables plus the dynamic instruction count.
+fn run(program: &Program, maps: &MapSet, ctx: &[u64]) -> (RunObservables, u64) {
+    let verified = Verifier::new(maps, KFUNCS)
+        .verify(program)
+        .unwrap_or_else(|e| panic!("{} rejected: {e}", program.name()));
+    let mut maps = maps.clone();
+    let mut kfuncs = RecordingKfuncs::default();
+    let outcome = Interpreter::new()
+        .run(&verified, ctx, &mut maps, &mut kfuncs)
+        .unwrap_or_else(|e| panic!("{} failed: {e}", program.name()));
+    let (mut ring_bytes, mut slots) = (Vec::new(), Vec::new());
+    for raw in 0..maps.len() as u32 {
+        let id = MapId::from_raw(raw);
+        let def = maps.def(id).expect("map exists");
+        match def.kind {
+            MapKind::RingBuf => {
+                while let Some(bytes) = maps.ring_pop(id).expect("ring pop") {
+                    ring_bytes.push(bytes);
+                }
+            }
+            MapKind::PerCpuArray => slots.extend(
+                (0..def.max_entries).map(|i| maps.percpu_load_merged_u64(id, i).expect("slot")),
+            ),
+            _ => slots
+                .extend((0..def.max_entries).map(|i| maps.array_load_u64(id, i).expect("slot"))),
+        }
+    }
+    let observables = RunObservables {
+        return_value: outcome.return_value,
+        calls: kfuncs.calls,
+        ring_bytes,
+        slots,
+    };
+    (observables, outcome.insns_executed)
+}
 
 fn groups() -> Vec<WsGroup> {
     vec![
@@ -33,146 +103,52 @@ fn groups() -> Vec<WsGroup> {
     ]
 }
 
-/// Everything observable from one restore run: the ordered prefetch
-/// ranges, the raw (undecoded) ring records, the merged per-CPU stat
-/// slots, and the mean dynamic instruction count per invocation.
-#[derive(Debug, PartialEq)]
-struct RunObservables {
-    ranges: Vec<(u64, u64)>,
-    ring_bytes: Vec<Vec<u8>>,
-    stats: Vec<u64>,
-    mean_insns: u64,
-}
-
-fn run(
-    optimize: bool,
-    telemetry: bool,
-    build: impl FnOnce(
-        snapbpf_storage::FileId,
-        snapbpf_ebpf::MapId,
-        Option<(snapbpf_ebpf::MapId, snapbpf_ebpf::MapId)>,
-    ) -> snapbpf_ebpf::Program,
-) -> RunObservables {
-    let groups = groups();
-    let mut k = HostKernel::new(
-        Disk::new(Box::new(SsdModel::micron_5300())),
-        KernelConfig::default(),
-    );
-    k.set_optimizer(optimize);
-    let tracer = Tracer::recording();
-    k.install_tracer(&tracer);
-    k.set_readahead(false);
-    let snap = k.disk_mut().create_file("snap", 8192).unwrap();
-    let map = k.create_map(groups_map_def(groups.len() as u32)).unwrap();
-    k.load_map_from_user(map, 0, &groups_map_image(&groups))
-        .unwrap();
-    let tel = if telemetry {
-        let ring = k.create_map(snapbpf_ebpf::telemetry_ring_def()).unwrap();
-        let stats = k.create_map(snapbpf_ebpf::telemetry_stats_def()).unwrap();
-        Some((ring, stats))
-    } else {
-        None
-    };
-    let prog = build(snap, map, tel);
-    let probe = k.load_and_attach(PAGE_CACHE_ADD_HOOK, &prog).unwrap();
-
-    k.trigger_access(SimTime::ZERO, snap, 0).unwrap();
-
-    // The optimized image must still satisfy every behavioral
-    // postcondition of the original.
-    for g in &groups {
-        for p in g.start..g.end() {
-            assert!(k.page_state(snap, p).is_some(), "page {p} missing");
-        }
+/// Builds the prefetch program over `groups`, optimizes it, runs
+/// both images, and asserts full observable equivalence. Returns
+/// the (original, optimized) dynamic instruction counts.
+fn assert_equivalent(groups: &[WsGroup]) -> (u64, u64) {
+    let snap = Disk::new(Box::new(SsdModel::micron_5300()))
+        .create_file("snap", 8192)
+        .expect("snapshot file");
+    let n = groups.len() as u32;
+    let mut maps = MapSet::new();
+    let map = maps.create(groups_map_def(n)).expect("groups map");
+    for (slot, value) in groups_map_image(groups).iter().enumerate() {
+        maps.array_store_u64(map, slot as u32, *value)
+            .expect("load groups map");
     }
-    assert!(!k.probe_enabled(probe), "program must disable itself");
-    assert_eq!(
-        k.maps().array_load_u64(map, GROUPS_CURSOR_SLOT).unwrap(),
-        groups.len() as u64
+    let ring = maps
+        .create(snapbpf_ebpf::telemetry_ring_def())
+        .expect("ring map");
+    let stats = maps
+        .create(snapbpf_ebpf::telemetry_stats_def())
+        .expect("stats map");
+    let program = build_prefetch_program_telemetry(snap, map, n, ring, stats);
+    let (optimized, opt_stats) = PassManager::new().optimize(&program, &maps, KFUNCS);
+    assert!(
+        opt_stats.insns_after <= opt_stats.insns_before,
+        "optimizer grew the program: {opt_stats}"
     );
 
-    let ranges = tracer
-        .take_events()
-        .into_iter()
-        .filter(|e| e.name == "prefetch-range")
-        .map(|e| {
-            let field = |key: &str| {
-                e.args
-                    .iter()
-                    .find_map(|(k, v)| match v {
-                        TraceValue::U64(n) if *k == key => Some(*n),
-                        _ => None,
-                    })
-                    .expect("u64 arg present")
-            };
-            (field("start_page"), field("pages"))
-        })
+    let ctx = [snap.as_u32() as u64, 0];
+    let (base, base_insns) = run(&program, &maps, &ctx);
+    let (opt, opt_insns) = run(&optimized, &maps, &ctx);
+    assert_eq!(opt, base, "optimized image diverged");
+
+    // The original image itself issues the group list and reports it.
+    assert_eq!(base.return_value, PROG_RET_DISABLE);
+    let expected: Vec<(u32, Vec<u64>)> = groups
+        .iter()
+        .map(|g| (0, vec![snap.as_u32() as u64, g.start, g.len]))
         .collect();
+    assert_eq!(base.calls, expected);
+    assert_eq!(base.ring_bytes.len(), groups.len() + 1);
 
-    let (mut ring_bytes, mut stats) = (Vec::new(), Vec::new());
-    if let Some((ring, stat_map)) = tel {
-        while let Some(raw) = k.maps_mut().ring_pop(ring).unwrap() {
-            ring_bytes.push(raw);
-        }
-        for slot in [
-            snapbpf_ebpf::STAT_SLOT_ISSUED,
-            snapbpf_ebpf::STAT_SLOT_PAGES,
-            snapbpf_ebpf::STAT_SLOT_ENOSPC,
-        ] {
-            stats.push(k.maps().percpu_load_merged_u64(stat_map, slot).unwrap());
-        }
-        assert_eq!(k.maps().ring_dropped(ring).unwrap(), 0);
-    }
-
-    let m = tracer.metrics_snapshot();
-    let hist = m
-        .histogram("ebpf.prog.insns_per_invocation")
-        .expect("prefetch runs record per-invocation instruction counts");
-    RunObservables {
-        ranges,
-        ring_bytes,
-        stats,
-        mean_insns: hist.mean().round() as u64,
-    }
-}
-
-/// Asserts full observable equivalence and returns the
-/// (unoptimized, optimized) mean instruction counts.
-fn assert_equivalent(
-    telemetry: bool,
-    build: impl Fn(
-        snapbpf_storage::FileId,
-        snapbpf_ebpf::MapId,
-        Option<(snapbpf_ebpf::MapId, snapbpf_ebpf::MapId)>,
-    ) -> snapbpf_ebpf::Program,
-) -> (u64, u64) {
-    let base = run(false, telemetry, &build);
-    let opt = run(true, telemetry, &build);
-    assert_eq!(opt.ranges, base.ranges, "prefetch ranges diverged");
-    assert!(!base.ranges.is_empty());
-    assert_eq!(
-        opt.ring_bytes, base.ring_bytes,
-        "telemetry ring bytes diverged"
-    );
-    assert_eq!(opt.stats, base.stats, "stat slots diverged");
     assert!(
-        opt.mean_insns <= base.mean_insns,
-        "optimizer must never add dynamic instructions ({} -> {})",
-        base.mean_insns,
-        opt.mean_insns
+        opt_insns <= base_insns,
+        "optimizer must never add dynamic instructions ({base_insns} -> {opt_insns})"
     );
-    (base.mean_insns, opt.mean_insns)
-}
-
-#[test]
-fn looped_prefetch_is_equivalent_and_at_least_10_percent_cheaper() {
-    let (base, opt) = assert_equivalent(false, |snap, map, _| {
-        build_prefetch_program(snap, map, groups().len() as u32)
-    });
-    assert!(
-        (opt as f64) <= (base as f64) * 0.90,
-        "expected >= 10% dynamic insn reduction, got {base} -> {opt}"
-    );
+    (base_insns, opt_insns)
 }
 
 #[test]
@@ -182,10 +158,7 @@ fn telemetry_prefetch_is_equivalent_and_at_least_15_percent_cheaper() {
     // the pinned `ebpf.prog.insns_per_invocation` means in the fleet
     // goldens. This 3-group micro case carries proportionally more
     // fixed prologue cost, so the floor here is 15%.
-    let (base, opt) = assert_equivalent(true, |snap, map, tel| {
-        let (ring, stats) = tel.unwrap();
-        build_prefetch_program_telemetry(snap, map, groups().len() as u32, ring, stats)
-    });
+    let (base, opt) = assert_equivalent(&groups());
     assert!(
         (opt as f64) <= (base as f64) * 0.85,
         "expected >= 15% dynamic insn reduction, got {base} -> {opt}"
@@ -193,10 +166,10 @@ fn telemetry_prefetch_is_equivalent_and_at_least_15_percent_cheaper() {
 }
 
 #[test]
-fn cascade_prefetch_is_equivalent() {
-    // The cascade baseline has no loop for the heavy passes to chew
-    // on; equivalence must still hold (reduction is not required).
-    assert_equivalent(false, |snap, map, _| {
-        build_prefetch_program_cascade(snap, map)
-    });
+fn telemetry_prefetch_is_equivalent_at_zero_and_one_groups() {
+    // At these sizes branch elimination proves the loop guard and
+    // leaves dead code behind, which the optimized image must not
+    // keep (the verifier rejects it).
+    assert_equivalent(&[]);
+    assert_equivalent(&groups()[..1]);
 }

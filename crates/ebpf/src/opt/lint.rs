@@ -25,8 +25,8 @@ pub enum Severity {
     Note,
     /// Likely a mistake, but harmless to run.
     Warn,
-    /// A pattern shipped programs must not contain; `opt_check`
-    /// fails the build on these.
+    /// A pattern shipped programs must not contain; a `snapbpf`
+    /// unit test fails on these.
     Deny,
 }
 

@@ -3,10 +3,10 @@
 //! analysis.
 //!
 //! The [`PassManager`] composes constant folding, range-based branch
-//! elimination, dead-code/dead-store elimination, a peephole tier,
-//! and loop transforms (invariant hoisting, induction-variable
-//! strength reduction, slot unification, register promotion, loop
-//! rotation) to a fixpoint. Every pass preserves observable
+//! elimination, dead-code elimination, a peephole tier, and loop
+//! transforms (invariant hoisting, induction-variable strength
+//! reduction, slot unification, register promotion, loop rotation)
+//! to a fixpoint. Every pass preserves observable
 //! behaviour — return value, map and ring-buffer effects, and their
 //! order — and the host re-verifies each optimized image before
 //! attaching it, so the verifier, not the optimizer, remains the
@@ -47,12 +47,8 @@ pub struct OptStats {
     pub unreachable_removed: u64,
     /// Side-effect-free definitions of dead registers removed.
     pub dead_defs_removed: u64,
-    /// Stack stores whose bytes are never read removed.
-    pub dead_stores_removed: u64,
     /// Peephole rewrites (identities, coalescing, fusion).
     pub peephole_rewrites: u64,
-    /// Stack loads forwarded from a known store (or deleted).
-    pub loads_forwarded: u64,
     /// Loop-invariant stores/helper reads hoisted to a preheader.
     pub invariants_hoisted: u64,
     /// Derived induction-variable computations strength-reduced.
@@ -70,8 +66,8 @@ impl fmt::Display for OptStats {
         write!(
             f,
             "insns {} -> {} in {} rounds \
-             (fold={} branch={} unreachable={} dead-def={} dead-store={} \
-             peephole={} forward={} hoist={} ivsr={} unify={} promote={} rotate={})",
+             (fold={} branch={} unreachable={} dead-def={} peephole={} \
+             hoist={} ivsr={} unify={} promote={} rotate={})",
             self.insns_before,
             self.insns_after,
             self.rounds,
@@ -79,9 +75,7 @@ impl fmt::Display for OptStats {
             self.branches_eliminated,
             self.unreachable_removed,
             self.dead_defs_removed,
-            self.dead_stores_removed,
             self.peephole_rewrites,
-            self.loads_forwarded,
             self.invariants_hoisted,
             self.iv_strength_reduced,
             self.slots_unified,
@@ -129,7 +123,6 @@ impl PassManager {
             changed |= passes::const_fold(&mut insns, &mut an, &mut stats);
             changed |= passes::branch_elim(&mut insns, &mut an, &mut stats);
             changed |= passes::dce(&mut insns, &mut an, &mut stats);
-            changed |= passes::dse(&mut insns, &mut an, &mut stats);
             changed |= passes::peephole(&mut insns, &mut an, &mut stats);
             changed |= passes::licm(&mut insns, &mut an, &mut stats);
             changed |= passes::ivsr(&mut insns, &mut an, &mut stats);

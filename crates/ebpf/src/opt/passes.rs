@@ -303,40 +303,14 @@ pub(crate) fn dce(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats
     changed
 }
 
-/// Dead-store elimination: an exact stack store none of whose bytes
-/// are live afterwards is deleted.
-pub(crate) fn dse(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
-    let (facts, live) = an.facts_and_liveness(insns);
-    let mut changed = false;
-    for pc in (0..insns.len()).rev() {
-        let span = match insns[pc] {
-            Insn::Store {
-                base, off, size, ..
-            }
-            | Insn::StoreImm {
-                base, off, size, ..
-            } => exact_stack_span(facts.reg(pc, base), off, size.bytes()),
-            _ => None,
-        };
-        let Some((s, len)) = span else { continue };
-        if !live.live_out[pc].stack_overlaps(s, len) {
-            delete_at(insns, pc);
-            stats.dead_stores_removed += 1;
-            changed = true;
-        }
-    }
-    changed
-}
-
 /// The peephole tier. Each invocation applies the first non-empty
-/// rewrite family — ALU identities, block-local store-to-load
-/// forwarding, mov/ALU/mov coalescing, mov-store fusion — and
-/// returns; the pass-manager fixpoint supplies iteration. Families
-/// stay separate so every batch of rewrites is justified against the
-/// same unmodified instruction stream.
+/// rewrite family — ALU identities, mov/ALU/mov coalescing, mov-store
+/// and load-mov fusion, copy propagation — and returns; the
+/// pass-manager fixpoint supplies iteration. Families stay separate
+/// so every batch of rewrites is justified against the same
+/// unmodified instruction stream.
 pub(crate) fn peephole(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
     identities(insns, stats)
-        || forward_loads(insns, an, stats)
         || coalesce_movs(insns, an, stats)
         || fuse_mov_store(insns, an, stats)
         || fuse_load_mov(insns, an, stats)
@@ -380,143 +354,6 @@ fn identities(insns: &mut Vec<Insn>, stats: &mut OptStats) -> bool {
         if let Some(rw) = rw {
             stats.peephole_rewrites += 1;
             rewrites.push(rw);
-        }
-    }
-    apply_rewrites(insns, rewrites)
-}
-
-/// What a tracked stack slot is known to hold within a basic block.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AvailVal {
-    /// The slot holds exactly this register's current value.
-    RegFull(Reg),
-    /// The slot's bytes zero-extend to this register's value (set by
-    /// a sub-8-byte load of the same width).
-    Zext(Reg, AccessSize),
-    /// The slot holds this 8-byte constant.
-    Imm(i64),
-}
-
-fn avail_refs(v: AvailVal, r: Reg) -> bool {
-    match v {
-        AvailVal::RegFull(x) | AvailVal::Zext(x, _) => x == r,
-        AvailVal::Imm(_) => false,
-    }
-}
-
-/// Block-local store-to-load forwarding: re-loads of a slot whose
-/// content is known become register moves (or disappear), and
-/// self-stores (writing back a value the slot already holds) are
-/// deleted. Slots survive helper calls because helpers never write
-/// stack memory.
-fn forward_loads(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats) -> bool {
-    let facts = an.facts(insns);
-    let lead = leaders(insns);
-    let mut rewrites = Vec::new();
-    let mut avail: Vec<(usize, usize, AvailVal)> = Vec::new();
-    let overlap = |e: &(usize, usize, AvailVal), s: usize, l: usize| e.0 < s + l && s < e.0 + e.1;
-    for pc in 0..insns.len() {
-        if lead[pc] {
-            avail.clear();
-        }
-        match insns[pc] {
-            Insn::Store {
-                base,
-                off,
-                src,
-                size,
-            } => match exact_stack_span(facts.reg(pc, base), off, size.bytes()) {
-                Some((s, l)) => {
-                    let cur = avail.iter().find(|e| e.0 == s && e.1 == l).map(|e| e.2);
-                    let self_store = match cur {
-                        Some(AvailVal::RegFull(r)) => size == AccessSize::B8 && r == src,
-                        Some(AvailVal::Zext(r, sz)) => sz == size && r == src,
-                        _ => false,
-                    };
-                    if self_store {
-                        rewrites.push(Rewrite::Del(pc));
-                        stats.loads_forwarded += 1;
-                    } else {
-                        avail.retain(|e| !overlap(e, s, l));
-                        if size == AccessSize::B8 {
-                            avail.push((s, 8, AvailVal::RegFull(src)));
-                        }
-                    }
-                }
-                None => {
-                    if !non_stack_base(facts.reg(pc, base)) {
-                        avail.clear();
-                    }
-                }
-            },
-            Insn::StoreImm {
-                base,
-                off,
-                imm,
-                size,
-            } => match exact_stack_span(facts.reg(pc, base), off, size.bytes()) {
-                Some((s, l)) => {
-                    let cur = avail.iter().find(|e| e.0 == s && e.1 == l).map(|e| e.2);
-                    if size == AccessSize::B8 && cur == Some(AvailVal::Imm(imm)) {
-                        rewrites.push(Rewrite::Del(pc));
-                        stats.loads_forwarded += 1;
-                    } else {
-                        avail.retain(|e| !overlap(e, s, l));
-                        if size == AccessSize::B8 {
-                            avail.push((s, 8, AvailVal::Imm(imm)));
-                        }
-                    }
-                }
-                None => {
-                    if !non_stack_base(facts.reg(pc, base)) {
-                        avail.clear();
-                    }
-                }
-            },
-            Insn::Load {
-                dst,
-                base,
-                off,
-                size,
-            } => match exact_stack_span(facts.reg(pc, base), off, size.bytes()) {
-                Some((s, l)) => {
-                    let cur = avail.iter().find(|e| e.0 == s && e.1 == l).map(|e| e.2);
-                    let known = match cur {
-                        Some(AvailVal::RegFull(r)) if size == AccessSize::B8 => Some(Ok(r)),
-                        Some(AvailVal::Zext(r, sz)) if sz == size => Some(Ok(r)),
-                        Some(AvailVal::Imm(v)) if size == AccessSize::B8 => Some(Err(v)),
-                        _ => None,
-                    };
-                    if let Some(k) = known {
-                        rewrites.push(match k {
-                            Ok(r) if r == dst => Rewrite::Del(pc),
-                            Ok(r) => Rewrite::Repl(pc, mov_reg(dst, r)),
-                            Err(v) => Rewrite::Repl(pc, mov_imm(dst, v)),
-                        });
-                        stats.loads_forwarded += 1;
-                    }
-                    avail.retain(|e| !avail_refs(e.2, dst));
-                    let val = if size == AccessSize::B8 {
-                        AvailVal::RegFull(dst)
-                    } else {
-                        AvailVal::Zext(dst, size)
-                    };
-                    avail.push((s, l, val));
-                }
-                None => avail.retain(|e| !avail_refs(e.2, dst)),
-            },
-            Insn::Call { .. } | Insn::CallKfunc { .. } => {
-                avail.retain(|e| match e.2 {
-                    AvailVal::RegFull(r) | AvailVal::Zext(r, _) => r.index() > 5,
-                    AvailVal::Imm(_) => true,
-                });
-            }
-            Insn::Jump { .. } | Insn::JumpIf { .. } | Insn::Exit => {}
-            other => {
-                if let Some(d) = def_of(&other) {
-                    avail.retain(|e| !avail_refs(e.2, d));
-                }
-            }
         }
     }
     apply_rewrites(insns, rewrites)
@@ -1323,7 +1160,7 @@ fn unify_ok(
 /// (`r6..=r9`). A slot qualifies when every access is an exact
 /// 8-byte frame-pointer access and no helper reads it. Access count
 /// is unchanged (loads/stores become movs); the win comes from the
-/// forwarding and coalescing passes that follow.
+/// coalescing passes that follow.
 pub(crate) fn promote(insns: &mut [Insn], an: &mut Analyses, stats: &mut OptStats) -> bool {
     let maps = an.maps();
     let facts = an.facts(insns);

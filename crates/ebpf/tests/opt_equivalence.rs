@@ -1,14 +1,16 @@
-//! Equivalence property tests for the optimizer: for any program the
-//! verifier accepts, the optimized image must (a) re-pass
-//! verification and (b) be observationally identical to the original
-//! — same return value, same final map contents, and never more
-//! executed instructions.
+//! Equivalence tests for the optimizer: for any program the verifier
+//! accepts — random programs and the on-disk corpus — the optimized
+//! image must (a) re-pass verification and (b) be observationally
+//! identical to the original — same return value, same final map and
+//! ring-buffer contents, and never more executed instructions.
+
+use std::path::Path;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use snapbpf_ebpf::{
-    AccessSize, AluOp, HelperId, Interpreter, JmpCond, MapDef, MapSet, NoKfuncs, PassManager,
-    Program, ProgramBuilder, Reg, RunError, Verifier,
+    parse_program, AccessSize, AluOp, HelperId, Interpreter, JmpCond, MapDef, MapKind, MapSet,
+    NoKfuncs, PassManager, Program, ProgramBuilder, Reg, RunError, Verifier,
 };
 
 /// A generator of arbitrary (frequently invalid) instructions via
@@ -194,10 +196,22 @@ fn check_equivalence(program: &Program, maps: &MapSet, ctx: &[u64]) -> Result<()
             );
         }
     }
-    // Final map contents must match slot for slot.
+    // Final map contents must match slot for slot, and ring buffers
+    // record for record.
     for id in 0..maps.len() {
         let id = snapbpf_ebpf::MapId::from_raw(id as u32);
         let def = maps.def(id).unwrap();
+        if def.kind == MapKind::RingBuf {
+            loop {
+                let a = maps_orig.ring_pop(id).unwrap();
+                let b = maps_opt.ring_pop(id).unwrap();
+                prop_assert_eq!(&a, &b, "ring records diverged");
+                if a.is_none() {
+                    break;
+                }
+            }
+            continue;
+        }
         for index in 0..def.max_entries {
             let a = maps_orig.array_load_u64(id, index);
             let b = maps_opt.array_load_u64(id, index);
@@ -205,6 +219,38 @@ fn check_equivalence(program: &Program, maps: &MapSet, ctx: &[u64]) -> Result<()
         }
     }
     Ok(())
+}
+
+/// Every program in `tests/corpus/` the verifier accepts — against
+/// the corpus's map set (`map#0` an 8×8 array, `map#1` a 256-byte
+/// ring buffer) — optimizes, re-verifies, and runs
+/// interpreter-identically. The rejection corpus is skipped; it is
+/// covered by `verifier_corpus`.
+#[test]
+fn corpus_programs_are_equivalent() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("corpus dir")
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            (path.extension()? == "asm").then(|| path.file_stem()?.to_str().map(String::from))?
+        })
+        .collect();
+    names.sort();
+    let mut maps = MapSet::new();
+    maps.create(MapDef::array(8, 8)).unwrap();
+    maps.create(MapDef::ringbuf(256)).unwrap();
+    let mut checked = 0;
+    for name in &names {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.asm"))).unwrap();
+        let program = parse_program(name, &text).unwrap();
+        if Verifier::new(&maps, &[]).verify(&program).is_err() {
+            continue;
+        }
+        check_equivalence(&program, &maps, &[0, 0]).unwrap_or_else(|e| panic!("{name}: {e}"));
+        checked += 1;
+    }
+    assert!(checked > 0, "no verifiable corpus programs found");
 }
 
 proptest! {

@@ -325,47 +325,34 @@ pub fn fleet_breakdown(cfg: &FleetFigureConfig) -> Result<FigureData, StrategyEr
 
 /// Records the eBPF verifier/runtime cost of a run as figure meta:
 /// programs verified, verification work done, runtime invocations,
-/// and mean interpreted instructions per invocation (the looped
-/// prefetch program trades many short invocations for one long one).
+/// mean interpreted instructions per invocation (the looped prefetch
+/// program trades many short invocations for one long one), and the
+/// load-time optimizer's work. Each key is the metric name with `.`
+/// and `_` spelled `-`; the one histogram records its mean under a
+/// `-mean` suffix.
 fn set_ebpf_meta(fig: &mut FigureData, m: &MetricsRegistry) {
-    fig.set_meta(
-        "ebpf-verifier-programs",
-        m.counter("ebpf.verifier.programs") as f64,
-    );
-    fig.set_meta(
-        "ebpf-verifier-insns-processed",
-        m.counter("ebpf.verifier.insns_processed") as f64,
-    );
-    fig.set_meta(
-        "ebpf-verifier-states-pruned",
-        m.counter("ebpf.verifier.states_pruned") as f64,
-    );
-    fig.set_meta(
-        "ebpf-prog-invocations",
-        m.counter("ebpf.prog.invocations") as f64,
-    );
-    fig.set_meta(
-        "ebpf-prog-insns-per-invocation-mean",
-        m.histogram("ebpf.prog.insns_per_invocation")
-            .map_or(0.0, Histogram::mean),
-    );
-    fig.set_meta("ebpf-opt-programs", m.counter("ebpf.opt.programs") as f64);
-    fig.set_meta(
-        "ebpf-opt-insns-before",
-        m.counter("ebpf.opt.insns_before") as f64,
-    );
-    fig.set_meta(
-        "ebpf-opt-insns-after",
-        m.counter("ebpf.opt.insns_after") as f64,
-    );
-    fig.set_meta(
-        "ebpf-opt-cache-hits",
-        m.counter("ebpf.opt.cache_hits") as f64,
-    );
-    fig.set_meta(
-        "ebpf-opt-reverify-rejections",
-        m.counter("ebpf.opt.reverify_rejections") as f64,
-    );
+    // (metric, is a histogram), in meta order.
+    const METRICS: [(&str, bool); 10] = [
+        ("ebpf.verifier.programs", false),
+        ("ebpf.verifier.insns_processed", false),
+        ("ebpf.verifier.states_pruned", false),
+        ("ebpf.prog.invocations", false),
+        ("ebpf.prog.insns_per_invocation", true),
+        ("ebpf.opt.programs", false),
+        ("ebpf.opt.insns_before", false),
+        ("ebpf.opt.insns_after", false),
+        ("ebpf.opt.cache_hits", false),
+        ("ebpf.opt.reverify_rejections", false),
+    ];
+    for (name, histogram) in METRICS {
+        let key = name.replace(['.', '_'], "-");
+        if histogram {
+            let mean = m.histogram(name).map_or(0.0, Histogram::mean);
+            fig.set_meta(&format!("{key}-mean"), mean);
+        } else {
+            fig.set_meta(&key, m.counter(name) as f64);
+        }
+    }
 }
 
 /// F1d `fleet-pipeline`: aggregate cold-start p99 (dispatch to

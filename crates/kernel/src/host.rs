@@ -223,7 +223,6 @@ pub struct HostKernel {
     verifier_log_enabled: bool,
     verifier_logs: Vec<String>,
     load_cache: snapbpf_ebpf::LoadCache,
-    optimizer_enabled: bool,
 }
 
 impl HostKernel {
@@ -251,7 +250,6 @@ impl HostKernel {
             verifier_log_enabled: false,
             verifier_logs: Vec::new(),
             load_cache: snapbpf_ebpf::LoadCache::new(),
-            optimizer_enabled: true,
             config,
         }
     }
@@ -365,11 +363,7 @@ impl HostKernel {
         match result {
             Ok(verified) => {
                 self.trace.incr("ebpf.verifier.programs");
-                let attached = if self.optimizer_enabled {
-                    self.optimize_for_attach(program, key.as_ref(), verified)
-                } else {
-                    verified
-                };
+                let attached = self.optimize_for_attach(program, key.as_ref(), verified);
                 Ok(self.probes.attach(hook, attached))
             }
             Err(e) => {
@@ -392,8 +386,8 @@ impl HostKernel {
         verified: snapbpf_ebpf::VerifiedProgram,
     ) -> snapbpf_ebpf::VerifiedProgram {
         // Re-verification is silent: no verifier metrics or captured
-        // logs, so enabling the optimizer never changes what the
-        // verifier reports about the program the author wrote.
+        // logs, so the optimizer never changes what the verifier
+        // reports about the program the author wrote.
         let (attached, outcome) =
             self.load_cache
                 .optimize(program, key, verified, &self.maps, &self.kfunc_sigs);
@@ -409,12 +403,6 @@ impl HostKernel {
             self.trace.incr("ebpf.opt.reverify_rejections");
         }
         attached
-    }
-
-    /// Enables or disables the optimize-then-re-verify step in
-    /// [`Self::load_and_attach`]. On by default.
-    pub fn set_optimizer(&mut self, enabled: bool) {
-        self.optimizer_enabled = enabled;
     }
 
     /// Enables or disables verifier-log capture: when enabled, every
