@@ -169,11 +169,6 @@ impl RunResult {
         }
         self.e2e.iter().copied().sum::<SimDuration>() / self.e2e.len() as u64
     }
-
-    /// Maximum (tail) end-to-end latency.
-    pub fn e2e_max(&self) -> SimDuration {
-        self.e2e.iter().copied().max().unwrap_or(SimDuration::ZERO)
-    }
 }
 
 fn sum_stats(results: &[snapbpf_vmm::InvocationResult]) -> VmMemStats {
@@ -267,7 +262,7 @@ fn run_one_inner(
     // measurements cover only the invocation.
     host.drop_all_caches()?;
     let artifact_pages = artifact_pages_of(&host, func.workload.name());
-    host.disk_mut().set_tracer(IoTracer::summary_only());
+    host.disk_mut().set_tracer(IoTracer::new());
     host.install_tracer(tracer);
 
     // Phase 2: restore `instances` sandboxes at the same instant.
@@ -328,7 +323,7 @@ fn run_one_inner(
         artifact_pages,
         record_duration,
         ebpf_cpu: host.ebpf_cpu(),
-        hook_fires: host.counters().get("hook_fires"),
+        hook_fires: host.hook_fires(),
     })
 }
 
@@ -386,7 +381,7 @@ pub fn run_colocated(
     }
 
     host.drop_all_caches()?;
-    host.disk_mut().set_tracer(IoTracer::summary_only());
+    host.disk_mut().set_tracer(IoTracer::new());
 
     // Restore one sandbox per function at the same instant.
     let mut restored: Vec<RestoredVm> = funcs

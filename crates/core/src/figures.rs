@@ -5,7 +5,6 @@
 //! paper plots; the `snapbpf-bench` crate prints them and
 //! `EXPERIMENTS.md` records paper-vs-measured shapes.
 
-use snapbpf_sim::SimDuration;
 use snapbpf_workloads::Workload;
 
 use crate::experiment::{run_colocated, run_one, run_one_with, DeviceKind, RunConfig, RunResult};
@@ -668,21 +667,6 @@ fn log_total(fig: &mut FigureData, label: &str, gib: f64) {
     // function keeps the FigureData shape rectangular).
     let n = fig.functions.len();
     fig.push_series(&format!("{label}-total-GiB"), vec![gib; n]);
-}
-
-/// Mean offsets-load latency across a config's workloads — the
-/// paper's headline "~1–2 ms" number.
-///
-/// # Errors
-///
-/// Strategy errors propagate.
-pub fn mean_offset_load(cfg: &FigureConfig) -> Result<SimDuration, StrategyError> {
-    let fig = overheads(cfg)?;
-    let values = fig
-        .series_values("offset-load-ms")
-        .expect("series just built");
-    let mean_ms = values.iter().sum::<f64>() / values.len().max(1) as f64;
-    Ok(SimDuration::from_secs_f64(mean_ms / 1e3))
 }
 
 #[cfg(test)]

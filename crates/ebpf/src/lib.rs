@@ -5,7 +5,11 @@
 //! rather than a hand-waved callback:
 //!
 //! * [`ProgramBuilder`] — a label-based assembler for the
-//!   register-machine [instruction set](Insn),
+//!   register-machine [instruction set](Insn), and
+//!   [`parse_program`] for the text form its disassembly prints (the
+//!   format of the `.asm` corpus). Programs reach the verifier as
+//!   in-memory instruction arrays, as through `bpf(BPF_PROG_LOAD)`;
+//!   there is no binary program format,
 //! * [`Verifier`] — a static verifier enforcing the kernel's safety
 //!   rules with 5.3-class range analysis: initialized registers,
 //!   bounded stack and map-value accesses (constant *or*
@@ -79,7 +83,6 @@
 #![warn(missing_docs)]
 
 mod asm_text;
-mod bytecode;
 mod insn;
 mod interp;
 mod kprobe;
@@ -91,7 +94,6 @@ mod telemetry;
 mod verify;
 
 pub use asm_text::{parse_program, ParseError};
-pub use bytecode::{decode_program, encode_program, DecodeError, MAGIC, VERSION};
 pub use insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, MAX_INSNS, STACK_SIZE,
 };

@@ -221,18 +221,6 @@ proptest! {
         prop_assert_eq!(got, value as u64);
     }
 
-    /// Bytecode encode/decode is the identity on arbitrary
-    /// builder-generated programs.
-    #[test]
-    fn bytecode_roundtrip(insns in prop::collection::vec(arb_insn(), 0..60)) {
-        let mut maps = MapSet::new();
-        let map_id = maps.create(MapDef::array(8, 8)).unwrap();
-        let program = build_arbitrary(&insns, &maps, map_id);
-        let decoded =
-            snapbpf_ebpf::decode_program(&snapbpf_ebpf::encode_program(&program)).unwrap();
-        prop_assert_eq!(decoded, program);
-    }
-
     /// The text disassembly parses back to the identical program.
     #[test]
     fn text_roundtrip(insns in prop::collection::vec(arb_insn(), 0..60)) {
@@ -244,9 +232,9 @@ proptest! {
     }
 
     /// Loop-shaped programs — an arbitrary body wrapped in a counted
-    /// back-edge — survive both the text and bytecode round-trips:
-    /// the negative jump offsets the disassembly prints for loop
-    /// back-edges stay parseable now that the verifier admits them.
+    /// back-edge — survive the text round-trip: the negative jump
+    /// offsets the disassembly prints for loop back-edges stay
+    /// parseable now that the verifier admits them.
     #[test]
     fn loop_programs_roundtrip(
         insns in prop::collection::vec(arb_insn(), 0..20),
@@ -268,25 +256,12 @@ proptest! {
         let program = b.build().unwrap();
         let parsed = snapbpf_ebpf::parse_program("x", &program.to_string()).unwrap();
         prop_assert_eq!(&parsed, &program);
-        let decoded =
-            snapbpf_ebpf::decode_program(&snapbpf_ebpf::encode_program(&program)).unwrap();
-        prop_assert_eq!(&decoded, &program);
     }
 
     /// The text parser never panics on arbitrary input.
     #[test]
     fn parser_total(text in "\\PC*") {
         let _ = snapbpf_ebpf::parse_program("x", &text);
-    }
-
-    /// The decoder never panics on arbitrary input.
-    #[test]
-    fn decoder_total(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = snapbpf_ebpf::decode_program(&bytes);
-        let mut v = Vec::from(*snapbpf_ebpf::MAGIC);
-        v.extend_from_slice(&[snapbpf_ebpf::VERSION, 0, 0, 0]);
-        v.extend_from_slice(&bytes);
-        let _ = snapbpf_ebpf::decode_program(&v);
     }
 
     /// Programs referencing a per-CPU array map def survive the text
@@ -300,9 +275,6 @@ proptest! {
         let program = build_arbitrary(&insns, &maps, map_id);
         let parsed = snapbpf_ebpf::parse_program("x", &program.to_string()).unwrap();
         prop_assert_eq!(&parsed, &program);
-        let decoded =
-            snapbpf_ebpf::decode_program(&snapbpf_ebpf::encode_program(&program)).unwrap();
-        prop_assert_eq!(&decoded, &program);
     }
 
     /// Per-CPU map writes round-trip: a program increments its CPU's

@@ -769,19 +769,6 @@ pub fn fleet_scenario(
     Ok(fig)
 }
 
-/// The whole F5 battery: [`fleet_scenario`] for every
-/// [`Scenario::ALL`] member, in that order.
-///
-/// # Errors
-///
-/// Strategy errors propagate.
-pub fn fleet_scenarios(cfg: &FleetFigureConfig) -> Result<Vec<FigureData>, StrategyError> {
-    Scenario::ALL
-        .into_iter()
-        .map(|s| fleet_scenario(s, cfg))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -160,7 +160,7 @@ pub(crate) fn build_host<'a>(
     // The invocation phase starts cache-cold with fresh I/O
     // accounting; tracing begins at the same boundary.
     kernel.drop_all_caches()?;
-    kernel.disk_mut().set_tracer(IoTracer::summary_only());
+    kernel.disk_mut().set_tracer(IoTracer::new());
     kernel.install_tracer(tracer);
     let t0 = t;
 

@@ -96,7 +96,7 @@ fn golden_fleet_shard() {
 /// assertions in `scenario_check` and the figure unit tests, so
 /// speed wins here).
 #[test]
-fn golden_fleet_scenarios() {
+fn golden_fleet_scenario_figures() {
     let mut cfg = golden_cfg();
     cfg.scenarios.scale = 0.02;
     cfg.scenarios.functions = 4;

@@ -8,7 +8,7 @@
 //! stable across runs (object keys keep insertion order).
 //!
 //! It covers what the experiment tooling needs — figure data files,
-//! snapshot metadata sidecars, fleet reports — and nothing more.
+//! Chrome traces, fleet reports — and nothing more.
 //!
 //! ## Examples
 //!

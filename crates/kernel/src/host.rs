@@ -32,7 +32,7 @@ use snapbpf_mem::{
     AllocError, AnonRegistry, BuddyAllocator, CacheError, FrameId, MemorySnapshot, OwnerId,
     PageCache, PageKey, PageState,
 };
-use snapbpf_sim::{Counters, SimDuration, SimTime, Tracer, TID_KERNEL};
+use snapbpf_sim::{SimDuration, SimTime, Tracer, TID_KERNEL};
 use snapbpf_storage::{Disk, DiskError, FileId, IoPath};
 
 use crate::config::KernelConfig;
@@ -215,7 +215,7 @@ pub struct HostKernel {
     /// Per-file demand-readahead ramp state: (next expected page,
     /// current window).
     ra_state: HashMap<FileId, (u64, u64)>,
-    counters: Counters,
+    hook_fires: u64,
     cow_pages: u64,
     ebpf_cpu: SimDuration,
     telemetry: Option<TelemetryDrain>,
@@ -242,7 +242,7 @@ impl HostKernel {
             }],
             prefetch_queue: VecDeque::new(),
             ra_state: HashMap::new(),
-            counters: Counters::new(),
+            hook_fires: 0,
             cow_pages: 0,
             ebpf_cpu: SimDuration::ZERO,
             telemetry: None,
@@ -466,8 +466,6 @@ impl HostKernel {
             self.maps.array_store_u64(map, first_index + i as u32, v)?;
         }
         let cost = self.config.map_load_per_entry * entries.len() as u64;
-        self.counters
-            .add("map_entries_loaded", entries.len() as u64);
         if self.trace.events_enabled() {
             self.trace.instant_now(
                 "ebpf",
@@ -502,12 +500,9 @@ impl HostKernel {
             Ok(f) => Ok(f),
             Err(AllocError::OutOfMemory { .. }) => {
                 // Memory pressure: reclaim LRU page-cache pages.
-                let victims = self.cache.evict_lru(4096);
-                let evicted = victims.len() as u64;
-                for (_, frame) in victims {
+                for (_, frame) in self.cache.evict_lru(4096) {
                     self.buddy.dealloc_pages(frame, 1)?;
                 }
-                self.counters.add("cache_evictions", evicted);
                 self.buddy
                     .alloc_pages(1)
                     .map_err(|_| KernelError::OutOfMemory)
@@ -563,7 +558,6 @@ impl HostKernel {
                                 ready_at: completion.done_at,
                             },
                         )?;
-                        self.counters.incr("pages_added_to_cache");
                         self.fire_page_added(now, file, p);
                     }
                 }
@@ -596,7 +590,6 @@ impl HostKernel {
             self.buddy.dealloc_pages(frame, 1)?;
         }
         if evicted > 0 {
-            self.counters.add("cache_pressure_evictions", evicted);
             self.trace.add("mem.cache.pressure_evictions", evicted);
         }
         Ok(())
@@ -604,7 +597,7 @@ impl HostKernel {
 
     /// Fires the `add_to_page_cache_lru` kprobe for one insertion.
     fn fire_page_added(&mut self, now: SimTime, file: FileId, page: u64) {
-        self.counters.incr("hook_fires");
+        self.hook_fires += 1;
         let ctx = [file.as_u32() as u64, page, now.as_nanos()];
         self.interp.set_now_ns(now.as_nanos());
         let mut sink = PrefetchSink {
@@ -622,21 +615,15 @@ impl HostKernel {
         let mut disable = Vec::new();
         for r in &results {
             cpu += self.config.kprobe_overhead;
-            match &r.outcome {
-                Ok(o) => {
-                    cpu += self.config.ebpf_insn_cost * o.insns_executed;
-                    if o.return_value == PROG_RET_DISABLE {
-                        disable.push(r.probe);
-                    }
-                }
-                Err(_) => {
-                    self.counters.incr("ebpf_runtime_errors");
+            if let Ok(o) = &r.outcome {
+                cpu += self.config.ebpf_insn_cost * o.insns_executed;
+                if o.return_value == PROG_RET_DISABLE {
+                    disable.push(r.probe);
                 }
             }
         }
         for p in disable {
             let _ = self.probes.disable(p);
-            self.counters.incr("prog_self_disables");
             self.trace.incr("ebpf.prog.self_disables");
             if self.trace.events_enabled() {
                 self.trace.instant(
@@ -702,7 +689,6 @@ impl HostKernel {
         let mut safety = 1_000_000u32;
         while let Some(req) = self.prefetch_queue.pop_front() {
             safety = safety.checked_sub(1).expect("prefetch cascade diverged");
-            self.counters.incr("prefetch_ranges_issued");
             self.trace.incr("ebpf.prefetch.ranges");
             self.trace.add("ebpf.prefetch.pages", req.count);
             if self.trace.events_enabled() {
@@ -745,14 +731,12 @@ impl HostKernel {
                 PageState::Resident => now,
                 PageState::InFlight { ready_at } => ready_at.max(now),
             };
-            self.counters.incr("cache_hits");
             return Ok(ReadOutcome {
                 ready_at,
                 cpu: SimDuration::ZERO,
                 hit: true,
             });
         }
-        self.counters.incr("cache_misses");
         // Linux-style on-demand readahead: the window starts small
         // on a random miss and doubles (up to the 128 KiB maximum)
         // while misses stay sequential.
@@ -859,7 +843,6 @@ impl HostKernel {
         for (_, frame) in victims {
             self.buddy.dealloc_pages(frame, 1)?;
         }
-        self.counters.add("drop_caches_pages", n);
         Ok(n)
     }
 
@@ -917,7 +900,6 @@ impl HostKernel {
     /// a cache page to anonymous memory).
     pub(crate) fn note_cow_break(&mut self) {
         self.cow_pages += 1;
-        self.counters.incr("cow_breaks");
         self.trace.incr("mem.cow_breaks");
     }
 
@@ -947,9 +929,11 @@ impl HostKernel {
         self.anon.pages(owner)
     }
 
-    /// Kernel event counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// Number of `add_to_page_cache_lru` hook fires since boot — one
+    /// per page inserted into the cache, whether or not a program is
+    /// attached.
+    pub fn hook_fires(&self) -> u64 {
+        self.hook_fires
     }
 
     /// Cumulative CPU time spent in kprobe dispatch + eBPF programs.
@@ -991,12 +975,13 @@ mod tests {
     #[test]
     fn readahead_window_ramps_on_sequential_misses() {
         let mut k = kernel();
+        k.install_tracer(&Tracer::noop());
         let f = k.disk_mut().create_file("snap", 1024).unwrap();
         // Random miss: initial window (8 pages): 10..18 in flight.
         k.read_file_page(SimTime::ZERO, f, 10).unwrap();
         assert!(k.page_state(f, 17).is_some());
         assert!(k.page_state(f, 18).is_none());
-        assert_eq!(k.counters().get("pages_added_to_cache"), 8);
+        assert_eq!(k.tracer().counter("mem.cache.inserts"), 8);
         // Sequential follow-up miss at the window edge: doubles to 16.
         k.read_file_page(SimTime::from_millis(1), f, 18).unwrap();
         assert!(k.page_state(f, 33).is_some());
@@ -1022,6 +1007,7 @@ mod tests {
             ..KernelConfig::default()
         };
         let mut k = HostKernel::new(disk, config);
+        k.install_tracer(&Tracer::noop());
         let f = k.disk_mut().create_file("snap", 1024).unwrap();
         let mut t = SimTime::ZERO;
         for page in 0..512 {
@@ -1031,7 +1017,7 @@ mod tests {
             t = k.read_file_page(t, f, page).unwrap().ready_at;
         }
         assert!(
-            k.counters().get("cache_pressure_evictions") > 0,
+            k.tracer().counter("mem.cache.pressure_evictions") > 0,
             "a 16-page budget must reclaim under a multi-window read stream"
         );
         assert!(
@@ -1045,21 +1031,23 @@ mod tests {
     #[test]
     fn readahead_disabled_pulls_single_page() {
         let mut k = kernel();
+        k.install_tracer(&Tracer::noop());
         k.set_readahead(false);
         let f = k.disk_mut().create_file("snap", 1024).unwrap();
         k.read_file_page(SimTime::ZERO, f, 10).unwrap();
         assert!(k.page_state(f, 10).is_some());
         assert!(k.page_state(f, 11).is_none());
-        assert_eq!(k.counters().get("pages_added_to_cache"), 1);
+        assert_eq!(k.tracer().counter("mem.cache.inserts"), 1);
     }
 
     #[test]
     fn window_clips_at_eof() {
         let mut k = kernel();
+        k.install_tracer(&Tracer::noop());
         let f = k.disk_mut().create_file("snap", 14).unwrap();
         k.read_file_page(SimTime::ZERO, f, 10).unwrap();
         assert!(k.page_state(f, 13).is_some());
-        assert_eq!(k.counters().get("pages_added_to_cache"), 4);
+        assert_eq!(k.tracer().counter("mem.cache.inserts"), 4);
     }
 
     #[test]
@@ -1247,6 +1235,7 @@ mod tests {
         use snapbpf_ebpf::{AccessSize, HelperId, JmpCond, ProgramBuilder, Reg};
 
         let mut k = kernel();
+        k.install_tracer(&Tracer::noop());
         k.set_readahead(false);
         let f = k.disk_mut().create_file("snap", 4096).unwrap();
 
@@ -1346,8 +1335,8 @@ mod tests {
         assert_eq!(k.maps().array_load_u64(groups, 1).unwrap(), 3);
         // And the program disabled itself after the last group.
         assert!(!k.probe_enabled(probe));
-        assert_eq!(k.counters().get("prog_self_disables"), 1);
-        assert_eq!(k.counters().get("prefetch_ranges_issued"), 3);
+        assert_eq!(k.tracer().counter("ebpf.prog.self_disables"), 1);
+        assert_eq!(k.tracer().counter("ebpf.prefetch.ranges"), 3);
         assert!(k.ebpf_cpu() > SimDuration::ZERO);
     }
 }

@@ -253,11 +253,6 @@ impl KvmVm {
         self.anon_filter.extend(pages);
     }
 
-    /// Number of filtered pages registered.
-    pub fn anon_filter_len(&self) -> usize {
-        self.anon_filter.len()
-    }
-
     fn backing_of(&self, gpfn: u64) -> (FileId, u64) {
         for o in &self.overlays {
             if gpfn >= o.gpfn_start && gpfn < o.gpfn_start + o.len {

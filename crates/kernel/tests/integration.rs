@@ -5,7 +5,7 @@
 use snapbpf_ebpf::{MapDef, ProgramBuilder, Reg};
 use snapbpf_kernel::{CowPolicy, HostKernel, KernelConfig, KvmVm, PAGE_CACHE_ADD_HOOK};
 use snapbpf_mem::OwnerId;
-use snapbpf_sim::{SimDuration, SimTime};
+use snapbpf_sim::{SimDuration, SimTime, Tracer};
 use snapbpf_storage::{Disk, SsdModel};
 
 fn kernel_with_memory(pages: u64) -> HostKernel {
@@ -20,6 +20,7 @@ fn kernel_with_memory(pages: u64) -> HostKernel {
 fn eviction_reclaims_under_memory_pressure() {
     // 1024-page host; stream a 4096-page file through the cache.
     let mut k = kernel_with_memory(1024);
+    k.install_tracer(&Tracer::noop());
     let f = k.disk_mut().create_file("big", 4096).unwrap();
     let mut t = SimTime::ZERO;
     for page in 0..4096 {
@@ -27,7 +28,7 @@ fn eviction_reclaims_under_memory_pressure() {
     }
     // The cache never exceeded the host and evictions happened.
     assert!(k.cache().len() <= 1024);
-    assert!(k.counters().get("cache_evictions") > 0);
+    assert!(k.tracer().counter("mem.cache.evictions") > 0);
     assert_eq!(k.accounting_discrepancy(), 0);
 }
 
@@ -120,6 +121,7 @@ fn prefetch_program_with_garbage_map_is_contained() {
 #[test]
 fn bad_kfunc_file_id_counts_runtime_error() {
     let mut k = kernel_with_memory(8 << 10);
+    k.install_tracer(&Tracer::noop());
     let f = k.disk_mut().create_file("snap", 64).unwrap();
 
     let mut b = ProgramBuilder::new("bad_fd");
@@ -132,7 +134,7 @@ fn bad_kfunc_file_id_counts_runtime_error() {
     k.load_and_attach(PAGE_CACHE_ADD_HOOK, &b.build().unwrap())
         .unwrap();
     k.read_file_page(SimTime::ZERO, f, 0).unwrap();
-    assert!(k.counters().get("ebpf_runtime_errors") > 0);
+    assert!(k.tracer().counter("ebpf.prog.errors") > 0);
 }
 
 #[test]

@@ -1,8 +1,11 @@
 //! # snapbpf-sim — deterministic simulation substrate
 //!
 //! The foundation every other crate in the SnapBPF reproduction sits
-//! on: virtual time, a deterministic future-event queue, a seeded
-//! pseudo-random number generator, and statistics collection.
+//! on: virtual time, seeded pseudo-random numbers, arrival processes,
+//! statistics, and the tracer with its metrics registry. There is no
+//! event queue here: each engine advances by picking the earliest
+//! `(clock, slot)` pair with a linear scan over its own VMs or
+//! sandboxes, so ties go to the lower slot.
 //!
 //! Nothing in this crate (or above it) ever consults the wall clock
 //! or OS randomness on a simulation path, so a given experiment
@@ -10,24 +13,21 @@
 //!
 //! ## Examples
 //!
-//! A miniature simulation loop:
+//! Virtual durations recorded into a latency histogram:
 //!
 //! ```
-//! use snapbpf_sim::{Clock, SimDuration, Histogram};
+//! use snapbpf_sim::{Histogram, Quantile, SimDuration, SimTime};
 //!
-//! #[derive(Debug)]
-//! enum Event { Tick(u32) }
-//!
-//! let mut clock = Clock::new();
+//! let mut now = SimTime::ZERO;
 //! let mut lat = Histogram::new();
-//! for i in 0..4 {
-//!     clock.schedule_after(SimDuration::from_micros(10 * (i as u64 + 1)), Event::Tick(i));
-//! }
-//! while let Some(ev) = clock.next() {
-//!     let Event::Tick(_) = ev.event;
-//!     lat.record(clock.now().as_nanos());
+//! for i in 1..=4u64 {
+//!     let done = now + SimDuration::from_micros(10 * i);
+//!     lat.record(done.saturating_since(now).as_nanos());
+//!     now = done;
 //! }
 //! assert_eq!(lat.count(), 4);
+//! assert_eq!(lat.max(), Some(40_000));
+//! assert!(lat.quantile(Quantile::P50).unwrap() <= 40_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,7 +35,6 @@
 
 mod arrival;
 mod hash;
-mod queue;
 mod rng;
 mod series;
 mod stats;
@@ -47,11 +46,10 @@ pub use arrival::{
     ComposedArrivals, LoopMode, TraceArrival, TracePoint,
 };
 pub use hash::{WordHasher, WordState};
-pub use queue::{Clock, EventQueue, Scheduled};
 pub use rng::SplitMix64;
 pub use series::{SeriesBin, SeriesRegistry, SERIES_WINDOW_NS};
 pub use snapbpf_json::Json;
-pub use stats::{Counters, Histogram, Quantile, Summary};
+pub use stats::{Histogram, Quantile, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     chrome_trace_json, sandbox_tid, MetricsRegistry, NoopSink, RecordingSink, TraceEvent,

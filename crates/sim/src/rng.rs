@@ -99,13 +99,6 @@ impl SplitMix64 {
         mean + (sum - 6.0) * stddev
     }
 
-    /// Forks a statistically independent child generator; the parent
-    /// stream advances by one value.
-    #[must_use]
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -188,15 +181,6 @@ mod tests {
             (mean - 5.0).abs() < 0.1,
             "sample mean {mean} too far from 5.0"
         );
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut parent = SplitMix64::new(1);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Statistics collection: online summaries, percentile histograms,
-//! and counters used by every layer of the simulation.
+//! Statistics collection: online summaries and percentile histograms
+//! used by every layer of the simulation.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -399,83 +399,6 @@ impl Histogram {
     }
 }
 
-/// A named bag of monotonically increasing counters.
-///
-/// Components report events ("pages_faulted", "bytes_read") into a
-/// `Counters` value that experiments later inspect.
-///
-/// # Examples
-///
-/// ```
-/// use snapbpf_sim::Counters;
-///
-/// let mut c = Counters::new();
-/// c.add("page_faults", 3);
-/// c.incr("page_faults");
-/// assert_eq!(c.get("page_faults"), 4);
-/// assert_eq!(c.get("unknown"), 0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counters {
-    values: BTreeMap<&'static str, u64>,
-}
-
-impl Counters {
-    /// Creates an empty counter bag.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Adds `n` to the named counter, creating it at zero first.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.values.entry(name).or_insert(0) += n;
-    }
-
-    /// Adds one to the named counter.
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of the named counter (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.values.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Merges another counter bag into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
-    /// Resets every counter to zero (keeps names).
-    pub fn reset(&mut self) {
-        for v in self.values.values_mut() {
-            *v = 0;
-        }
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.values.is_empty() {
-            return write!(f, "(no counters)");
-        }
-        for (i, (k, v)) in self.values.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,30 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_roundtrip() {
-        let mut c = Counters::new();
-        c.add("io", 10);
-        c.incr("io");
-        c.incr("faults");
-        assert_eq!(c.get("io"), 11);
-        assert_eq!(c.get("faults"), 1);
-        let pairs: Vec<_> = c.iter().collect();
-        assert_eq!(pairs, vec![("faults", 1), ("io", 11)]);
-        let mut d = Counters::new();
-        d.add("io", 1);
-        d.merge(&c);
-        assert_eq!(d.get("io"), 12);
-        d.reset();
-        assert_eq!(d.get("io"), 0);
-    }
-
-    #[test]
     fn display_formats() {
-        let mut c = Counters::new();
-        assert_eq!(c.to_string(), "(no counters)");
-        c.add("a", 1);
-        c.add("b", 2);
-        assert_eq!(c.to_string(), "a=1 b=2");
         let mut s = Summary::new();
         s.record(1.0);
         assert!(s.to_string().contains("n=1"));

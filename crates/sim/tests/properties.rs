@@ -1,42 +1,9 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
-use snapbpf_sim::{Clock, EventQueue, Histogram, SimDuration, SimTime, SplitMix64, Summary};
+use snapbpf_sim::{Histogram, SimDuration, SimTime, SplitMix64, Summary};
 
 proptest! {
-    /// Events always pop in non-decreasing time order, FIFO on ties.
-    #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..1000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (seq, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), (t, seq));
-        }
-        let mut last: Option<(u64, usize)> = None;
-        while let Some(ev) = q.pop() {
-            let (t, seq) = ev.event;
-            prop_assert_eq!(ev.at.as_nanos(), t);
-            if let Some((lt, lseq)) = last {
-                prop_assert!(t > lt || (t == lt && seq > lseq),
-                    "order violated: ({lt},{lseq}) then ({t},{seq})");
-            }
-            last = Some((t, seq));
-        }
-    }
-
-    /// A clock never runs backwards, whatever the schedule.
-    #[test]
-    fn clock_is_monotone(delays in prop::collection::vec(0u64..10_000, 1..100)) {
-        let mut clock: Clock<usize> = Clock::new();
-        for (i, &d) in delays.iter().enumerate() {
-            clock.schedule_after(SimDuration::from_nanos(d), i);
-        }
-        let mut prev = SimTime::ZERO;
-        while let Some(_ev) = clock.next() {
-            prop_assert!(clock.now() >= prev);
-            prev = clock.now();
-        }
-    }
-
     /// Bounded RNG output respects its bounds for arbitrary seeds.
     #[test]
     fn rng_bounds(seed in any::<u64>(), bound in 1u64..u64::MAX) {

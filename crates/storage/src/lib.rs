@@ -47,4 +47,4 @@ pub use device::{BlockDevice, IoCompletion, IoKind, IoPath, IoRequest};
 pub use disk::{Disk, DiskError, FileId};
 pub use hdd::{HddConfig, HddModel};
 pub use ssd::{SsdConfig, SsdModel};
-pub use trace::{IoTracer, TraceEntry};
+pub use trace::IoTracer;

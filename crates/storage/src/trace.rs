@@ -3,26 +3,16 @@
 //! The paper verifies FaaSnap's working-set-file inflation "by
 //! instrumenting the kernel using eBPF" (§2.1). Here the equivalent
 //! observability hook is a tracer attached to the disk façade: it
-//! records every block request and computes totals, sequentiality,
-//! and read amplification against a caller-declared useful-byte
-//! count.
+//! aggregates every block request into totals, sequentiality, a
+//! latency summary, and read amplification against a caller-declared
+//! useful-byte count. It keeps no per-request log; per-request spans
+//! go to the disk's [`snapbpf_sim::Tracer`] when one is installed.
 
 use std::fmt;
 
 use snapbpf_sim::{SimDuration, SimTime, Summary};
 
 use crate::device::{IoCompletion, IoKind, IoPath, IoRequest};
-
-/// One traced I/O event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// When the request was submitted.
-    pub submitted_at: SimTime,
-    /// The request itself.
-    pub request: IoRequest,
-    /// The completion the device returned.
-    pub completion: IoCompletion,
-}
 
 /// Records block-level I/O and summarizes it.
 ///
@@ -43,8 +33,6 @@ pub struct TraceEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IoTracer {
-    entries: Vec<TraceEntry>,
-    keep_entries: bool,
     read_bytes: u64,
     write_bytes: u64,
     read_requests: u64,
@@ -55,22 +43,9 @@ pub struct IoTracer {
 }
 
 impl IoTracer {
-    /// Creates a tracer that keeps per-request entries.
+    /// Creates a tracer with all aggregates at zero.
     pub fn new() -> Self {
-        IoTracer {
-            keep_entries: true,
-            ..IoTracer::default()
-        }
-    }
-
-    /// Creates a tracer that keeps only aggregate statistics — use
-    /// for long experiments where the entry log would dominate
-    /// memory.
-    pub fn summary_only() -> Self {
-        IoTracer {
-            keep_entries: false,
-            ..IoTracer::default()
-        }
+        IoTracer::default()
     }
 
     /// Records one completed request.
@@ -93,13 +68,6 @@ impl IoTracer {
         }
         self.latency
             .record(completion.latency(submitted_at).as_nanos() as f64);
-        if self.keep_entries {
-            self.entries.push(TraceEntry {
-                submitted_at,
-                request,
-                completion,
-            });
-        }
     }
 
     /// Total bytes read.
@@ -158,17 +126,9 @@ impl IoTracer {
         SimDuration::from_nanos(self.latency.mean() as u64)
     }
 
-    /// The traced entries (empty if constructed with
-    /// [`IoTracer::summary_only`]).
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
     /// Clears everything.
     pub fn clear(&mut self) {
-        let keep = self.keep_entries;
         *self = IoTracer::default();
-        self.keep_entries = keep;
     }
 }
 
@@ -211,12 +171,15 @@ mod tests {
 
     #[test]
     fn aggregates_bytes_and_counts() {
-        let tracer = traced_reads(10, 1);
+        let mut tracer = traced_reads(10, 1);
         assert_eq!(tracer.read_bytes(), 10 * 4096);
         assert_eq!(tracer.read_requests(), 10);
         assert_eq!(tracer.write_bytes(), 0);
-        assert_eq!(tracer.entries().len(), 10);
         assert_eq!(tracer.latency().count(), 10);
+        tracer.clear();
+        assert_eq!(tracer.requests(), 0);
+        assert_eq!(tracer.read_bytes(), 0);
+        assert_eq!(tracer.latency().count(), 0);
     }
 
     #[test]
@@ -237,33 +200,6 @@ mod tests {
         assert_eq!(tracer.read_amplification(10 * 4096), Some(1.0));
         assert_eq!(tracer.read_amplification(5 * 4096), Some(2.0));
         assert_eq!(tracer.read_amplification(0), None);
-    }
-
-    #[test]
-    fn summary_only_drops_entries() {
-        let mut tracer = IoTracer::summary_only();
-        let mut ssd = SsdModel::micron_5300();
-        let req = IoRequest::read(BlockAddr::new(3), 2);
-        let c = ssd.submit(SimTime::ZERO, req);
-        tracer.record(SimTime::ZERO, req, c);
-        assert!(tracer.entries().is_empty());
-        assert_eq!(tracer.read_bytes(), 2 * 4096);
-    }
-
-    #[test]
-    fn clear_preserves_mode() {
-        let mut tracer = IoTracer::summary_only();
-        let mut ssd = SsdModel::micron_5300();
-        let req = IoRequest::read(BlockAddr::new(3), 2);
-        let c = ssd.submit(SimTime::ZERO, req);
-        tracer.record(SimTime::ZERO, req, c);
-        tracer.clear();
-        assert_eq!(tracer.requests(), 0);
-        tracer.record(SimTime::ZERO, req, c);
-        assert!(
-            tracer.entries().is_empty(),
-            "summary_only mode must survive clear"
-        );
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub use engine::{
     NoUffd, UffdResolver,
 };
 pub use microvm::{GuestKernel, MicroVm};
-pub use snapshot::{Snapshot, SnapshotMeta};
+pub use snapshot::Snapshot;

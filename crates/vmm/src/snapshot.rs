@@ -1,76 +1,22 @@
 //! Function snapshots.
 //!
 //! A Firecracker-style snapshot is the serialized guest memory of a
-//! booted, initialized, pre-warmed function sandbox plus a metadata
-//! sidecar. Creating one writes the memory file sequentially to the
-//! disk (the one-time cost all approaches share); restoring maps it
-//! as the memory of a fresh microVM.
+//! booted, initialized, pre-warmed function sandbox. Creating one
+//! writes the memory file sequentially to the disk (the one-time cost
+//! all approaches share); restoring maps it as the memory of a fresh
+//! microVM. The [`Snapshot`] value itself lives only in memory.
 
 use std::fmt;
 
-use snapbpf_json::{Json, JsonError};
 use snapbpf_kernel::{HostKernel, KernelError};
 use snapbpf_sim::{SimDuration, SimTime};
 use snapbpf_storage::{FileId, IoPath};
 
-/// Metadata sidecar of a snapshot (what Firecracker stores in its
-/// snapshot state file, reduced to what the memory path needs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotMeta {
-    /// Function name the snapshot belongs to.
-    pub function: String,
-    /// Guest memory size in pages.
-    pub memory_pages: u64,
-    /// Format version, for forward compatibility.
-    pub version: u32,
-}
-
-impl SnapshotMeta {
-    /// Serializes the sidecar to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Serialization errors (practically unreachable for this type).
-    pub fn to_json(&self) -> Result<String, JsonError> {
-        Ok(Json::object([
-            ("function".to_owned(), Json::from(self.function.as_str())),
-            ("memory_pages".to_owned(), Json::from(self.memory_pages)),
-            ("version".to_owned(), Json::from(self.version)),
-        ])
-        .pretty())
-    }
-
-    /// Parses a sidecar from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Malformed JSON or missing fields.
-    pub fn from_json(json: &str) -> Result<SnapshotMeta, JsonError> {
-        let v = Json::parse(json)?;
-        let field_err = |what: &str| JsonError {
-            message: format!("snapshot meta: missing or invalid '{what}'"),
-            offset: 0,
-        };
-        Ok(SnapshotMeta {
-            function: v["function"]
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| field_err("function"))?,
-            memory_pages: v["memory_pages"]
-                .as_u64()
-                .ok_or_else(|| field_err("memory_pages"))?,
-            version: v["version"]
-                .as_u64()
-                .and_then(|x| u32::try_from(x).ok())
-                .ok_or_else(|| field_err("version"))?,
-        })
-    }
-}
-
-/// A created snapshot: the on-disk memory file plus metadata.
+/// A created snapshot: the on-disk memory file of one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    meta: SnapshotMeta,
+    function: String,
+    memory_pages: u64,
     memory_file: FileId,
 }
 
@@ -108,25 +54,12 @@ impl Snapshot {
         }
         Ok((
             Snapshot {
-                meta: SnapshotMeta {
-                    function: function.to_owned(),
-                    memory_pages,
-                    version: 1,
-                },
+                function: function.to_owned(),
+                memory_pages,
                 memory_file: file,
             },
             t,
         ))
-    }
-
-    /// Wraps an existing memory file (restore-from-disk path).
-    pub fn from_existing(meta: SnapshotMeta, memory_file: FileId) -> Snapshot {
-        Snapshot { meta, memory_file }
-    }
-
-    /// The metadata sidecar.
-    pub fn meta(&self) -> &SnapshotMeta {
-        &self.meta
     }
 
     /// The on-disk memory file.
@@ -136,7 +69,7 @@ impl Snapshot {
 
     /// Guest memory size in pages.
     pub fn memory_pages(&self) -> u64 {
-        self.meta.memory_pages
+        self.memory_pages
     }
 
     /// Fixed VMM-side restore overhead: loading the snapshot state
@@ -153,8 +86,8 @@ impl fmt::Display for Snapshot {
         write!(
             f,
             "snapshot({}, {} MiB)",
-            self.meta.function,
-            self.meta.memory_pages / 256
+            self.function,
+            self.memory_pages / 256
         )
     }
 }
@@ -183,6 +116,7 @@ mod tests {
         // Mostly sequential writes.
         assert!(h.disk().tracer().sequential_fraction() > 0.5);
         assert_eq!(h.disk().file_by_name("json.mem"), Some(snap.memory_file()));
+        assert_eq!(snap.to_string(), "snapshot(json, 32 MiB)");
     }
 
     #[test]
@@ -190,27 +124,5 @@ mod tests {
         let mut h = host();
         Snapshot::create(SimTime::ZERO, "json", 256, &mut h).unwrap();
         assert!(Snapshot::create(SimTime::ZERO, "json", 256, &mut h).is_err());
-    }
-
-    #[test]
-    fn meta_json_roundtrip() {
-        let meta = SnapshotMeta {
-            function: "bert".into(),
-            memory_pages: 512 * 256,
-            version: 1,
-        };
-        let json = meta.to_json().unwrap();
-        assert!(json.contains("\"bert\""));
-        let back = SnapshotMeta::from_json(&json).unwrap();
-        assert_eq!(back, meta);
-    }
-
-    #[test]
-    fn from_existing_wraps_file() {
-        let mut h = host();
-        let (snap, _) = Snapshot::create(SimTime::ZERO, "x", 256, &mut h).unwrap();
-        let again = Snapshot::from_existing(snap.meta().clone(), snap.memory_file());
-        assert_eq!(again, snap);
-        assert_eq!(again.to_string(), "snapshot(x, 1 MiB)");
     }
 }

@@ -1,5 +1,5 @@
 //! Engine-semantics tests: the uffd racing model, PV interactions,
-//! and concurrent-scheduler fairness.
+//! and concurrent-scheduler fairness and tie-breaking.
 
 use snapbpf_kernel::{CowPolicy, HostKernel, KernelConfig, KernelError};
 use snapbpf_mem::OwnerId;
@@ -164,4 +164,31 @@ fn invocation_against_warm_shared_cache_has_no_major_faults() {
     let r = run_invocation(out.ready_at, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
     assert_eq!(r.stats.major_faults, 0);
     assert!(r.stats.minor_faults > 0);
+}
+
+#[test]
+fn concurrent_clock_ties_go_to_the_lower_slot() {
+    // Two identical VMs start at the same instant on a cold cache. The
+    // scheduler picks the earliest `(clock, slot)`, so VM 0 enters
+    // first and takes the major fault on every page both touch; VM 1
+    // finds those pages already in flight.
+    let (mut host, snap, trace) = setup("json", 0.05);
+    host.drop_all_caches().unwrap();
+    let mut vm_a = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
+    let mut vm_b = MicroVm::restore(OwnerId::new(1), &snap, CowPolicy::Opportunistic, false);
+    let results = run_concurrent(
+        &[SimTime::ZERO; 2],
+        &mut [&mut vm_a, &mut vm_b],
+        &[&trace, &trace],
+        &mut host,
+        &mut [&mut NoUffd, &mut NoUffd],
+    )
+    .unwrap();
+    let (first, second) = (&results[0].stats, &results[1].stats);
+    assert!(first.major_faults > 0);
+    assert_eq!(
+        second.major_faults, 0,
+        "vm 0 must win the tie and fault every shared page in"
+    );
+    assert_eq!(first.minor_faults + first.major_faults, second.minor_faults);
 }
