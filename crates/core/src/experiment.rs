@@ -305,7 +305,7 @@ fn run_one_inner(
     let invoke_read_requests = host.disk().tracer().read_requests();
     let stats = sum_stats(&results);
     for r in &mut restored {
-        r.vm.kvm_mut().teardown(&mut host)?;
+        r.vm.teardown(&mut host)?;
     }
     debug_assert_eq!(host.accounting_discrepancy(), 0);
 
@@ -404,7 +404,7 @@ pub fn run_colocated(
     let memory = host.memory_snapshot();
     let invoke_read_bytes = host.disk().tracer().read_bytes();
     for r in &mut restored {
-        r.vm.kvm_mut().teardown(&mut host)?;
+        r.vm.teardown(&mut host)?;
     }
     debug_assert_eq!(host.accounting_discrepancy(), 0);
 

@@ -24,11 +24,7 @@ fn replay(host: &mut HostKernel, func: &FunctionCtx, mut restored: RestoredVm) -
         restored.resolver.as_mut(),
     )
     .expect("invocation replay");
-    restored
-        .vm
-        .kvm_mut()
-        .teardown(host)
-        .expect("sandbox teardown");
+    restored.vm.teardown(host).expect("sandbox teardown");
     result
 }
 

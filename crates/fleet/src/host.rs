@@ -83,6 +83,9 @@ impl Active {
     }
 }
 
+/// A sandbox event's `(clock, slot)`: events execute in this order.
+type EventKey = (SimTime, usize);
+
 /// Host state shared by the scheduling steps of a fleet run.
 pub(crate) struct Host<'a> {
     pub(crate) kernel: HostKernel,
@@ -218,7 +221,7 @@ pub(crate) fn draw_arrivals(cfg: &FleetConfig, t0: SimTime) -> Vec<Request> {
 impl Host<'_> {
     pub(crate) fn teardown_parked(&mut self, parked: Vec<Parked>) -> Result<(), StrategyError> {
         for (mut vm, _resolver) in parked {
-            vm.kvm_mut().teardown(&mut self.kernel)?;
+            vm.teardown(&mut self.kernel)?;
         }
         Ok(())
     }
@@ -228,23 +231,20 @@ impl Host<'_> {
         self.mem_hwm_bytes = self.mem_hwm_bytes.max(bytes);
     }
 
-    /// Index + clock of this host's earliest in-flight sandbox event.
-    pub(crate) fn next_event(&self) -> Option<(usize, SimTime)> {
-        self.active
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, a)| (a.clock(), *i))
-            .map(|(i, a)| (i, a.clock()))
-    }
-
-    /// Executes the event at `active[i]`: completion bookkeeping when
-    /// the sandbox is done, otherwise its next restore step or VM entry.
-    pub(crate) fn step_event(&mut self, i: usize) -> Result<(), StrategyError> {
-        if self.active[i].is_done() {
-            self.finalize(i)
-        } else {
-            self.advance_active(i)
+    /// This host's earliest in-flight sandbox event and the runner-up.
+    fn next_two_events(&self) -> Option<(EventKey, Option<EventKey>)> {
+        let mut first: Option<EventKey> = None;
+        let mut second = None;
+        for (i, a) in self.active.iter().enumerate() {
+            let key = (a.clock(), i);
+            if first.is_none_or(|f| key < f) {
+                second = first;
+                first = Some(key);
+            } else if second.is_none_or(|s| key < s) {
+                second = Some(key);
+            }
         }
+        first.map(|f| (f, second))
     }
 
     /// Delay before restore stages may begin: the snapshot transfer
@@ -605,12 +605,12 @@ impl Host<'_> {
         for a in std::mem::take(&mut self.active) {
             if let Some(r) = a.restore {
                 if let Some((mut vm, _resolver)) = r.abort() {
-                    vm.kvm_mut().teardown(&mut self.kernel)?;
+                    vm.teardown(&mut self.kernel)?;
                 }
             }
             if let Some(c) = a.run {
                 let (mut vm, _resolver) = c.abort();
-                vm.kvm_mut().teardown(&mut self.kernel)?;
+                vm.teardown(&mut self.kernel)?;
             }
             // Restore-phase memory charged before any VM existed stays
             // attributed to the owner; release it (a no-op when the
@@ -711,12 +711,28 @@ impl Host<'_> {
     /// The `<=` bound matches the historical arrival tie-break: an
     /// event scheduled exactly at an arrival instant executes before
     /// the arrival is handled.
+    ///
+    /// Stepping a sandbox moves no other sandbox's clock, so after one
+    /// scan the earliest sandbox keeps stepping for as long as it
+    /// stays ahead of the runner-up. A completion rescans:
+    /// `finalize` reorders the slots and may dispatch a queued request.
     pub(crate) fn advance_until(&mut self, until: Option<SimTime>) -> Result<(), StrategyError> {
-        while let Some((i, tc)) = self.next_event() {
-            if until.is_some_and(|ta| tc > ta) {
+        let due = |tc: SimTime| until.is_none_or(|ta| tc <= ta);
+        while let Some(((tc, i), runner_up)) = self.next_two_events() {
+            if !due(tc) {
                 break;
             }
-            self.step_event(i)?;
+            if self.active[i].is_done() {
+                self.finalize(i)?;
+                continue;
+            }
+            loop {
+                self.advance_active(i)?;
+                let a = &self.active[i];
+                if a.is_done() || !due(a.clock()) || runner_up.is_some_and(|r| (a.clock(), i) > r) {
+                    break;
+                }
+            }
         }
         Ok(())
     }

@@ -281,6 +281,12 @@ impl KvmVm {
         hit
     }
 
+    /// Counts `n` accesses that needed no VM exit, as `n` successful
+    /// [`KvmVm::try_hit`] calls would.
+    pub fn count_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+    }
+
     /// Handles one guest access to `gpfn_raw` (which may carry the
     /// [`PV_MIRROR_BIT`]). `write` selects the access type.
     ///

@@ -19,7 +19,9 @@
 //! that needs the host. Those no-exit steps touch only VM-private
 //! state, so the virtual-time order of every shared page-cache, disk
 //! and allocator operation is the same as stepping one trace step
-//! per event.
+//! per event. A VM replaying the trace it last completed takes no
+//! exit at all and retires the whole trace in its first entry
+//! without walking the steps.
 
 use snapbpf_kernel::{AccessKind, HostKernel, KernelError, VmMemStats};
 use snapbpf_sim::{sandbox_tid, SimDuration, SimTime};
@@ -139,6 +141,13 @@ impl Replay {
     /// host, then runs on through every following step that needs no
     /// exit (see [`run_in_guest`]). The clock stops at the start of
     /// the next step that needs the host. Does nothing once done.
+    ///
+    /// A VM that already replayed this very trace to completion maps
+    /// every page the trace touches, with the permission each step
+    /// needs, so the whole replay is one entry without an exit. It
+    /// then retires in one go: the clock advances by the trace's
+    /// compute and the hit and allocation counters by its step
+    /// counts, exactly as the step loop would.
     fn enter(
         &mut self,
         vm: &mut MicroVm,
@@ -150,6 +159,13 @@ impl Replay {
         let Some(&step) = steps.get(self.next_step) else {
             return Ok(());
         };
+        if self.next_step == 0 && vm.completed(trace) {
+            self.t += trace.step_compute();
+            vm.kvm_mut().count_hits(trace.memory_steps() as u64);
+            vm.guest_mut().count_allocs(trace.alloc_steps() as u64);
+            self.next_step = steps.len();
+            return Ok(());
+        }
         self.t = advance(self.t, vm, step, host, uffd, &mut self.uffd_resolved)?;
         self.next_step += 1;
         while let Some(t) = steps
@@ -158,6 +174,9 @@ impl Replay {
         {
             self.t = t;
             self.next_step += 1;
+        }
+        if self.is_done(trace) {
+            vm.set_completed(trace);
         }
         Ok(())
     }
@@ -293,7 +312,8 @@ fn resolve_uffd(
     }
 }
 
-/// An in-flight invocation that can be advanced one step at a time.
+/// An in-flight invocation that can be advanced one VM entry at a
+/// time.
 ///
 /// [`run_invocation`] and [`run_concurrent`] replay fixed sets of
 /// invocations to completion; a fleet scheduler instead interleaves
@@ -658,15 +678,15 @@ mod tests {
     }
 
     /// Drives `trace` through an [`InvocationCursor`], checking that
-    /// each `step` is one VM entry; returns the result and the numbers
-    /// of exits and entries.
+    /// each `step` is one VM entry; returns the result, the numbers of
+    /// exits and entries, and the VM.
     fn replay_by_cursor(
         start: SimTime,
         vm: MicroVm,
         trace: &InvocationTrace,
         host: &mut HostKernel,
         resolver: Box<dyn UffdResolver>,
-    ) -> (InvocationResult, u64, u64) {
+    ) -> (InvocationResult, u64, u64, MicroVm) {
         let hits_before = vm.kvm().stats().hits;
         let accesses = trace
             .steps()
@@ -686,14 +706,27 @@ mod tests {
         let before_done = cursor.clock();
         cursor.step(host).unwrap(); // no-op past the end
         assert_eq!(cursor.clock(), before_done);
-        let (_vm, _resolver, result) = cursor.finish();
+        let (vm, _resolver, result) = cursor.finish();
         // Every entry but possibly the first begins with an exit.
         let exits = accesses - (result.stats.hits - hits_before);
         assert!(
             (exits..=exits + 1).contains(&entries),
             "{entries} entries for {exits} exits"
         );
-        (result, exits, entries)
+        (result, exits, entries, vm)
+    }
+
+    /// What a VM ran before the compared invocation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Warm {
+        /// Nothing: a cold start.
+        Cold,
+        /// A fresh generation of this input variant of the trace —
+        /// equal to the compared trace for variant 0, but not the
+        /// same value, so the replay steps.
+        ByVariant(u32),
+        /// The compared trace value itself, so the replay jumps.
+        BySameTrace,
     }
 
     #[test]
@@ -703,35 +736,39 @@ mod tests {
             policy: CowPolicy,
             pv: bool,
             uffd: bool,
-            /// Compare a second invocation on a VM that first ran
-            /// this input variant of the trace.
-            warmed_by: Option<u32>,
+            warm: Warm,
         }
-        let case = |workload, policy, pv, uffd, warmed_by| Case {
+        let case = |workload, policy, pv, uffd, warm| Case {
             workload,
             policy,
             pv,
             uffd,
-            warmed_by,
+            warm,
         };
         use CowPolicy::{ForcedWrite, Opportunistic};
+        use Warm::{BySameTrace, ByVariant, Cold};
         let cases = [
-            case("json", Opportunistic, false, false, None),
-            case("image", Opportunistic, true, false, None),
-            case("image", ForcedWrite, false, false, None),
-            case("html", Opportunistic, false, true, None),
-            case("json", Opportunistic, false, false, Some(0)),
-            case("image", Opportunistic, true, false, Some(0)),
+            case("json", Opportunistic, false, false, Cold),
+            case("image", Opportunistic, true, false, Cold),
+            case("image", ForcedWrite, false, false, Cold),
+            case("html", Opportunistic, false, true, Cold),
+            case("json", Opportunistic, false, false, ByVariant(0)),
+            case("image", Opportunistic, true, false, ByVariant(0)),
             // Another input writes pages the first one only read:
             // CoW breaks on shared cache pages must still exit.
-            case("json", Opportunistic, false, false, Some(1)),
+            case("json", Opportunistic, false, false, ByVariant(1)),
+            case("json", Opportunistic, false, false, BySameTrace),
+            case("image", Opportunistic, true, false, BySameTrace),
+            case("image", ForcedWrite, false, false, BySameTrace),
+            case("html", Opportunistic, false, true, BySameTrace),
         ];
         for c in cases {
             let name = format!(
-                "{} {:?} pv={} uffd={} warmed_by={:?}",
-                c.workload, c.policy, c.pv, c.uffd, c.warmed_by
+                "{} {:?} pv={} uffd={} warm={:?}",
+                c.workload, c.policy, c.pv, c.uffd, c.warm
             );
             // Per step, run_invocation, cursor: each on a fresh host.
+            // Each yields the result and the guest's allocator.
             let mut results = Vec::new();
             for driver in 0..3 {
                 let (mut host, snap, trace) = setup(c.workload, 0.05);
@@ -743,32 +780,120 @@ mod tests {
                     Box::new(NoUffd)
                 };
                 let mut start = SimTime::ZERO;
-                if let Some(variant) = c.warmed_by {
-                    let w = Workload::by_name(c.workload).unwrap().scaled(0.05);
-                    let first = w.trace_variant(variant);
+                let first = match c.warm {
+                    Cold => None,
+                    ByVariant(variant) => {
+                        let w = Workload::by_name(c.workload).unwrap().scaled(0.05);
+                        Some(w.trace_variant(variant))
+                    }
+                    BySameTrace => Some(trace.clone()),
+                };
+                if let Some(first) = first {
                     let first =
                         run_invocation(start, &mut vm, &first, &mut host, resolver.as_mut());
                     start = first.unwrap().end_time;
                 }
                 let host = &mut host;
                 results.push(match driver {
-                    0 => replay_per_step(start, &mut vm, &trace, host, resolver.as_mut()),
-                    1 => run_invocation(start, &mut vm, &trace, host, resolver.as_mut()).unwrap(),
+                    0 => {
+                        let r = replay_per_step(start, &mut vm, &trace, host, resolver.as_mut());
+                        (r, *vm.guest())
+                    }
+                    1 => {
+                        let r = run_invocation(start, &mut vm, &trace, host, resolver.as_mut());
+                        (r.unwrap(), *vm.guest())
+                    }
                     _ => {
-                        let (result, exits, entries) =
+                        let (result, exits, entries, vm) =
                             replay_by_cursor(start, vm, &trace, host, resolver);
-                        if c.warmed_by == Some(0) {
+                        if c.warm == ByVariant(0) || c.warm == BySameTrace {
                             // A warm VM maps its whole trace: one entry.
                             assert_eq!((exits, entries), (0, 1), "{name}");
                         } else {
                             assert!(exits > 0, "{name}: must fault");
                         }
-                        result
+                        (result, *vm.guest())
                     }
                 });
             }
             assert_eq!(results[1], results[0], "{name}: run_invocation");
             assert_eq!(results[2], results[0], "{name}: cursor");
+        }
+    }
+
+    /// Runs `trace` on `vm`, then tears down only the KVM side, so
+    /// the VM maps nothing yet still remembers what it last completed.
+    /// A replay of a trace whose steps then take no exit and map
+    /// nothing cannot have walked the steps: it jumped.
+    fn complete_then_unmap(
+        vm: &mut MicroVm,
+        trace: &InvocationTrace,
+        host: &mut HostKernel,
+    ) -> SimTime {
+        let end = run_invocation(SimTime::ZERO, vm, trace, host, &mut NoUffd)
+            .unwrap()
+            .end_time;
+        vm.kvm_mut().teardown(host).unwrap();
+        assert_eq!(vm.kvm().mapped_pages(), 0);
+        end
+    }
+
+    #[test]
+    fn replaying_the_completed_trace_jumps_to_its_end() {
+        let (mut host, snap, trace) = setup("image", 0.05);
+        for pv in [false, true] {
+            let mut vm = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, pv);
+            let start = complete_then_unmap(&mut vm, &trace, &mut host);
+            let before = (vm.kvm().stats(), *vm.guest());
+            let r = run_invocation(start, &mut vm, &trace.clone(), &mut host, &mut NoUffd).unwrap();
+            assert_eq!(vm.kvm().mapped_pages(), 0, "pv={pv}: the steps ran");
+            assert_eq!(r.end_time, start + trace.step_compute());
+            let hits = before.0.hits + trace.memory_steps() as u64;
+            assert_eq!(r.stats, VmMemStats { hits, ..before.0 });
+            let allocs = trace.alloc_steps() as u64;
+            let (marked, unmarked) = if pv { (allocs, 0) } else { (0, allocs) };
+            assert_eq!(
+                vm.guest().marked_allocs(),
+                before.1.marked_allocs() + marked
+            );
+            assert_eq!(
+                vm.guest().unmarked_allocs(),
+                before.1.unmarked_allocs() + unmarked
+            );
+            vm.teardown(&mut host).unwrap();
+        }
+    }
+
+    #[test]
+    fn teardown_or_another_trace_falls_back_to_the_step_loop() {
+        let (mut host, snap, trace) = setup("json", 0.05);
+        let restore = || MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
+
+        // Torn down through the VM: the memo goes with the mappings.
+        let mut vm = restore();
+        let start = run_invocation(SimTime::ZERO, &mut vm, &trace, &mut host, &mut NoUffd)
+            .unwrap()
+            .end_time;
+        vm.teardown(&mut host).unwrap();
+        let r = run_invocation(start, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
+        assert!(r.stats.minor_faults > 0, "a torn-down VM must fault again");
+        assert!(vm.kvm().mapped_pages() > 0);
+        vm.teardown(&mut host).unwrap();
+
+        // Completed another trace since: equal values do not count,
+        // and a later trace replaces the memo.
+        let w = Workload::by_name("json").unwrap().scaled(0.05);
+        for other in [w.trace(), w.trace_variant(1)] {
+            let mut vm = restore();
+            let start = complete_then_unmap(&mut vm, &trace, &mut host);
+            let start = run_invocation(start, &mut vm, &other, &mut host, &mut NoUffd)
+                .unwrap()
+                .end_time;
+            vm.kvm_mut().teardown(&mut host).unwrap();
+            let faults = vm.kvm().stats().minor_faults;
+            run_invocation(start, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
+            assert!(vm.kvm().stats().minor_faults > faults, "the replay jumped");
+            vm.teardown(&mut host).unwrap();
         }
     }
 

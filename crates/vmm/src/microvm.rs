@@ -6,8 +6,9 @@
 //! the host's nested-fault handler recognizes and serves with
 //! anonymous memory.
 
-use snapbpf_kernel::{CowPolicy, KvmVm, PV_MIRROR_BIT};
+use snapbpf_kernel::{CowPolicy, HostKernel, KernelError, KvmVm, PV_MIRROR_BIT};
 use snapbpf_mem::OwnerId;
+use snapbpf_workloads::InvocationTrace;
 
 use crate::snapshot::Snapshot;
 
@@ -48,12 +49,18 @@ impl GuestKernel {
     /// The guest allocator maps a freshly allocated page: counts the
     /// allocation and returns [`GuestKernel::alloc_pfn`].
     pub fn alloc_page(&mut self, gpfn: u64) -> u64 {
-        if self.pv_marking {
-            self.marked_allocs += 1;
-        } else {
-            self.unmarked_allocs += 1;
-        }
+        self.count_allocs(1);
         self.alloc_pfn(gpfn)
+    }
+
+    /// Counts `n` allocations, as `n` calls to
+    /// [`GuestKernel::alloc_page`] would.
+    pub(crate) fn count_allocs(&mut self, n: u64) {
+        if self.pv_marking {
+            self.marked_allocs += n;
+        } else {
+            self.unmarked_allocs += n;
+        }
     }
 
     /// Allocations mapped through the mirror space.
@@ -93,6 +100,10 @@ impl GuestKernel {
 pub struct MicroVm {
     kvm: KvmVm,
     guest: GuestKernel,
+    /// The last trace this VM replayed to completion, until teardown.
+    /// Mappings only grow or upgrade between restore and teardown, so
+    /// every step of it is a hit on a later replay.
+    completed: Option<InvocationTrace>,
 }
 
 impl MicroVm {
@@ -112,6 +123,7 @@ impl MicroVm {
                 cow_policy,
             ),
             guest: GuestKernel::new(pv_marking),
+            completed: None,
         }
     }
 
@@ -121,9 +133,31 @@ impl MicroVm {
     }
 
     /// Mutable KVM memory state (fault handling, uffd registration,
-    /// overlays, teardown).
+    /// overlays). Tear down through [`MicroVm::teardown`].
     pub fn kvm_mut(&mut self) -> &mut KvmVm {
         &mut self.kvm
+    }
+
+    /// Tears the VM down ([`KvmVm::teardown`]) and forgets the trace
+    /// it completed, whose pages are no longer mapped.
+    ///
+    /// # Errors
+    ///
+    /// Bookkeeping errors indicate model corruption.
+    pub fn teardown(&mut self, host: &mut HostKernel) -> Result<(), KernelError> {
+        self.completed = None;
+        self.kvm.teardown(host)
+    }
+
+    /// Whether `trace` itself (not an equal regeneration) is the last
+    /// trace this VM replayed to completion since restore.
+    pub(crate) fn completed(&self, trace: &InvocationTrace) -> bool {
+        self.completed.as_ref().is_some_and(|t| t.is_same(trace))
+    }
+
+    /// Notes that the VM replayed `trace` to completion.
+    pub(crate) fn set_completed(&mut self, trace: &InvocationTrace) {
+        self.completed = Some(trace.clone());
     }
 
     /// The guest kernel model.
@@ -159,6 +193,10 @@ mod tests {
         assert_eq!(with.unmarked_allocs(), 0);
         assert_eq!(without.marked_allocs(), 0);
         assert_eq!(without.unmarked_allocs(), 1);
+        with.count_allocs(3);
+        without.count_allocs(3);
+        assert_eq!((with.marked_allocs(), with.unmarked_allocs()), (4, 0));
+        assert_eq!((without.marked_allocs(), without.unmarked_allocs()), (0, 4));
     }
 
     #[test]

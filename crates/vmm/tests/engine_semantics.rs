@@ -1,14 +1,14 @@
 //! Engine-semantics tests: the uffd racing model, PV interactions,
 //! and concurrent-scheduler fairness and tie-breaking.
 
-use snapbpf_kernel::{CowPolicy, HostKernel, KernelConfig, KernelError};
+use snapbpf_kernel::{AccessKind, CowPolicy, HostKernel, KernelConfig, KernelError};
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{SimDuration, SimTime};
 use snapbpf_storage::{Disk, SsdModel};
 use snapbpf_vmm::{
     run_concurrent, run_invocation, InvocationResult, MicroVm, NoUffd, Snapshot, UffdResolver,
 };
-use snapbpf_workloads::Workload;
+use snapbpf_workloads::{InvocationTrace, Step, Workload};
 
 fn setup(name: &str, scale: f64) -> (HostKernel, Snapshot, snapbpf_workloads::InvocationTrace) {
     let mut host = HostKernel::new(
@@ -191,4 +191,97 @@ fn concurrent_clock_ties_go_to_the_lower_slot() {
         "vm 0 must win the tie and fault every shared page in"
     );
     assert_eq!(first.minor_faults + first.major_faults, second.minor_faults);
+}
+
+/// Replays `trace` on `vm` one step at a time straight through KVM,
+/// returning how many steps exited to the host.
+fn per_step_exits(
+    start: SimTime,
+    vm: &mut MicroVm,
+    trace: &InvocationTrace,
+    host: &mut HostKernel,
+) -> usize {
+    let (mut t, mut exits) = (start, 0);
+    for &step in trace.steps() {
+        let (gpfn, write) = match step {
+            Step::Compute(d) => {
+                t += d;
+                continue;
+            }
+            Step::Access { gpfn, write } => (gpfn, write),
+            Step::Alloc { gpfn } => (vm.guest().alloc_pfn(gpfn), true),
+        };
+        let out = vm.kvm_mut().access(t, gpfn, write, host).unwrap();
+        exits += usize::from(out.kind != AccessKind::Hit);
+        t = out.ready_at;
+    }
+    exits
+}
+
+/// The invariant the engine's replay jump rests on: once a VM has run
+/// a trace to completion, every step of that trace is a hit on it.
+/// Mappings only grow, or upgrade from a shared cache page to an
+/// anonymous one, until teardown; mapped cache pages are never
+/// evicted. Checked over every fault path a restore can set up, with
+/// a second VM of the same snapshot running another input alongside
+/// under a page-cache budget that forces evictions.
+#[test]
+fn a_completed_trace_replays_without_exits() {
+    let scale = 0.02;
+    for w in Workload::suite() {
+        let w = w.scaled(scale);
+        let (trace, other) = (w.trace(), w.trace_variant(1));
+        for config in 0..32u32 {
+            let bit = |b: u32| config & (1 << b) != 0;
+            let (pv, uffd, overlay, anon_filter) = (bit(0), bit(1), bit(2), bit(3));
+            let policy = if bit(4) {
+                CowPolicy::ForcedWrite
+            } else {
+                CowPolicy::Opportunistic
+            };
+            let name = format!(
+                "{} pv={pv} uffd={uffd} overlay={overlay} anon_filter={anon_filter} {policy:?}",
+                w.name()
+            );
+
+            let budget = KernelConfig {
+                page_cache_budget_pages: Some(trace.ws_page_list().len() as u64 / 4),
+                ..KernelConfig::default()
+            };
+            let mut host = HostKernel::new(Disk::new(Box::new(SsdModel::micron_5300())), budget);
+            let (snap, ready) =
+                Snapshot::create(SimTime::ZERO, w.name(), w.snapshot_pages(), &mut host).unwrap();
+            let mut vm = MicroVm::restore(OwnerId::new(0), &snap, policy, pv);
+            let mut neighbour = MicroVm::restore(OwnerId::new(1), &snap, policy, pv);
+            if uffd {
+                vm.kvm_mut().register_uffd(0, snap.memory_pages());
+            }
+            if overlay {
+                // The first cluster, served from a separate file.
+                let c = trace.clusters()[0];
+                let file = host.disk_mut().create_file("ws.overlay", c.len).unwrap();
+                vm.kvm_mut().add_overlay(c.start, c.len, file, 0);
+            }
+            if anon_filter {
+                vm.kvm_mut()
+                    .add_anon_filter(trace.ephemeral_page_list().iter().copied());
+            }
+            let mut resolver = DelayedResolver { ready_at: ready };
+            let results = run_concurrent(
+                &[ready; 2],
+                &mut [&mut vm, &mut neighbour],
+                &[&trace, &other],
+                &mut host,
+                &mut [&mut resolver, &mut NoUffd],
+            )
+            .unwrap();
+            assert!(
+                results[0].stats.hits < trace.memory_steps() as u64,
+                "{name}: the first run must fault"
+            );
+            assert!(host.cache().evictions() > 0, "{name}: the budget must bite");
+            let exits = per_step_exits(results[0].end_time, &mut vm, &trace, &mut host);
+            assert_eq!(exits, 0, "{name}");
+        }
+    }
 }

@@ -66,6 +66,11 @@ struct TraceBody {
     ws_pages: Vec<u64>,
     ephemeral_pages: Vec<u64>,
     total_compute: SimDuration,
+    /// Sum of the `Compute` steps (integer slicing may leave it just
+    /// under `total_compute`).
+    step_compute: SimDuration,
+    memory_steps: usize,
+    alloc_steps: usize,
 }
 
 impl InvocationTrace {
@@ -138,6 +143,14 @@ impl InvocationTrace {
         let slices = (n_clusters + 1) as u64;
         let compute_slice = total_compute / slices;
 
+        // Totals of the steps assembled below: one compute slice per
+        // cluster plus a final one, one access per cluster page, one
+        // allocation per ephemeral page.
+        let step_compute = compute_slice * slices;
+        let accesses: u64 = clusters.iter().map(|c| c.len).sum();
+        let alloc_steps = ephemeral_pages.len();
+        let memory_steps = accesses as usize + alloc_steps;
+
         // --- Assemble the step sequence. ---
         let mut steps = Vec::new();
         let mut eph_iter = ephemeral_pages.iter().copied();
@@ -179,6 +192,9 @@ impl InvocationTrace {
                 ws_pages: ws_pages_list,
                 ephemeral_pages,
                 total_compute,
+                step_compute,
+                memory_steps,
+                alloc_steps,
             }),
         }
     }
@@ -205,18 +221,34 @@ impl InvocationTrace {
         &self.body.ephemeral_pages
     }
 
-    /// Total compute time across the trace.
+    /// Total compute time of the function's spec.
     pub fn total_compute(&self) -> SimDuration {
         self.body.total_compute
     }
 
+    /// Sum of the trace's [`Step::Compute`] durations: the time a
+    /// replay that never stalls advances by. Integer slicing may
+    /// leave it just under [`InvocationTrace::total_compute`].
+    pub fn step_compute(&self) -> SimDuration {
+        self.body.step_compute
+    }
+
     /// Number of memory steps (accesses + allocations).
     pub fn memory_steps(&self) -> usize {
-        self.body
-            .steps
-            .iter()
-            .filter(|s| !matches!(s, Step::Compute(_)))
-            .count()
+        self.body.memory_steps
+    }
+
+    /// Number of [`Step::Alloc`] steps.
+    pub fn alloc_steps(&self) -> usize {
+        self.body.alloc_steps
+    }
+
+    /// Whether `self` and `other` share one generated body — identity,
+    /// where `==` compares values. Two calls to
+    /// [`InvocationTrace::generate`] give equal traces that are not
+    /// the same; clones of one trace are the same.
+    pub fn is_same(&self, other: &InvocationTrace) -> bool {
+        std::sync::Arc::ptr_eq(&self.body, &other.body)
     }
 }
 
@@ -422,6 +454,41 @@ mod tests {
         assert!(sum <= want);
         assert!(sum >= want.mul_f64(0.9), "sum {sum} vs want {want}");
         assert_eq!(t.total_compute(), want);
+    }
+
+    #[test]
+    fn step_totals_match_the_steps() {
+        for spec in FUNCTIONBENCH.iter().chain(FAASMEM) {
+            for variant in 0..2 {
+                let t = InvocationTrace::generate(&spec.scaled(0.05), variant);
+                let mut compute = SimDuration::ZERO;
+                let (mut memory, mut allocs) = (0, 0);
+                for s in t.steps() {
+                    match s {
+                        Step::Compute(d) => compute += *d,
+                        Step::Access { .. } => memory += 1,
+                        Step::Alloc { .. } => {
+                            memory += 1;
+                            allocs += 1;
+                        }
+                    }
+                }
+                let name = format!("{} variant {variant}", spec.name);
+                assert_eq!(t.step_compute(), compute, "{name}");
+                assert_eq!(t.memory_steps(), memory, "{name}");
+                assert_eq!(t.alloc_steps(), allocs, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn clones_are_the_same_trace_and_regenerations_are_not() {
+        let spec = small();
+        let a = InvocationTrace::generate(&spec, 0);
+        let b = InvocationTrace::generate(&spec, 0);
+        assert!(a.is_same(&a.clone()));
+        assert_eq!(a, b);
+        assert!(!a.is_same(&b));
     }
 
     #[test]
