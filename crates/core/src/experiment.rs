@@ -120,6 +120,28 @@ impl RunConfig {
     }
 }
 
+/// The default host-kernel configuration with `memory_pages` of host
+/// memory (`None` keeps the default 32 GiB).
+///
+/// # Errors
+///
+/// [`StrategyError::Config`] when `memory_pages` is below
+/// [`KernelConfig::MIN_MEMORY_PAGES`], which [`HostKernel::new`]
+/// rejects.
+pub fn kernel_config_for(memory_pages: Option<u64>) -> Result<KernelConfig, StrategyError> {
+    let mut config = KernelConfig::default();
+    if let Some(pages) = memory_pages {
+        let min = KernelConfig::MIN_MEMORY_PAGES;
+        if pages < min {
+            return Err(StrategyError::Config(format!(
+                "memory_pages = {pages} is below the {min} pages a host kernel needs"
+            )));
+        }
+        config.total_memory_pages = pages;
+    }
+    Ok(config)
+}
+
 /// Everything measured in one experiment run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
@@ -238,10 +260,7 @@ fn run_one_inner(
     cfg: &RunConfig,
     tracer: &Tracer,
 ) -> Result<RunResult, StrategyError> {
-    let mut kernel_config = KernelConfig::default();
-    if let Some(pages) = cfg.memory_pages {
-        kernel_config.total_memory_pages = pages;
-    }
+    let kernel_config = kernel_config_for(cfg.memory_pages)?;
     let mut host = HostKernel::new(Disk::new(cfg.device.build()), kernel_config);
     let workload = workload.scaled(cfg.scale);
 
@@ -305,7 +324,7 @@ fn run_one_inner(
     let invoke_read_requests = host.disk().tracer().read_requests();
     let stats = sum_stats(&results);
     for r in &mut restored {
-        r.vm.teardown(&mut host)?;
+        r.vm.kvm_mut().teardown(&mut host)?;
     }
     debug_assert_eq!(host.accounting_discrepancy(), 0);
 
@@ -357,10 +376,7 @@ pub fn run_colocated(
     workloads: &[Workload],
     cfg: &RunConfig,
 ) -> Result<ColocatedResult, StrategyError> {
-    let mut kernel_config = KernelConfig::default();
-    if let Some(pages) = cfg.memory_pages {
-        kernel_config.total_memory_pages = pages;
-    }
+    let kernel_config = kernel_config_for(cfg.memory_pages)?;
     let mut host = HostKernel::new(Disk::new(cfg.device.build()), kernel_config);
 
     // Snapshots + record phases, sequentially in virtual time.
@@ -404,7 +420,7 @@ pub fn run_colocated(
     let memory = host.memory_snapshot();
     let invoke_read_bytes = host.disk().tracer().read_bytes();
     for r in &mut restored {
-        r.vm.teardown(&mut host)?;
+        r.vm.kvm_mut().teardown(&mut host)?;
     }
     debug_assert_eq!(host.accounting_discrepancy(), 0);
 
@@ -647,5 +663,26 @@ mod tests {
             buggy.memory,
             patched.memory
         );
+    }
+
+    #[test]
+    fn memory_below_the_host_minimum_is_a_config_error() {
+        let w = Workload::by_name("json").unwrap();
+        let min = KernelConfig::MIN_MEMORY_PAGES;
+        for pages in [0, 16, min - 1] {
+            let cfg = RunConfig::single(0.02).with_memory_pages(pages);
+            let one = run_one(StrategyKind::SnapBpf, &w, &cfg).unwrap_err();
+            let colocated =
+                run_colocated(StrategyKind::SnapBpf, std::slice::from_ref(&w), &cfg).unwrap_err();
+            for err in [one, colocated] {
+                assert!(matches!(err, StrategyError::Config(_)), "got {err}");
+                assert!(
+                    err.to_string().contains(&format!("{pages} is below")),
+                    "{err}"
+                );
+            }
+        }
+        let cfg = RunConfig::single(0.02).with_memory_pages(min);
+        assert!(run_one(StrategyKind::SnapBpf, &w, &cfg).is_ok());
     }
 }

@@ -884,7 +884,7 @@ mod tests {
         let w = Workload::by_name("bert").unwrap();
         // Cap sized to hold one shared working set plus slack, but
         // not four private copies. bert at 0.05: WS ≈ 13 MiB/VM.
-        let cap_pages = 8 << 10; // 32 MiB (buddy needs ≥ 4 MiB units)
+        let cap_pages = 8 << 10; // 32 MiB (hosts need ≥ 4 MiB)
         let fig = ext_memory_pressure(&w, 0.05, 4, cap_pages).unwrap();
         let completed = fig.series_values("completed").unwrap();
         assert_eq!(completed[1], 1.0, "SnapBPF must fit");

@@ -121,7 +121,7 @@ impl Strategy for Faasnap {
             &mut NoUffd,
         )?;
         let access_order = vm.kvm_mut().take_access_log();
-        vm.teardown(host)?;
+        vm.kvm_mut().teardown(host)?;
         let mut t = result.end_time;
 
         // 2. mincore over the snapshot: the resident set is the WS.

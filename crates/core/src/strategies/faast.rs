@@ -139,7 +139,7 @@ impl Strategy for Faast {
             host,
             &mut resolver,
         )?;
-        vm.teardown(host)?;
+        vm.kvm_mut().teardown(host)?;
 
         self.ws_order = resolver.log;
         let ws_name = format!("{}.faast.ws", func.workload.name());

@@ -278,7 +278,7 @@ impl Strategy for Reap {
             host,
             &mut resolver,
         )?;
-        vm.teardown(host)?;
+        vm.kvm_mut().teardown(host)?;
 
         self.ws_order = resolver.log;
         // Serialize the recorded pages (the pages themselves — this

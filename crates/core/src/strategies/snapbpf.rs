@@ -157,7 +157,7 @@ impl Strategy for SnapBpf {
             host,
             &mut NoUffd,
         )?;
-        vm.teardown(host)?;
+        vm.kvm_mut().teardown(host)?;
         host.detach(probe)?;
         host.set_readahead(true);
 

@@ -24,7 +24,11 @@ fn replay(host: &mut HostKernel, func: &FunctionCtx, mut restored: RestoredVm) -
         restored.resolver.as_mut(),
     )
     .expect("invocation replay");
-    restored.vm.teardown(host).expect("sandbox teardown");
+    restored
+        .vm
+        .kvm_mut()
+        .teardown(host)
+        .expect("sandbox teardown");
     result
 }
 

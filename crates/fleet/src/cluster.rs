@@ -43,7 +43,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-use snapbpf_mem::BuddyAllocator;
 use snapbpf_sim::{
     chrome_trace_json, MetricsRegistry, SeriesRegistry, SimDuration, SimTime, TraceEvent, Tracer,
     TracerClass, TID_CONTROL, TID_DISK, TID_KERNEL,
@@ -54,7 +53,7 @@ use crate::config::{FaultKind, FleetConfig, RetryPolicy};
 use crate::host::{build_host, draw_arrivals, Host, Request};
 use crate::metrics::FuncStats;
 use crate::placement::{HostView, PlacementPolicy};
-use snapbpf::StrategyError;
+use snapbpf::{kernel_config_for, StrategyError};
 
 /// Everything one host of a cluster run measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,12 +164,8 @@ pub(crate) fn validate(cfg: &FleetConfig, workloads: &[Workload]) -> Result<(), 
             cfg.scale
         )));
     }
-    if let Some(pages) = cfg.memory_pages.filter(|&p| p < BuddyAllocator::MIN_PAGES) {
-        return Err(StrategyError::Config(format!(
-            "memory_pages = {pages} is below the {} pages a host's frame allocator needs",
-            BuddyAllocator::MIN_PAGES
-        )));
-    }
+    // Each host's kernel rejects memory below its minimum.
+    kernel_config_for(cfg.memory_pages)?;
     if let Some(Err(msg)) = cfg.arrival.process().map(|p| p.check()) {
         return Err(StrategyError::Config(msg.to_owned()));
     }
@@ -1001,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_below_one_allocator_block_is_a_config_error() {
+    fn memory_below_the_host_minimum_is_a_config_error() {
         let w: Vec<Workload> = vec![Workload::by_name("json").unwrap()];
         for (hosts, pages) in [(1, 16), (1, 0), (2, 16), (2, 0)] {
             let mut cfg = FleetConfig::new(StrategyKind::SnapBpf, 1, 10.0);
@@ -1009,7 +1004,10 @@ mod tests {
             cfg.memory_pages = Some(pages);
             let err = run(&cfg, &w).unwrap_err();
             assert!(matches!(err, StrategyError::Config(_)), "got {err}");
-            assert!(err.to_string().contains("frame allocator"), "{err}");
+            assert!(
+                err.to_string().contains("pages a host kernel needs"),
+                "{err}"
+            );
         }
     }
 

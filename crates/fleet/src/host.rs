@@ -11,8 +11,10 @@
 
 use std::collections::VecDeque;
 
-use snapbpf::{FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError};
-use snapbpf_kernel::{HostKernel, KernelConfig};
+use snapbpf::{
+    kernel_config_for, FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError,
+};
+use snapbpf_kernel::HostKernel;
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{sandbox_tid, SimDuration, SimTime, SplitMix64, Tracer, TID_CONTROL};
 use snapbpf_storage::{Disk, IoTracer};
@@ -135,10 +137,7 @@ pub(crate) fn build_host<'a>(
     workloads: &[Workload],
     tracer: &Tracer,
 ) -> Result<(Host<'a>, SimTime), StrategyError> {
-    let mut kernel_config = KernelConfig::default();
-    if let Some(pages) = cfg.memory_pages {
-        kernel_config.total_memory_pages = pages;
-    }
+    let mut kernel_config = kernel_config_for(cfg.memory_pages)?;
     kernel_config.page_cache_budget_pages = cfg.cache_budget_pages;
     let mut kernel = HostKernel::new(Disk::new(cfg.device.build()), kernel_config);
 
@@ -221,7 +220,7 @@ pub(crate) fn draw_arrivals(cfg: &FleetConfig, t0: SimTime) -> Vec<Request> {
 impl Host<'_> {
     pub(crate) fn teardown_parked(&mut self, parked: Vec<Parked>) -> Result<(), StrategyError> {
         for (mut vm, _resolver) in parked {
-            vm.teardown(&mut self.kernel)?;
+            vm.kvm_mut().teardown(&mut self.kernel)?;
         }
         Ok(())
     }
@@ -605,17 +604,17 @@ impl Host<'_> {
         for a in std::mem::take(&mut self.active) {
             if let Some(r) = a.restore {
                 if let Some((mut vm, _resolver)) = r.abort() {
-                    vm.teardown(&mut self.kernel)?;
+                    vm.kvm_mut().teardown(&mut self.kernel)?;
                 }
             }
             if let Some(c) = a.run {
                 let (mut vm, _resolver) = c.abort();
-                vm.teardown(&mut self.kernel)?;
+                vm.kvm_mut().teardown(&mut self.kernel)?;
             }
             // Restore-phase memory charged before any VM existed stays
             // attributed to the owner; release it (a no-op when the
             // teardown above already freed everything).
-            self.kernel.release_owner(a.owner)?;
+            self.kernel.release_owner(a.owner);
             if wants_retry && !a.retry {
                 self.per_func[a.func].retried += 1;
                 retries.push(a.func);

@@ -11,7 +11,9 @@ use snapbpf_sim::SimDuration;
 /// Cost model and behaviour switches for [`crate::HostKernel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
-    /// Total host memory managed by the buddy allocator, in pages.
+    /// Total host memory, in pages: page-cache plus anonymous pages
+    /// never exceed it. At least [`KernelConfig::MIN_MEMORY_PAGES`];
+    /// the host uses it rounded down to a multiple of that unit.
     pub total_memory_pages: u64,
     /// Page-cache budget in pages, `None` for unbounded. When the
     /// cache grows past the budget the kernel reclaims LRU pages
@@ -52,6 +54,10 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
+    /// The smallest [`KernelConfig::total_memory_pages`] a host
+    /// accepts (4 MiB), and the unit its memory is rounded down to.
+    pub const MIN_MEMORY_PAGES: u64 = 1 << 10;
+
     /// Defaults calibrated to the paper's testbed class (Linux 6.3 on
     /// AMD EPYC 7402 at 2.5 GHz).
     pub fn server_defaults() -> Self {

@@ -29,8 +29,7 @@ use snapbpf_ebpf::{
     ProbeId, Program, VerifyError,
 };
 use snapbpf_mem::{
-    AllocError, AnonRegistry, BuddyAllocator, CacheError, FrameId, MemorySnapshot, OwnerId,
-    PageCache, PageKey, PageState,
+    AnonRegistry, CacheError, MemorySnapshot, OwnerId, PageCache, PageKey, PageState,
 };
 use snapbpf_sim::{SimDuration, SimTime, Tracer, TID_KERNEL};
 use snapbpf_storage::{Disk, DiskError, FileId, IoPath};
@@ -54,10 +53,8 @@ pub enum KernelError {
     Disk(DiskError),
     /// Page-cache bookkeeping error (indicates a kernel-model bug).
     Cache(CacheError),
-    /// Frame allocation failed even after eviction.
+    /// No host page was free even after reclaiming the page cache.
     OutOfMemory,
-    /// Frame allocator bookkeeping error.
-    Alloc(AllocError),
     /// Map operation failed.
     Map(MapError),
     /// Program failed verification at load time.
@@ -72,7 +69,6 @@ impl fmt::Display for KernelError {
             KernelError::Disk(e) => write!(f, "disk: {e}"),
             KernelError::Cache(e) => write!(f, "page cache: {e}"),
             KernelError::OutOfMemory => write!(f, "host out of memory"),
-            KernelError::Alloc(e) => write!(f, "allocator: {e}"),
             KernelError::Map(e) => write!(f, "map: {e}"),
             KernelError::Verify(e) => write!(f, "verifier: {e}"),
             KernelError::Probe(e) => write!(f, "kprobe: {e}"),
@@ -86,7 +82,6 @@ impl std::error::Error for KernelError {
             KernelError::Disk(e) => Some(e),
             KernelError::Cache(e) => Some(e),
             KernelError::OutOfMemory => None,
-            KernelError::Alloc(e) => Some(e),
             KernelError::Map(e) => Some(e),
             KernelError::Verify(e) => Some(e),
             KernelError::Probe(e) => Some(e),
@@ -102,11 +97,6 @@ impl From<DiskError> for KernelError {
 impl From<CacheError> for KernelError {
     fn from(e: CacheError) -> Self {
         KernelError::Cache(e)
-    }
-}
-impl From<AllocError> for KernelError {
-    fn from(e: AllocError) -> Self {
-        KernelError::Alloc(e)
     }
 }
 impl From<MapError> for KernelError {
@@ -204,7 +194,10 @@ impl KfuncHost for PrefetchSink<'_> {
 pub struct HostKernel {
     config: KernelConfig,
     disk: Disk,
-    buddy: BuddyAllocator,
+    /// Host pages the kernel can hand out.
+    usable_pages: u64,
+    /// Host pages in use: page-cache plus anonymous pages.
+    used_pages: u64,
     cache: PageCache,
     anon: AnonRegistry,
     probes: KprobeRegistry,
@@ -226,10 +219,23 @@ pub struct HostKernel {
 }
 
 impl HostKernel {
-    /// Boots a host kernel over `disk`.
+    /// Boots a host kernel over `disk`. Its usable memory is
+    /// [`KernelConfig::total_memory_pages`] rounded down to a multiple
+    /// of [`KernelConfig::MIN_MEMORY_PAGES`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_memory_pages` is below
+    /// [`KernelConfig::MIN_MEMORY_PAGES`].
     pub fn new(disk: Disk, config: KernelConfig) -> Self {
+        let unit = KernelConfig::MIN_MEMORY_PAGES;
+        assert!(
+            config.total_memory_pages >= unit,
+            "host memory needs at least {unit} pages"
+        );
         HostKernel {
-            buddy: BuddyAllocator::new(config.total_memory_pages),
+            usable_pages: config.total_memory_pages / unit * unit,
+            used_pages: 0,
             disk,
             cache: PageCache::new(),
             anon: AnonRegistry::new(),
@@ -495,20 +501,17 @@ impl HostKernel {
         }
     }
 
-    fn alloc_cache_frame(&mut self) -> Result<FrameId, KernelError> {
-        match self.buddy.alloc_pages(1) {
-            Ok(f) => Ok(f),
-            Err(AllocError::OutOfMemory { .. }) => {
-                // Memory pressure: reclaim LRU page-cache pages.
-                for (_, frame) in self.cache.evict_lru(4096) {
-                    self.buddy.dealloc_pages(frame, 1)?;
-                }
-                self.buddy
-                    .alloc_pages(1)
-                    .map_err(|_| KernelError::OutOfMemory)
+    /// Takes one free host page. When none is free, first reclaims
+    /// up to 4,096 least-recently-used unmapped page-cache pages.
+    fn take_page(&mut self) -> Result<(), KernelError> {
+        if self.used_pages == self.usable_pages {
+            self.used_pages -= self.cache.evict_lru(4096).len() as u64;
+            if self.used_pages == self.usable_pages {
+                return Err(KernelError::OutOfMemory);
             }
-            Err(e) => Err(e.into()),
         }
+        self.used_pages += 1;
+        Ok(())
     }
 
     /// Inserts the uncached pages of `[start, start+count)` as
@@ -549,11 +552,10 @@ impl HostKernel {
                             .read_file_pages(now, file, rs, run_len, IoPath::Buffered)?;
                     max_ready = max_ready.max(completion.done_at);
                     for p in rs..rs + run_len {
-                        let frame = self.alloc_cache_frame()?;
+                        self.take_page()?;
                         let key = PageKey::new(file, p);
                         self.cache.insert(
                             key,
-                            frame,
                             PageState::InFlight {
                                 ready_at: completion.done_at,
                             },
@@ -564,35 +566,31 @@ impl HostKernel {
             }
             page += 1;
         }
-        self.enforce_cache_budget()?;
+        self.enforce_cache_budget();
         Ok(max_ready)
     }
 
     /// Enforces [`KernelConfig::page_cache_budget_pages`]: reclaims
     /// LRU pages until the cache fits the budget again, counting
     /// them as *pressure* evictions (distinct from the
-    /// allocator-exhaustion reclaim in `alloc_cache_frame`). Mapped
+    /// memory-exhaustion reclaim in `take_page`). Mapped
     /// and in-flight pages are never reclaimed, so a read burst can
     /// exceed the budget transiently — exactly the window one
     /// tenant's burst steals another tenant's cached snapshot pages
     /// in.
-    fn enforce_cache_budget(&mut self) -> Result<(), KernelError> {
+    fn enforce_cache_budget(&mut self) {
         let Some(budget) = self.config.page_cache_budget_pages else {
-            return Ok(());
+            return;
         };
         let len = self.cache.len();
         if len <= budget {
-            return Ok(());
+            return;
         }
-        let victims = self.cache.evict_lru(len - budget);
-        let evicted = victims.len() as u64;
-        for (_, frame) in victims {
-            self.buddy.dealloc_pages(frame, 1)?;
-        }
+        let evicted = self.cache.evict_lru(len - budget).len() as u64;
+        self.used_pages -= evicted;
         if evicted > 0 {
             self.trace.add("mem.cache.pressure_evictions", evicted);
         }
-        Ok(())
     }
 
     /// Fires the `add_to_page_cache_lru` kprobe for one insertion.
@@ -836,13 +834,10 @@ impl HostKernel {
     ///
     /// # Errors
     ///
-    /// Allocator errors indicate model corruption.
+    /// None today; the `Result` keeps callers' `?` chains stable.
     pub fn drop_all_caches(&mut self) -> Result<u64, KernelError> {
-        let victims = self.cache.drain_unmapped();
-        let n = victims.len() as u64;
-        for (_, frame) in victims {
-            self.buddy.dealloc_pages(frame, 1)?;
-        }
+        let n = self.cache.drain_unmapped().len() as u64;
+        self.used_pages -= n;
         Ok(n)
     }
 
@@ -851,49 +846,32 @@ impl HostKernel {
     ///
     /// # Errors
     ///
-    /// Allocator errors indicate model corruption.
+    /// None today; the `Result` keeps callers' `?` chains stable.
     pub fn drop_file_cache(&mut self, file: FileId) -> Result<(), KernelError> {
-        for frame in self.cache.drop_file(file) {
-            self.buddy.dealloc_pages(frame, 1)?;
-        }
+        self.used_pages -= self.cache.drop_file(file);
         Ok(())
     }
 
     // ---- Anonymous memory (for KVM / uffd installs) ----
 
-    /// Allocates a zeroed anonymous page for `owner`.
+    /// Allocates a zeroed anonymous page for `owner`, returning the
+    /// CPU time the zero fill costs.
     ///
     /// # Errors
     ///
     /// [`KernelError::OutOfMemory`] under exhaustion.
-    pub fn alloc_anon_page(
-        &mut self,
-        owner: OwnerId,
-    ) -> Result<(FrameId, SimDuration), KernelError> {
-        match self.anon.alloc_page(owner, &mut self.buddy) {
-            Ok(f) => Ok((f, self.config.anon_zero_fill)),
-            Err(AllocError::OutOfMemory { .. }) => {
-                let victims = self.cache.evict_lru(4096);
-                for (_, frame) in victims {
-                    self.buddy.dealloc_pages(frame, 1)?;
-                }
-                let f = self
-                    .anon
-                    .alloc_page(owner, &mut self.buddy)
-                    .map_err(|_| KernelError::OutOfMemory)?;
-                Ok((f, self.config.anon_zero_fill))
-            }
-            Err(e) => Err(e.into()),
-        }
+    pub fn alloc_anon_page(&mut self, owner: OwnerId) -> Result<SimDuration, KernelError> {
+        self.take_page()?;
+        self.anon.alloc_page(owner);
+        Ok(self.config.anon_zero_fill)
     }
 
-    /// Releases all anonymous memory of `owner` (sandbox teardown).
-    ///
-    /// # Errors
-    ///
-    /// Allocator errors indicate model corruption.
-    pub fn release_owner(&mut self, owner: OwnerId) -> Result<u64, KernelError> {
-        Ok(self.anon.release_owner(owner, &mut self.buddy)?)
+    /// Releases all anonymous memory of `owner` (sandbox teardown),
+    /// returning how many pages it held.
+    pub fn release_owner(&mut self, owner: OwnerId) -> u64 {
+        let n = self.anon.release_owner(owner);
+        self.used_pages -= n;
+        n
     }
 
     /// Records a copy-on-write break (KVM calls this when it copies
@@ -941,12 +919,12 @@ impl HostKernel {
         self.ebpf_cpu
     }
 
-    /// Invariant check: every allocated frame is attributable to the
+    /// Invariant check: every used host page is attributable to the
     /// page cache or an anonymous owner. Returns the discrepancy
     /// (0 when consistent). Exposed for tests.
     pub fn accounting_discrepancy(&self) -> i64 {
         let attributed = self.cache.len() + self.anon.total_pages();
-        self.buddy.allocated_pages() as i64 - attributed as i64
+        self.used_pages as i64 - attributed as i64
     }
 }
 
@@ -1102,7 +1080,7 @@ mod tests {
         let snap = k.memory_snapshot();
         assert_eq!(snap.page_cache_pages, 8);
         assert_eq!(snap.anon_pages, 2);
-        k.release_owner(owner).unwrap();
+        assert_eq!(k.release_owner(owner), 2);
         assert_eq!(k.accounting_discrepancy(), 0);
         k.drop_file_cache(f).unwrap();
         assert_eq!(k.memory_snapshot().total_pages(), 0);

@@ -3,7 +3,7 @@
 //! Models the host side of a microVM's memory (paper §3.2, Figure 2):
 //!
 //! * the VM's guest-physical pages are backed by a `MAP_PRIVATE`
-//!   mapping of the snapshot file — reads share page-cache frames,
+//!   mapping of the snapshot file — reads share page-cache pages,
 //!   writes break copy-on-write into anonymous memory,
 //! * nested page faults resolve the backing: **PV-marked** guest
 //!   frames (mirror bit set by the guest allocator) short-circuit to
@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use snapbpf_mem::{FrameId, OwnerId, PageKey};
+use snapbpf_mem::{OwnerId, PageKey};
 use snapbpf_sim::{SimDuration, SimTime, WordState};
 use snapbpf_storage::FileId;
 
@@ -37,7 +37,7 @@ pub enum CowPolicy {
     /// CoW and copying cache pages to anonymous memory.
     ForcedWrite,
     /// The paper's patch: write-map only writes (and already-writable
-    /// anonymous pages); reads share the page cache frame.
+    /// anonymous pages); reads share the page-cache page.
     Opportunistic,
 }
 
@@ -48,10 +48,7 @@ enum GuestMapping {
     Cache { key: PageKey },
     /// Private anonymous page (PV allocation, CoW copy, or uffd
     /// install).
-    Anon {
-        #[allow(dead_code)] // kept for teardown symmetry / debugging
-        frame: FrameId,
-    },
+    Anon,
 }
 
 /// Classification of a guest memory access, for statistics and for
@@ -168,6 +165,8 @@ pub struct KvmVm {
     /// When enabled, first-touch guest page numbers in fault order —
     /// the VMM-level access profiling FaaSnap's record phase uses.
     access_log: Option<Vec<u64>>,
+    /// How many times [`KvmVm::teardown`] has run.
+    teardowns: u64,
 }
 
 impl KvmVm {
@@ -186,6 +185,7 @@ impl KvmVm {
             anon_filter: HashSet::default(),
             stats: VmMemStats::default(),
             access_log: None,
+            teardowns: 0,
         }
     }
 
@@ -219,6 +219,13 @@ impl KvmVm {
     /// Fault statistics so far.
     pub fn stats(&self) -> VmMemStats {
         self.stats
+    }
+
+    /// The teardown generation: how many times [`KvmVm::teardown`]
+    /// has run. Anything learned about the mappings is stale once it
+    /// moves.
+    pub fn generation(&self) -> u64 {
+        self.teardowns
     }
 
     /// Registers a userfaultfd range (REAP/Faast restore path):
@@ -274,7 +281,7 @@ impl KvmVm {
     pub fn try_hit(&mut self, gpfn_raw: u64, write: bool) -> bool {
         let hit = match self.mappings.get(&(gpfn_raw & !PV_MIRROR_BIT)) {
             Some(GuestMapping::Cache { .. }) => !write,
-            Some(GuestMapping::Anon { .. }) => true,
+            Some(GuestMapping::Anon) => true,
             None => false,
         };
         self.stats.hits += u64::from(hit);
@@ -309,10 +316,10 @@ impl KvmVm {
                 // Write to a shared read-only page: CoW break.
                 let c = host.config();
                 let cpu = c.nested_fault_exit + c.anon_zero_fill + c.page_copy;
-                let (frame, _) = host.alloc_anon_page(self.owner)?;
+                host.alloc_anon_page(self.owner)?;
                 host.cache_mut().unmap_page(key)?;
                 host.note_cow_break();
-                self.mappings.insert(gpfn, GuestMapping::Anon { frame });
+                self.mappings.insert(gpfn, GuestMapping::Anon);
                 self.stats.cow_breaks += 1;
                 return Ok(AccessOutcome {
                     ready_at: now + cpu,
@@ -340,9 +347,8 @@ impl KvmVm {
         // PV PTE marking: mirrored PFN ⇒ fresh allocation, serve
         // anonymously, map both views (paper §3.2 steps ④–⑥).
         if mirrored {
-            let (frame, alloc_cpu) = host.alloc_anon_page(self.owner)?;
-            cpu += alloc_cpu;
-            self.mappings.insert(gpfn, GuestMapping::Anon { frame });
+            cpu += host.alloc_anon_page(self.owner)?;
+            self.mappings.insert(gpfn, GuestMapping::Anon);
             self.stats.pv_anon_faults += 1;
             return Ok(AccessOutcome {
                 ready_at: now + cpu,
@@ -353,9 +359,8 @@ impl KvmVm {
 
         // Pre-computed allocation filter (prior art's offline scan).
         if self.anon_filter.contains(&gpfn) {
-            let (frame, alloc_cpu) = host.alloc_anon_page(self.owner)?;
-            cpu += alloc_cpu;
-            self.mappings.insert(gpfn, GuestMapping::Anon { frame });
+            cpu += host.alloc_anon_page(self.owner)?;
+            self.mappings.insert(gpfn, GuestMapping::Anon);
             self.stats.filtered_anon_faults += 1;
             return Ok(AccessOutcome {
                 ready_at: now + cpu,
@@ -392,11 +397,10 @@ impl KvmVm {
         if force_cow {
             // Copy the (possibly still in-flight) page to anonymous
             // memory once its data is available.
-            let (frame, alloc_cpu) = host.alloc_anon_page(self.owner)?;
-            let copy_cpu = alloc_cpu + host.config().page_copy;
+            let copy_cpu = host.alloc_anon_page(self.owner)? + host.config().page_copy;
             cpu += copy_cpu;
             host.note_cow_break();
-            self.mappings.insert(gpfn, GuestMapping::Anon { frame });
+            self.mappings.insert(gpfn, GuestMapping::Anon);
             self.stats.cow_breaks += 1;
             Ok(AccessOutcome {
                 ready_at: data_ready + copy_cpu,
@@ -431,9 +435,8 @@ impl KvmVm {
         data_ready: SimTime,
         host: &mut HostKernel,
     ) -> Result<AccessOutcome, KernelError> {
-        let (frame, alloc_cpu) = host.alloc_anon_page(self.owner)?;
-        let cpu = alloc_cpu + host.config().page_copy;
-        self.mappings.insert(gpfn, GuestMapping::Anon { frame });
+        let cpu = host.alloc_anon_page(self.owner)? + host.config().page_copy;
+        self.mappings.insert(gpfn, GuestMapping::Anon);
         Ok(AccessOutcome {
             ready_at: data_ready.max(now) + cpu,
             cpu,
@@ -451,19 +454,20 @@ impl KvmVm {
         self.mappings.len() as u64
     }
 
-    /// Tears the VM down: unmaps shared cache pages and releases all
-    /// anonymous memory.
+    /// Tears the VM down: unmaps shared cache pages, releases all
+    /// anonymous memory and starts a new [`KvmVm::generation`].
     ///
     /// # Errors
     ///
     /// Bookkeeping errors indicate model corruption.
     pub fn teardown(&mut self, host: &mut HostKernel) -> Result<(), KernelError> {
+        self.teardowns += 1;
         for (_, mapping) in self.mappings.drain() {
             if let GuestMapping::Cache { key } = mapping {
                 host.cache_mut().unmap_page(key)?;
             }
         }
-        host.release_owner(self.owner)?;
+        host.release_owner(self.owner);
         Ok(())
     }
 }
@@ -509,7 +513,7 @@ mod tests {
         let mut b = KvmVm::new(OwnerId::new(1), snap, 1024, CowPolicy::Opportunistic);
         let g = b.access(f.ready_at, 42, false, &mut host).unwrap();
         assert_eq!(g.kind, AccessKind::Minor);
-        // Both VMs share one frame: mapcount 2, no anon.
+        // Both VMs share one cached page: mapcount 2, no anon.
         let key = PageKey::new(snap, 42);
         assert_eq!(host.cache().get(key).unwrap().mapcount, 2);
         assert_eq!(host.memory_snapshot().anon_pages, 0);
@@ -620,7 +624,9 @@ mod tests {
         vm.access(b.ready_at, 3 | PV_MIRROR_BIT, true, &mut host)
             .unwrap();
         assert!(host.memory_snapshot().anon_pages > 0);
+        assert_eq!(vm.generation(), 0);
         vm.teardown(&mut host).unwrap();
+        assert_eq!(vm.generation(), 1);
         assert_eq!(host.memory_snapshot().anon_pages, 0);
         assert_eq!(vm.mapped_pages(), 0);
         // Cache pages survive teardown (that is the point of the

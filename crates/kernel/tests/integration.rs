@@ -3,7 +3,9 @@
 //! contents, and accounting invariants across mixed workloads.
 
 use snapbpf_ebpf::{MapDef, ProgramBuilder, Reg};
-use snapbpf_kernel::{CowPolicy, HostKernel, KernelConfig, KvmVm, PAGE_CACHE_ADD_HOOK};
+use snapbpf_kernel::{
+    CowPolicy, HostKernel, KernelConfig, KernelError, KvmVm, PAGE_CACHE_ADD_HOOK,
+};
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{SimDuration, SimTime, Tracer};
 use snapbpf_storage::{Disk, SsdModel};
@@ -29,6 +31,35 @@ fn eviction_reclaims_under_memory_pressure() {
     // The cache never exceeded the host and evictions happened.
     assert!(k.cache().len() <= 1024);
     assert!(k.tracer().counter("mem.cache.evictions") > 0);
+    assert_eq!(k.accounting_discrepancy(), 0);
+}
+
+#[test]
+fn anonymous_pages_reclaim_the_cache_then_fail_past_capacity() {
+    // 1,124 pages round down to one 1,024-page unit of host memory.
+    let mut k = kernel_with_memory(1024 + 100);
+    let f = k.disk_mut().create_file("snap", 512).unwrap();
+    let read = k.ra_unbounded(SimTime::ZERO, f, 0, 300).unwrap();
+    // Completed reads are resident, so reclaim may take them.
+    assert!(k.mincore(read.ready_at, f, 0, 300).iter().all(|&r| r));
+    assert_eq!(k.cache().len(), 300);
+
+    let owner = OwnerId::new(0);
+    for page in 1..=1024u64 {
+        let r = k.alloc_anon_page(owner);
+        assert!(r.is_ok(), "anonymous page {page}: {:?}", r.err());
+        // Free pages go first; the 725th page reclaims the cache.
+        let reclaimed = if page <= 1024 - 300 { 0 } else { 300 };
+        assert_eq!(k.cache().evictions(), reclaimed, "anonymous page {page}");
+        assert_eq!(k.accounting_discrepancy(), 0);
+    }
+    assert!(k.cache().is_empty());
+    assert_eq!(
+        k.alloc_anon_page(owner).err(),
+        Some(KernelError::OutOfMemory),
+        "anonymous page 1025"
+    );
+    assert_eq!(k.anon_pages_of(owner), 1024);
     assert_eq!(k.accounting_discrepancy(), 0);
 }
 

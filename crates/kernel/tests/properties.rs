@@ -167,7 +167,7 @@ proptest! {
         }
     }
 
-    /// Accounting (buddy = cache + anon) holds across arbitrary
+    /// Accounting (used pages = cache + anon) holds across arbitrary
     /// operation interleavings, and residency agrees with a model
     /// under RA-off single-page reads.
     #[test]

@@ -11,8 +11,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::frame::{AllocError, BuddyAllocator, FrameId};
-
 /// Identifies an owner of anonymous memory (in practice: a microVM
 /// sandbox / VMM process).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,34 +34,29 @@ impl fmt::Display for OwnerId {
     }
 }
 
-/// Per-owner anonymous memory registry.
+/// Per-owner anonymous memory registry: how many private pages each
+/// owner holds. The host kernel charges each page against its
+/// capacity before registering it here.
 ///
 /// # Examples
 ///
 /// ```
-/// use snapbpf_mem::{AnonRegistry, BuddyAllocator, OwnerId};
+/// use snapbpf_mem::{AnonRegistry, OwnerId};
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut buddy = BuddyAllocator::new(4096);
 /// let mut anon = AnonRegistry::new();
 /// let vm = OwnerId::new(0);
 ///
-/// anon.alloc_page(vm, &mut buddy)?;
-/// anon.alloc_page(vm, &mut buddy)?;
+/// anon.alloc_page(vm);
+/// anon.alloc_page(vm);
 /// assert_eq!(anon.pages(vm), 2);
-/// assert_eq!(buddy.allocated_pages(), 2);
 ///
-/// let freed = anon.release_owner(vm, &mut buddy)?;
-/// assert_eq!(freed, 2);
-/// assert_eq!(buddy.allocated_pages(), 0);
-/// # Ok(())
-/// # }
+/// assert_eq!(anon.release_owner(vm), 2);
+/// assert_eq!(anon.total_pages(), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AnonRegistry {
-    frames: HashMap<OwnerId, Vec<FrameId>>,
+    pages: HashMap<OwnerId, u64>,
     total: u64,
-    peak_total: u64,
 }
 
 impl AnonRegistry {
@@ -72,26 +65,15 @@ impl AnonRegistry {
         AnonRegistry::default()
     }
 
-    /// Allocates one anonymous page for `owner` from `buddy`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AllocError::OutOfMemory`] from the allocator.
-    pub fn alloc_page(
-        &mut self,
-        owner: OwnerId,
-        buddy: &mut BuddyAllocator,
-    ) -> Result<FrameId, AllocError> {
-        let frame = buddy.alloc_pages(1)?;
-        self.frames.entry(owner).or_default().push(frame);
+    /// Registers one anonymous page for `owner`.
+    pub fn alloc_page(&mut self, owner: OwnerId) {
+        *self.pages.entry(owner).or_insert(0) += 1;
         self.total += 1;
-        self.peak_total = self.peak_total.max(self.total);
-        Ok(frame)
     }
 
     /// Number of anonymous pages currently held by `owner`.
     pub fn pages(&self, owner: OwnerId) -> u64 {
-        self.frames.get(&owner).map_or(0, |v| v.len() as u64)
+        self.pages.get(&owner).copied().unwrap_or(0)
     }
 
     /// Anonymous pages across all owners.
@@ -99,42 +81,12 @@ impl AnonRegistry {
         self.total
     }
 
-    /// High-water mark of total anonymous pages.
-    pub fn peak_total_pages(&self) -> u64 {
-        self.peak_total
-    }
-
-    /// Owners that currently hold pages, in id order.
-    pub fn owners(&self) -> Vec<OwnerId> {
-        let mut v: Vec<OwnerId> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| !f.is_empty())
-            .map(|(&o, _)| o)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Frees every page held by `owner`, returning how many were
-    /// freed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator errors (which would indicate registry
-    /// corruption).
-    pub fn release_owner(
-        &mut self,
-        owner: OwnerId,
-        buddy: &mut BuddyAllocator,
-    ) -> Result<u64, AllocError> {
-        let frames = self.frames.remove(&owner).unwrap_or_default();
-        let n = frames.len() as u64;
-        for f in frames {
-            buddy.dealloc_pages(f, 1)?;
-        }
+    /// Forgets every page held by `owner`, returning how many there
+    /// were.
+    pub fn release_owner(&mut self, owner: OwnerId) -> u64 {
+        let n = self.pages.remove(&owner).unwrap_or(0);
         self.total -= n;
-        Ok(n)
+        n
     }
 }
 
@@ -144,60 +96,34 @@ mod tests {
 
     #[test]
     fn attribution_per_owner() {
-        let mut buddy = BuddyAllocator::new(4096);
         let mut anon = AnonRegistry::new();
         let a = OwnerId::new(1);
         let b = OwnerId::new(2);
         for _ in 0..3 {
-            anon.alloc_page(a, &mut buddy).unwrap();
+            anon.alloc_page(a);
         }
-        anon.alloc_page(b, &mut buddy).unwrap();
+        anon.alloc_page(b);
         assert_eq!(anon.pages(a), 3);
         assert_eq!(anon.pages(b), 1);
         assert_eq!(anon.pages(OwnerId::new(3)), 0);
         assert_eq!(anon.total_pages(), 4);
-        assert_eq!(anon.owners(), vec![a, b]);
     }
 
     #[test]
-    fn release_returns_frames_to_buddy() {
-        let mut buddy = BuddyAllocator::new(4096);
+    fn release_forgets_the_owner() {
         let mut anon = AnonRegistry::new();
         let a = OwnerId::new(1);
+        let b = OwnerId::new(2);
         for _ in 0..10 {
-            anon.alloc_page(a, &mut buddy).unwrap();
+            anon.alloc_page(a);
         }
-        assert_eq!(buddy.allocated_pages(), 10);
-        assert_eq!(anon.release_owner(a, &mut buddy).unwrap(), 10);
-        assert_eq!(buddy.allocated_pages(), 0);
-        assert_eq!(anon.total_pages(), 0);
+        anon.alloc_page(b);
+        assert_eq!(anon.release_owner(a), 10);
+        assert_eq!(anon.pages(a), 0);
+        assert_eq!(anon.total_pages(), 1);
         // Releasing again is a no-op.
-        assert_eq!(anon.release_owner(a, &mut buddy).unwrap(), 0);
-    }
-
-    #[test]
-    fn peak_survives_release() {
-        let mut buddy = BuddyAllocator::new(4096);
-        let mut anon = AnonRegistry::new();
-        let a = OwnerId::new(0);
-        for _ in 0..5 {
-            anon.alloc_page(a, &mut buddy).unwrap();
-        }
-        anon.release_owner(a, &mut buddy).unwrap();
-        assert_eq!(anon.peak_total_pages(), 5);
-        assert_eq!(anon.total_pages(), 0);
-    }
-
-    #[test]
-    fn oom_propagates() {
-        let mut buddy = BuddyAllocator::new(1024);
-        let mut anon = AnonRegistry::new();
-        let a = OwnerId::new(0);
-        for _ in 0..1024 {
-            anon.alloc_page(a, &mut buddy).unwrap();
-        }
-        assert!(anon.alloc_page(a, &mut buddy).is_err());
-        assert_eq!(anon.total_pages(), 1024);
+        assert_eq!(anon.release_owner(a), 0);
+        assert_eq!(anon.total_pages(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! prefetched from the snapshot file land here, are **shared by every
 //! VM sandbox mapping the same snapshot**, and therefore deduplicate
 //! naturally (paper §3.1). The model is a map from `(file, page)` to
-//! a host frame with an LRU list for eviction and an *in-flight*
+//! a cached page with an LRU list for eviction and an *in-flight*
 //! state so concurrent faults on a page being read from disk wait for
 //! the same I/O instead of issuing duplicates.
 
@@ -14,8 +14,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use snapbpf_sim::{SimTime, Tracer, PAGE_SIZE, TID_KERNEL};
 use snapbpf_storage::FileId;
-
-use crate::frame::FrameId;
 
 /// Key of a page-cache entry: a page of a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,8 +53,6 @@ pub enum PageState {
 /// Read-only view of a cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageView {
-    /// Backing host frame.
-    pub frame: FrameId,
     /// Current state.
     pub state: PageState,
     /// Number of address-space mappings currently pinning the page.
@@ -139,19 +135,18 @@ type FnvBuild = BuildHasherDefault<FnvHasher>;
 #[derive(Debug, Clone)]
 struct Node {
     key: PageKey,
-    frame: FrameId,
     state: PageState,
     mapcount: u32,
     prev: usize,
     next: usize,
 }
 
-/// The page cache: `(file, page) -> frame` with LRU ordering.
+/// The page cache: `(file, page) -> page` with LRU ordering.
 ///
 /// # Examples
 ///
 /// ```
-/// use snapbpf_mem::{PageCache, PageKey, PageState, FrameId};
+/// use snapbpf_mem::{PageCache, PageKey, PageState};
 /// use snapbpf_sim::SimTime;
 /// use snapbpf_storage::{Disk, SsdModel};
 ///
@@ -161,7 +156,7 @@ struct Node {
 /// let mut cache = PageCache::new();
 ///
 /// let key = PageKey::new(file, 3);
-/// cache.insert(key, FrameId::new(100), PageState::InFlight { ready_at: SimTime::from_micros(80) })?;
+/// cache.insert(key, PageState::InFlight { ready_at: SimTime::from_micros(80) })?;
 /// cache.mark_resident(key)?;
 /// assert_eq!(cache.get(key).unwrap().state, PageState::Resident);
 /// assert_eq!(cache.resident_pages(), 1);
@@ -279,7 +274,6 @@ impl PageCache {
                 self.trace.incr("mem.cache.hits");
                 let n = &self.nodes[idx];
                 Some(PageView {
-                    frame: n.frame,
                     state: n.state,
                     mapcount: n.mapcount,
                 })
@@ -297,30 +291,23 @@ impl PageCache {
         self.index.get(&key).map(|&idx| {
             let n = &self.nodes[idx];
             PageView {
-                frame: n.frame,
                 state: n.state,
                 mapcount: n.mapcount,
             }
         })
     }
 
-    /// Inserts a page backed by `frame`.
+    /// Inserts a page.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::AlreadyCached`] if the key is present.
-    pub fn insert(
-        &mut self,
-        key: PageKey,
-        frame: FrameId,
-        state: PageState,
-    ) -> Result<(), CacheError> {
+    pub fn insert(&mut self, key: PageKey, state: PageState) -> Result<(), CacheError> {
         if self.index.contains_key(&key) {
             return Err(CacheError::AlreadyCached(key));
         }
         let node = Node {
             key,
-            frame,
             state,
             mapcount: 0,
             prev: NIL,
@@ -371,7 +358,7 @@ impl PageCache {
     pub fn map_page(&mut self, key: PageKey) -> Result<(), CacheError> {
         let idx = *self.index.get(&key).ok_or(CacheError::NotCached(key))?;
         if self.nodes[idx].mapcount > 0 {
-            // Another sandbox already maps this frame: the shared
+            // Another sandbox already maps this page: the shared
             // cache just deduplicated one page of memory (§3.1).
             self.trace.incr("mem.cache.dedup_hits");
             self.trace.add("mem.cache.dedup_bytes", PAGE_SIZE);
@@ -395,12 +382,12 @@ impl PageCache {
         Ok(())
     }
 
-    /// Removes a page outright, returning its frame.
+    /// Removes a page outright.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::NotCached`] for an unknown key.
-    pub fn remove(&mut self, key: PageKey) -> Result<FrameId, CacheError> {
+    pub fn remove(&mut self, key: PageKey) -> Result<(), CacheError> {
         let idx = self.index.remove(&key).ok_or(CacheError::NotCached(key))?;
         match self.per_file.get_mut(&key.file) {
             Some(n) if *n > 1 => *n -= 1,
@@ -414,13 +401,13 @@ impl PageCache {
             PageState::InFlight { .. } => self.in_flight -= 1,
         }
         self.free.push(idx);
-        Ok(self.nodes[idx].frame)
+        Ok(())
     }
 
     /// Evicts up to `want` least-recently-used pages that are
-    /// resident and unmapped, returning the freed `(key, frame)`
-    /// pairs (the caller returns the frames to the buddy allocator).
-    pub fn evict_lru(&mut self, want: u64) -> Vec<(PageKey, FrameId)> {
+    /// resident and unmapped, returning their keys, least recently
+    /// used first (the caller returns the pages to host memory).
+    pub fn evict_lru(&mut self, want: u64) -> Vec<PageKey> {
         let mut victims = Vec::new();
         let mut cursor = self.tail;
         while victims.len() < want as usize && cursor != NIL {
@@ -431,26 +418,22 @@ impl PageCache {
                 victims.push(n.key);
             }
         }
-        let evicted: Vec<(PageKey, FrameId)> = victims
-            .into_iter()
-            .map(|key| {
-                let frame = self.remove(key).expect("victim vanished");
-                self.evictions += 1;
-                (key, frame)
-            })
-            .collect();
-        if !evicted.is_empty() {
-            self.trace.add("mem.cache.evictions", evicted.len() as u64);
+        for &key in &victims {
+            self.remove(key).expect("victim vanished");
+        }
+        if !victims.is_empty() {
+            self.evictions += victims.len() as u64;
+            self.trace.add("mem.cache.evictions", victims.len() as u64);
             if self.trace.events_enabled() {
                 self.trace.instant_now(
                     "mem",
                     "cache-evict",
                     TID_KERNEL,
-                    vec![("asked", want.into()), ("evicted", evicted.len().into())],
+                    vec![("asked", want.into()), ("evicted", victims.len().into())],
                 );
             }
         }
-        evicted
+        victims
     }
 
     /// Iterates over all cached keys of a file (unordered).
@@ -469,26 +452,28 @@ impl PageCache {
     }
 
     /// Removes every entry whose mapcount is zero (regardless of
-    /// state), returning the freed `(key, frame)` pairs — the
-    /// `drop_caches` path used between experiment phases.
-    pub fn drain_unmapped(&mut self) -> Vec<(PageKey, FrameId)> {
+    /// state), returning their keys — the `drop_caches` path used
+    /// between experiment phases.
+    pub fn drain_unmapped(&mut self) -> Vec<PageKey> {
         let keys: Vec<PageKey> = self
             .index
             .iter()
             .filter(|(_, &idx)| self.nodes[idx].mapcount == 0)
             .map(|(&k, _)| k)
             .collect();
-        keys.into_iter()
-            .map(|k| (k, self.remove(k).expect("key vanished")))
-            .collect()
+        for &k in &keys {
+            self.remove(k).expect("key vanished");
+        }
+        keys
     }
 
-    /// Drops every page of `file`, returning the freed frames.
-    pub fn drop_file(&mut self, file: FileId) -> Vec<FrameId> {
+    /// Drops every page of `file`, returning how many were dropped.
+    pub fn drop_file(&mut self, file: FileId) -> u64 {
         let keys: Vec<PageKey> = self.pages_of_file(file).collect();
-        keys.into_iter()
-            .map(|k| self.remove(k).expect("key vanished"))
-            .collect()
+        for &k in &keys {
+            self.remove(k).expect("key vanished");
+        }
+        keys.len() as u64
     }
 }
 
@@ -516,15 +501,13 @@ mod tests {
     fn insert_lookup_remove() {
         let f = file(0);
         let mut c = PageCache::new();
-        c.insert(key(f, 1), FrameId::new(10), PageState::Resident)
-            .unwrap();
+        c.insert(key(f, 1), PageState::Resident).unwrap();
         assert_eq!(c.len(), 1);
-        let v = c.lookup(key(f, 1)).unwrap();
-        assert_eq!(v.frame, FrameId::new(10));
+        assert_eq!(c.lookup(key(f, 1)).unwrap().mapcount, 0);
         assert_eq!(c.hits(), 1);
         assert!(c.lookup(key(f, 2)).is_none());
         assert_eq!(c.misses(), 1);
-        assert_eq!(c.remove(key(f, 1)).unwrap(), FrameId::new(10));
+        c.remove(key(f, 1)).unwrap();
         assert!(c.is_empty());
     }
 
@@ -532,10 +515,9 @@ mod tests {
     fn double_insert_rejected() {
         let f = file(0);
         let mut c = PageCache::new();
-        c.insert(key(f, 1), FrameId::new(1), PageState::Resident)
-            .unwrap();
+        c.insert(key(f, 1), PageState::Resident).unwrap();
         assert_eq!(
-            c.insert(key(f, 1), FrameId::new(2), PageState::Resident),
+            c.insert(key(f, 1), PageState::Resident),
             Err(CacheError::AlreadyCached(key(f, 1)))
         );
     }
@@ -547,7 +529,6 @@ mod tests {
         let k = key(f, 0);
         c.insert(
             k,
-            FrameId::new(5),
             PageState::InFlight {
                 ready_at: SimTime::from_micros(10),
             },
@@ -569,13 +550,12 @@ mod tests {
         let f = file(0);
         let mut c = PageCache::new();
         for p in 0..4 {
-            c.insert(key(f, p), FrameId::new(p), PageState::Resident)
-                .unwrap();
+            c.insert(key(f, p), PageState::Resident).unwrap();
         }
         // Touch page 0 so page 1 becomes the LRU.
         c.lookup(key(f, 0));
         let evicted = c.evict_lru(2);
-        let keys: Vec<u64> = evicted.iter().map(|(k, _)| k.page).collect();
+        let keys: Vec<u64> = evicted.iter().map(|k| k.page).collect();
         assert_eq!(keys, vec![1, 2]);
         assert_eq!(c.evictions(), 2);
         assert_eq!(c.len(), 2);
@@ -585,14 +565,12 @@ mod tests {
     fn mapped_pages_are_not_evicted() {
         let f = file(0);
         let mut c = PageCache::new();
-        c.insert(key(f, 0), FrameId::new(0), PageState::Resident)
-            .unwrap();
-        c.insert(key(f, 1), FrameId::new(1), PageState::Resident)
-            .unwrap();
+        c.insert(key(f, 0), PageState::Resident).unwrap();
+        c.insert(key(f, 1), PageState::Resident).unwrap();
         c.map_page(key(f, 0)).unwrap();
         let evicted = c.evict_lru(10);
         assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].0.page, 1);
+        assert_eq!(evicted[0].page, 1);
         c.unmap_page(key(f, 0)).unwrap();
         assert_eq!(c.evict_lru(10).len(), 1);
     }
@@ -603,7 +581,6 @@ mod tests {
         let mut c = PageCache::new();
         c.insert(
             key(f, 0),
-            FrameId::new(0),
             PageState::InFlight {
                 ready_at: SimTime::ZERO,
             },
@@ -616,8 +593,7 @@ mod tests {
     fn unmap_underflow_detected() {
         let f = file(0);
         let mut c = PageCache::new();
-        c.insert(key(f, 0), FrameId::new(0), PageState::Resident)
-            .unwrap();
+        c.insert(key(f, 0), PageState::Resident).unwrap();
         assert_eq!(
             c.unmap_page(key(f, 0)),
             Err(CacheError::NotMapped(key(f, 0)))
@@ -641,13 +617,10 @@ mod tests {
         assert_ne!(fa, fb);
         let mut c = PageCache::new();
         for p in 0..5 {
-            c.insert(key(fa, p), FrameId::new(p), PageState::Resident)
-                .unwrap();
-            c.insert(key(fb, p), FrameId::new(100 + p), PageState::Resident)
-                .unwrap();
+            c.insert(key(fa, p), PageState::Resident).unwrap();
+            c.insert(key(fb, p), PageState::Resident).unwrap();
         }
-        let freed = c.drop_file(fa);
-        assert_eq!(freed.len(), 5);
+        assert_eq!(c.drop_file(fa), 5);
         assert_eq!(c.len(), 5);
         assert_eq!(c.pages_of_file(fb).count(), 5);
         assert_eq!(c.pages_of_file(fa).count(), 0);
@@ -660,11 +633,9 @@ mod tests {
         let mut c = PageCache::new();
         assert_eq!(c.file_page_count(fa), 0);
         for p in 0..7 {
-            c.insert(key(fa, p), FrameId::new(p), PageState::Resident)
-                .unwrap();
+            c.insert(key(fa, p), PageState::Resident).unwrap();
         }
-        c.insert(key(fb, 0), FrameId::new(99), PageState::Resident)
-            .unwrap();
+        c.insert(key(fb, 0), PageState::Resident).unwrap();
         assert_eq!(c.file_page_count(fa), 7);
         assert_eq!(c.file_page_count(fb), 1);
         assert_eq!(c.file_page_count(fa), c.pages_of_file(fa).count() as u64);
@@ -682,8 +653,7 @@ mod tests {
         let mut c = PageCache::new();
         for round in 0..3 {
             for p in 0..100 {
-                c.insert(key(f, p), FrameId::new(p), PageState::Resident)
-                    .unwrap();
+                c.insert(key(f, p), PageState::Resident).unwrap();
             }
             assert_eq!(c.len(), 100, "round {round}");
             for p in 0..100 {
@@ -711,8 +681,7 @@ mod tests {
         let mut c = PageCache::new();
         let tr = Tracer::recording();
         c.set_tracer(tr.clone());
-        c.insert(key(f, 0), FrameId::new(1), PageState::Resident)
-            .unwrap();
+        c.insert(key(f, 0), PageState::Resident).unwrap();
         assert!(c.lookup(key(f, 0)).is_some());
         assert!(c.lookup(key(f, 9)).is_none());
         // Two sandboxes map the same page: the second map is a dedup

@@ -2,8 +2,6 @@
 //!
 //! The memory substrate under the SnapBPF reproduction's host kernel:
 //!
-//! * [`BuddyAllocator`] — Linux-style buddy system handing out host
-//!   frames; the ground truth for system-wide memory usage,
 //! * [`PageCache`] — the shared OS page cache with LRU eviction and
 //!   in-flight read tracking; where SnapBPF's cross-sandbox
 //!   deduplication happens,
@@ -12,30 +10,32 @@
 //!   non-shareable working sets,
 //! * [`MemorySnapshot`] — the accounting split Figure 3c reports.
 //!
+//! Host memory is counted in pages, as Figure 3c counts it: the host
+//! kernel adds up page-cache and anonymous pages against its
+//! capacity, and no output depends on which physical frame backs a
+//! page.
+//!
 //! ## Examples
 //!
-//! Two sandboxes mapping the same snapshot page share one frame via
-//! the page cache:
+//! Two sandboxes mapping the same snapshot page share one cached page:
 //!
 //! ```
-//! use snapbpf_mem::{BuddyAllocator, PageCache, PageKey, PageState};
+//! use snapbpf_mem::{PageCache, PageKey, PageState};
 //! use snapbpf_storage::{Disk, SsdModel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut disk = Disk::new(Box::new(SsdModel::micron_5300()));
 //! let snapshot = disk.create_file("func.mem", 1024)?;
-//! let mut buddy = BuddyAllocator::new(1 << 16);
 //! let mut cache = PageCache::new();
 //!
 //! let key = PageKey::new(snapshot, 42);
-//! let frame = buddy.alloc_pages(1)?;
-//! cache.insert(key, frame, PageState::Resident)?;
+//! cache.insert(key, PageState::Resident)?;
 //!
 //! // Sandbox A and sandbox B both map the cached page:
 //! cache.map_page(key)?;
 //! cache.map_page(key)?;
 //! assert_eq!(cache.get(key).unwrap().mapcount, 2);
-//! assert_eq!(buddy.allocated_pages(), 1); // one frame, two mappings
+//! assert_eq!(cache.len(), 1); // one page, two mappings
 //! # Ok(())
 //! # }
 //! ```
@@ -46,9 +46,7 @@
 mod account;
 mod anon;
 mod cache;
-mod frame;
 
 pub use account::MemorySnapshot;
 pub use anon::{AnonRegistry, OwnerId};
 pub use cache::{CacheError, PageCache, PageKey, PageState, PageView};
-pub use frame::{AllocError, BuddyAllocator, FrameId, MAX_ORDER};

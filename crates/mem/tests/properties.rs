@@ -1,70 +1,9 @@
-//! Property-based tests for the memory substrate: buddy-allocator
-//! and page-cache invariants under arbitrary operation sequences.
+//! Property-based tests for the memory substrate: page-cache
+//! invariants under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use snapbpf_mem::{BuddyAllocator, FrameId, PageCache, PageKey, PageState};
+use snapbpf_mem::{PageCache, PageKey, PageState};
 use snapbpf_storage::{Disk, SsdModel};
-
-/// Random interleavings of allocations and frees keep the buddy
-/// allocator's books balanced and its blocks disjoint.
-#[derive(Debug, Clone)]
-enum BuddyOp {
-    Alloc(u64),
-    FreeIdx(usize),
-}
-
-fn buddy_ops() -> impl Strategy<Value = Vec<BuddyOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (1u64..64).prop_map(BuddyOp::Alloc),
-            (0usize..128).prop_map(BuddyOp::FreeIdx),
-        ],
-        1..200,
-    )
-}
-
-proptest! {
-    #[test]
-    fn buddy_invariants(ops in buddy_ops()) {
-        let total = 4096u64;
-        let mut buddy = BuddyAllocator::new(total);
-        let mut live: Vec<(FrameId, u64)> = Vec::new();
-
-        for op in ops {
-            match op {
-                BuddyOp::Alloc(pages) => {
-                    if let Ok(frame) = buddy.alloc_pages(pages) {
-                        let size = pages.next_power_of_two();
-                        // No overlap with any live block.
-                        for &(base, len) in &live {
-                            let disjoint = frame.as_u64() + size <= base.as_u64()
-                                || base.as_u64() + len <= frame.as_u64();
-                            prop_assert!(disjoint);
-                        }
-                        live.push((frame, size));
-                    }
-                }
-                BuddyOp::FreeIdx(i) => {
-                    if !live.is_empty() {
-                        let (frame, size) = live.swap_remove(i % live.len());
-                        buddy.dealloc_pages(frame, size).unwrap();
-                    }
-                }
-            }
-            let live_pages: u64 = live.iter().map(|&(_, s)| s).sum();
-            prop_assert_eq!(buddy.allocated_pages(), live_pages);
-            prop_assert_eq!(buddy.free_pages(), total - live_pages);
-        }
-
-        // Free everything: the allocator must coalesce back to empty.
-        for (frame, size) in live.drain(..) {
-            buddy.dealloc_pages(frame, size).unwrap();
-        }
-        prop_assert_eq!(buddy.allocated_pages(), 0);
-        // And a max-order allocation must succeed again.
-        prop_assert!(buddy.alloc_pages(1 << snapbpf_mem::MAX_ORDER).is_ok());
-    }
-}
 
 #[derive(Debug, Clone)]
 enum CacheOp {
@@ -98,17 +37,15 @@ proptest! {
         let file = disk.create_file("f", 64).unwrap();
         let mut cache = PageCache::new();
         let mut model: std::collections::HashMap<u64, u32> = Default::default();
-        let mut next_frame = 0u64;
 
         for op in ops {
             let key = |p: u64| PageKey::new(file, p);
             match op {
                 CacheOp::Insert(p) => {
-                    let r = cache.insert(key(p), FrameId::new(next_frame), PageState::Resident);
+                    let r = cache.insert(key(p), PageState::Resident);
                     if let std::collections::hash_map::Entry::Vacant(e) = model.entry(p) {
                         prop_assert!(r.is_ok());
                         e.insert(0);
-                        next_frame += 1;
                     } else {
                         prop_assert!(r.is_err());
                     }
@@ -137,7 +74,7 @@ proptest! {
                 CacheOp::Evict(n) => {
                     let evicted = cache.evict_lru(n);
                     prop_assert!(evicted.len() as u64 <= n);
-                    for (k, _) in evicted {
+                    for k in evicted {
                         // Only unmapped pages may be evicted.
                         let mc = model.remove(&k.page);
                         prop_assert_eq!(mc, Some(0));
@@ -156,14 +93,14 @@ proptest! {
         let file = disk.create_file("f", 64).unwrap();
         let mut cache = PageCache::new();
         for &p in &all {
-            cache.insert(PageKey::new(file, p), FrameId::new(p), PageState::Resident).unwrap();
+            cache.insert(PageKey::new(file, p), PageState::Resident).unwrap();
             if mapped.contains(&p) {
                 cache.map_page(PageKey::new(file, p)).unwrap();
             }
         }
         let drained = cache.drain_unmapped();
         let expected: Vec<u64> = all.iter().copied().filter(|p| !mapped.contains(p)).collect();
-        let mut got: Vec<u64> = drained.iter().map(|(k, _)| k.page).collect();
+        let mut got: Vec<u64> = drained.iter().map(|k| k.page).collect();
         got.sort_unstable();
         prop_assert_eq!(got, expected);
         prop_assert_eq!(cache.len() as usize, all.intersection(&mapped).count());

@@ -121,6 +121,10 @@ struct Replay {
     t: SimTime,
     start: SimTime,
     uffd_resolved: u64,
+    /// Steps walked one by one rather than retired by the jump; tests
+    /// read it to tell the two apart.
+    #[cfg_attr(not(test), allow(dead_code))]
+    walked: usize,
 }
 
 impl Replay {
@@ -130,6 +134,7 @@ impl Replay {
             t: start,
             start,
             uffd_resolved: 0,
+            walked: 0,
         }
     }
 
@@ -166,6 +171,7 @@ impl Replay {
             self.next_step = steps.len();
             return Ok(());
         }
+        let first = self.next_step;
         self.t = advance(self.t, vm, step, host, uffd, &mut self.uffd_resolved)?;
         self.next_step += 1;
         while let Some(t) = steps
@@ -175,6 +181,7 @@ impl Replay {
             self.t = t;
             self.next_step += 1;
         }
+        self.walked += self.next_step - first;
         if self.is_done(trace) {
             vm.set_completed(trace);
         }
@@ -821,21 +828,20 @@ mod tests {
         }
     }
 
-    /// Runs `trace` on `vm`, then tears down only the KVM side, so
-    /// the VM maps nothing yet still remembers what it last completed.
-    /// A replay of a trace whose steps then take no exit and map
-    /// nothing cannot have walked the steps: it jumped.
-    fn complete_then_unmap(
+    /// Replays `trace` on `vm` as [`run_invocation`] does, returning
+    /// the result and how many steps the replay walked: 0 when it
+    /// jumped.
+    fn replay_counting_steps(
+        start: SimTime,
         vm: &mut MicroVm,
         trace: &InvocationTrace,
         host: &mut HostKernel,
-    ) -> SimTime {
-        let end = run_invocation(SimTime::ZERO, vm, trace, host, &mut NoUffd)
-            .unwrap()
-            .end_time;
-        vm.kvm_mut().teardown(host).unwrap();
-        assert_eq!(vm.kvm().mapped_pages(), 0);
-        end
+    ) -> (InvocationResult, usize) {
+        let mut replay = Replay::new(start);
+        while !replay.is_done(trace) {
+            replay.enter(vm, trace, host, &mut NoUffd).unwrap();
+        }
+        (replay.result(vm), replay.walked)
     }
 
     #[test]
@@ -843,10 +849,12 @@ mod tests {
         let (mut host, snap, trace) = setup("image", 0.05);
         for pv in [false, true] {
             let mut vm = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, pv);
-            let start = complete_then_unmap(&mut vm, &trace, &mut host);
+            let (first, walked) = replay_counting_steps(SimTime::ZERO, &mut vm, &trace, &mut host);
+            assert_eq!(walked, trace.steps().len(), "pv={pv}: a cold replay walks");
+            let start = first.end_time;
             let before = (vm.kvm().stats(), *vm.guest());
-            let r = run_invocation(start, &mut vm, &trace.clone(), &mut host, &mut NoUffd).unwrap();
-            assert_eq!(vm.kvm().mapped_pages(), 0, "pv={pv}: the steps ran");
+            let (r, walked) = replay_counting_steps(start, &mut vm, &trace, &mut host);
+            assert_eq!(walked, 0, "pv={pv}: the replay walked");
             assert_eq!(r.end_time, start + trace.step_compute());
             let hits = before.0.hits + trace.memory_steps() as u64;
             assert_eq!(r.stats, VmMemStats { hits, ..before.0 });
@@ -860,40 +868,42 @@ mod tests {
                 vm.guest().unmarked_allocs(),
                 before.1.unmarked_allocs() + unmarked
             );
-            vm.teardown(&mut host).unwrap();
+            vm.kvm_mut().teardown(&mut host).unwrap();
         }
     }
 
     #[test]
-    fn teardown_or_another_trace_falls_back_to_the_step_loop() {
+    fn kvm_teardown_forgets_the_completed_trace() {
         let (mut host, snap, trace) = setup("json", 0.05);
-        let restore = || MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
-
-        // Torn down through the VM: the memo goes with the mappings.
-        let mut vm = restore();
+        let mut vm = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
         let start = run_invocation(SimTime::ZERO, &mut vm, &trace, &mut host, &mut NoUffd)
             .unwrap()
             .end_time;
-        vm.teardown(&mut host).unwrap();
-        let r = run_invocation(start, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
-        assert!(r.stats.minor_faults > 0, "a torn-down VM must fault again");
+        vm.kvm_mut().teardown(&mut host).unwrap();
+        let faults = vm.kvm().stats().minor_faults;
+        run_invocation(start, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
+        assert!(
+            vm.kvm().stats().minor_faults > faults,
+            "a torn-down VM must fault again"
+        );
         assert!(vm.kvm().mapped_pages() > 0);
-        vm.teardown(&mut host).unwrap();
+        vm.kvm_mut().teardown(&mut host).unwrap();
+    }
 
-        // Completed another trace since: equal values do not count,
-        // and a later trace replaces the memo.
+    #[test]
+    fn another_trace_falls_back_to_the_step_loop() {
+        let (mut host, snap, trace) = setup("json", 0.05);
+        // Equal values do not count, and a later trace replaces the
+        // memo.
         let w = Workload::by_name("json").unwrap().scaled(0.05);
         for other in [w.trace(), w.trace_variant(1)] {
-            let mut vm = restore();
-            let start = complete_then_unmap(&mut vm, &trace, &mut host);
-            let start = run_invocation(start, &mut vm, &other, &mut host, &mut NoUffd)
-                .unwrap()
-                .end_time;
+            let mut vm = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
+            let (r, _) = replay_counting_steps(SimTime::ZERO, &mut vm, &trace, &mut host);
+            let (r, walked) = replay_counting_steps(r.end_time, &mut vm, &other, &mut host);
+            assert_eq!(walked, other.steps().len());
+            let (_, walked) = replay_counting_steps(r.end_time, &mut vm, &trace, &mut host);
+            assert_eq!(walked, trace.steps().len(), "the replay jumped");
             vm.kvm_mut().teardown(&mut host).unwrap();
-            let faults = vm.kvm().stats().minor_faults;
-            run_invocation(start, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
-            assert!(vm.kvm().stats().minor_faults > faults, "the replay jumped");
-            vm.teardown(&mut host).unwrap();
         }
     }
 

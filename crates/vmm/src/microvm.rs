@@ -6,7 +6,7 @@
 //! the host's nested-fault handler recognizes and serves with
 //! anonymous memory.
 
-use snapbpf_kernel::{CowPolicy, HostKernel, KernelError, KvmVm, PV_MIRROR_BIT};
+use snapbpf_kernel::{CowPolicy, KvmVm, PV_MIRROR_BIT};
 use snapbpf_mem::OwnerId;
 use snapbpf_workloads::InvocationTrace;
 
@@ -100,10 +100,11 @@ impl GuestKernel {
 pub struct MicroVm {
     kvm: KvmVm,
     guest: GuestKernel,
-    /// The last trace this VM replayed to completion, until teardown.
-    /// Mappings only grow or upgrade between restore and teardown, so
-    /// every step of it is a hit on a later replay.
-    completed: Option<InvocationTrace>,
+    /// The last trace this VM replayed to completion, with the KVM
+    /// generation it completed in. Mappings only grow or upgrade
+    /// until the next teardown, so while the generation holds every
+    /// step of it is a hit on a later replay.
+    completed: Option<(InvocationTrace, u64)>,
 }
 
 impl MicroVm {
@@ -133,31 +134,22 @@ impl MicroVm {
     }
 
     /// Mutable KVM memory state (fault handling, uffd registration,
-    /// overlays). Tear down through [`MicroVm::teardown`].
+    /// overlays, [`KvmVm::teardown`]).
     pub fn kvm_mut(&mut self) -> &mut KvmVm {
         &mut self.kvm
     }
 
-    /// Tears the VM down ([`KvmVm::teardown`]) and forgets the trace
-    /// it completed, whose pages are no longer mapped.
-    ///
-    /// # Errors
-    ///
-    /// Bookkeeping errors indicate model corruption.
-    pub fn teardown(&mut self, host: &mut HostKernel) -> Result<(), KernelError> {
-        self.completed = None;
-        self.kvm.teardown(host)
-    }
-
     /// Whether `trace` itself (not an equal regeneration) is the last
-    /// trace this VM replayed to completion since restore.
+    /// trace this VM replayed to completion, with no teardown since.
     pub(crate) fn completed(&self, trace: &InvocationTrace) -> bool {
-        self.completed.as_ref().is_some_and(|t| t.is_same(trace))
+        self.completed
+            .as_ref()
+            .is_some_and(|(t, gen)| *gen == self.kvm.generation() && t.is_same(trace))
     }
 
     /// Notes that the VM replayed `trace` to completion.
     pub(crate) fn set_completed(&mut self, trace: &InvocationTrace) {
-        self.completed = Some(trace.clone());
+        self.completed = Some((trace.clone(), self.kvm.generation()));
     }
 
     /// The guest kernel model.
