@@ -135,11 +135,7 @@ fn jmp_cond(mnemonic: &str) -> Option<JmpCond> {
 fn helper_by_name(name: &str) -> Option<HelperId> {
     Some(match name {
         "bpf_map_lookup_elem" => HelperId::MapLookup,
-        "bpf_map_update_elem" => HelperId::MapUpdate,
-        "bpf_map_delete_elem" => HelperId::MapDelete,
         "bpf_ktime_get_ns" => HelperId::KtimeGetNs,
-        "bpf_get_smp_processor_id" => HelperId::GetSmpProcessorId,
-        "bpf_trace_printk" => HelperId::TracePrintk,
         "bpf_ringbuf_output" => HelperId::RingbufOutput,
         _ => return None,
     })
@@ -429,11 +425,7 @@ mod tests {
     fn all_helpers_round_trip() {
         for helper in [
             HelperId::MapLookup,
-            HelperId::MapUpdate,
-            HelperId::MapDelete,
             HelperId::KtimeGetNs,
-            HelperId::GetSmpProcessorId,
-            HelperId::TracePrintk,
             HelperId::RingbufOutput,
         ] {
             let text = format!("call {helper}\nexit");

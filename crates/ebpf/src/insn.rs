@@ -238,16 +238,8 @@ impl fmt::Display for AccessSize {
 pub enum HelperId {
     /// `bpf_map_lookup_elem(map r1, key* r2) -> value* | NULL`
     MapLookup,
-    /// `bpf_map_update_elem(map r1, key* r2, value* r3, flags r4) -> 0 | -err`
-    MapUpdate,
-    /// `bpf_map_delete_elem(map r1, key* r2) -> 0 | -err`
-    MapDelete,
     /// `bpf_ktime_get_ns() -> u64` (virtual time)
     KtimeGetNs,
-    /// `bpf_get_smp_processor_id() -> u32`
-    GetSmpProcessorId,
-    /// `bpf_trace_printk(fmt-id r1) -> 0` (counted, not formatted)
-    TracePrintk,
     /// `bpf_ringbuf_output(map r1, data* r2, size r3, flags r4) -> 0 | -err`
     RingbufOutput,
 }
@@ -256,11 +248,7 @@ impl fmt::Display for HelperId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             HelperId::MapLookup => "bpf_map_lookup_elem",
-            HelperId::MapUpdate => "bpf_map_update_elem",
-            HelperId::MapDelete => "bpf_map_delete_elem",
             HelperId::KtimeGetNs => "bpf_ktime_get_ns",
-            HelperId::GetSmpProcessorId => "bpf_get_smp_processor_id",
-            HelperId::TracePrintk => "bpf_trace_printk",
             HelperId::RingbufOutput => "bpf_ringbuf_output",
         };
         write!(f, "{s}")

@@ -47,7 +47,7 @@ impl KfuncHost for NoKfuncs {
 }
 
 /// Runtime register value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::enum_variant_names)] // MapValue mirrors the verifier's term of art
 enum Value {
     Uninit,
@@ -66,13 +66,10 @@ enum Value {
 }
 
 /// Where a map-value pointer points.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MapLoc {
     Array {
         index: u32,
-    },
-    Hash {
-        key: Vec<u8>,
     },
     /// One CPU's slot of a per-CPU array; `cpu` is captured at
     /// lookup time so the pointer stays valid even if the
@@ -106,7 +103,8 @@ pub enum RunError {
         /// Description.
         what: String,
     },
-    /// A map operation failed at runtime (e.g. hash map full).
+    /// A map operation failed at runtime (e.g. a map id the set
+    /// does not hold).
     Map(MapError),
     /// A kfunc reported an error.
     KfuncFailed {
@@ -175,12 +173,10 @@ pub struct RunOutcome {
 pub struct Interpreter {
     /// Virtual time reported by `bpf_ktime_get_ns`.
     now_ns: u64,
-    /// Count of `bpf_trace_printk` calls across runs (observability).
-    trace_events: u64,
     /// Per-invocation instruction ceiling.
     insn_budget: u64,
-    /// CPU reported by `bpf_get_smp_processor_id` and used to pick
-    /// the slot of per-CPU maps; always `< NCPUS`.
+    /// CPU whose slot per-CPU map lookups resolve to; always
+    /// `< NCPUS`.
     current_cpu: u32,
 }
 
@@ -188,7 +184,6 @@ impl Default for Interpreter {
     fn default() -> Self {
         Interpreter {
             now_ns: 0,
-            trace_events: 0,
             insn_budget: INSN_BUDGET,
             current_cpu: 0,
         }
@@ -219,21 +214,15 @@ impl Interpreter {
         self.insn_budget
     }
 
-    /// Sets the CPU this interpreter "runs on": the value returned
-    /// by `bpf_get_smp_processor_id` and the slot per-CPU map
-    /// lookups resolve to. Stored modulo [`crate::NCPUS`].
+    /// Sets the CPU this interpreter "runs on": the slot per-CPU
+    /// map lookups resolve to. Stored modulo [`crate::NCPUS`].
     pub fn set_current_cpu(&mut self, cpu: u32) {
         self.current_cpu = cpu % crate::map::NCPUS;
     }
 
-    /// The CPU this interpreter reports to programs.
+    /// The CPU whose per-CPU map slots programs see.
     pub fn current_cpu(&self) -> u32 {
         self.current_cpu
-    }
-
-    /// Total `bpf_trace_printk` events across runs.
-    pub fn trace_events(&self) -> u64 {
-        self.trace_events
     }
 
     /// Runs a verified program.
@@ -255,7 +244,7 @@ impl Interpreter {
         kfuncs: &mut dyn KfuncHost,
     ) -> Result<RunOutcome, RunError> {
         let insns = program.program().insns();
-        let mut regs: [Value; 11] = std::array::from_fn(|_| Value::Uninit);
+        let mut regs = [Value::Uninit; 11];
         regs[10] = Value::FramePtr;
         let mut stack = [0u8; STACK_SIZE];
         let mut pc = 0usize;
@@ -284,9 +273,9 @@ impl Interpreter {
                     let wide = matches!(insn, Insn::Alu64 { .. });
                     let rhs = match src {
                         Operand::Imm(v) => Value::Scalar(v as u64),
-                        Operand::Reg(r) => regs[r.index()].clone(),
+                        Operand::Reg(r) => regs[r.index()],
                     };
-                    let lhs = regs[dst.index()].clone();
+                    let lhs = regs[dst.index()];
                     let result = if op == AluOp::Mov {
                         if wide {
                             rhs
@@ -318,7 +307,7 @@ impl Interpreter {
                             (Value::MapValue { map, loc, off }, Value::Scalar(k)) => {
                                 Value::MapValue {
                                     map: *map,
-                                    loc: loc.clone(),
+                                    loc: *loc,
                                     off: off + delta(op, *k),
                                 }
                             }
@@ -547,17 +536,6 @@ impl Interpreter {
                             Value::Scalar(0)
                         }
                     }
-                    MapKind::Hash => {
-                        if maps.hash_raw(map, &key)?.is_some() {
-                            Value::MapValue {
-                                map,
-                                loc: MapLoc::Hash { key },
-                                off: 0,
-                            }
-                        } else {
-                            Value::Scalar(0)
-                        }
-                    }
                     MapKind::PerCpuArray => {
                         let index = u32::from_le_bytes(key[..4].try_into().expect("4-byte key"));
                         if index < def.max_entries {
@@ -576,41 +554,7 @@ impl Interpreter {
                     MapKind::RingBuf => return Err(internal("lookup on ringbuf")),
                 }
             }
-            HelperId::MapUpdate => {
-                let map = match regs[Reg::R1.index()] {
-                    Value::MapRef(m) => m,
-                    _ => return Err(internal("r1 not a map ref")),
-                };
-                let def = maps.def(map)?;
-                let key = read_stack_buf(stack, &regs[Reg::R2.index()], def.key_size as usize)
-                    .ok_or_else(|| internal("bad key pointer"))?;
-                let value = read_stack_buf(stack, &regs[Reg::R3.index()], def.value_size as usize)
-                    .ok_or_else(|| internal("bad value pointer"))?;
-                match maps.update(map, &key, &value) {
-                    Ok(()) => Value::Scalar(0),
-                    // Capacity errors surface as -E2BIG, like the
-                    // kernel, without killing the program.
-                    Err(MapError::Full(_)) => Value::Scalar((-7i64) as u64),
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            HelperId::MapDelete => {
-                let map = match regs[Reg::R1.index()] {
-                    Value::MapRef(m) => m,
-                    _ => return Err(internal("r1 not a map ref")),
-                };
-                let def = maps.def(map)?;
-                let key = read_stack_buf(stack, &regs[Reg::R2.index()], def.key_size as usize)
-                    .ok_or_else(|| internal("bad key pointer"))?;
-                let found = maps.delete(map, &key)?;
-                Value::Scalar(if found { 0 } else { (-2i64) as u64 }) // -ENOENT
-            }
             HelperId::KtimeGetNs => Value::Scalar(self.now_ns),
-            HelperId::GetSmpProcessorId => Value::Scalar(self.current_cpu as u64),
-            HelperId::TracePrintk => {
-                self.trace_events += 1;
-                Value::Scalar(0)
-            }
             HelperId::RingbufOutput => {
                 let map = match regs[Reg::R1.index()] {
                     Value::MapRef(m) => m,
@@ -684,9 +628,6 @@ fn map_value_bytes<'m>(maps: &'m MapSet, map: MapId, loc: &MapLoc) -> Result<&'m
             let start = *index as usize * vs;
             Ok(&values[start..start + vs])
         }
-        MapLoc::Hash { key } => maps
-            .hash_raw(map, key)?
-            .ok_or(RunError::Map(MapError::NoSuchMap(map))),
         MapLoc::PerCpu { index, cpu } => {
             let (values, def) = maps.percpu_raw(map, *cpu)?;
             let vs = def.value_size as usize;
@@ -708,9 +649,6 @@ fn map_value_bytes_mut<'m>(
             let start = *index as usize * vs;
             Ok(&mut values[start..start + vs])
         }
-        MapLoc::Hash { key } => maps
-            .hash_raw_mut(map, key)?
-            .ok_or(RunError::Map(MapError::NoSuchMap(map))),
         MapLoc::PerCpu { index, cpu } => {
             let (values, def) = maps.percpu_raw_mut(map, *cpu)?;
             let vs = def.value_size as usize;
@@ -999,52 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_map_update_and_delete_from_program() {
-        let mut maps = MapSet::new();
-        let m = maps.create(MapDef::hash(4, 8, 8)).unwrap();
-        let mut b = ProgramBuilder::new("hash");
-        // key=5 at fp-4, value=77 at fp-16; update(m, &key, &value, 0)
-        b.store_imm(Reg::R10, -4, 5, AccessSize::B4)
-            .store_imm(Reg::R10, -16, 77, AccessSize::B8)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .mov(Reg::R3, Reg::R10)
-            .add(Reg::R3, -16)
-            .mov(Reg::R4, 0)
-            .call(HelperId::MapUpdate)
-            .exit();
-        let p = Verifier::new(&maps, &[])
-            .verify(&b.build().unwrap())
-            .unwrap();
-        let out = Interpreter::new()
-            .run(&p, &[], &mut maps, &mut NoKfuncs)
-            .unwrap();
-        assert_eq!(out.return_value, 0);
-        assert_eq!(
-            maps.lookup(m, &5u32.to_le_bytes()).unwrap().unwrap(),
-            77u64.to_le_bytes().to_vec()
-        );
-
-        // Delete it from a second program.
-        let mut b = ProgramBuilder::new("del");
-        b.store_imm(Reg::R10, -4, 5, AccessSize::B4)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .call(HelperId::MapDelete)
-            .exit();
-        let p = Verifier::new(&maps, &[])
-            .verify(&b.build().unwrap())
-            .unwrap();
-        let out = Interpreter::new()
-            .run(&p, &[], &mut maps, &mut NoKfuncs)
-            .unwrap();
-        assert_eq!(out.return_value, 0);
-        assert_eq!(maps.lookup(m, &5u32.to_le_bytes()).unwrap(), None);
-    }
-
-    #[test]
     fn ktime_reflects_virtual_clock() {
         let mut maps = MapSet::new();
         let mut b = ProgramBuilder::new("time");
@@ -1171,7 +1063,7 @@ mod tests {
     fn percpu_array_increments_land_in_the_current_cpu_slot() {
         let mut maps = MapSet::new();
         let m = maps.create(MapDef::percpu_array(8, 2)).unwrap();
-        // Program: v = lookup(m, &0); if v { *v += ctx[0] }; r0 = smp_id.
+        // Program: v = lookup(m, &0); if v { *v += ctx[0] }; r0 = 0.
         let mut b = ProgramBuilder::new("percpu");
         let out = b.label();
         b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
@@ -1187,7 +1079,7 @@ mod tests {
             .store(Reg::R6, 0, Reg::R7, AccessSize::B8)
             .bind(out)
             .unwrap()
-            .call(HelperId::GetSmpProcessorId)
+            .mov(Reg::R0, 0)
             .exit();
         let p = Verifier::new(&maps, &[])
             .verify(&b.build().unwrap())
@@ -1197,8 +1089,12 @@ mod tests {
         for (cpu, add) in [(0u32, 5u64), (2, 7), (2, 1), (3, 100)] {
             interp.set_current_cpu(cpu);
             assert_eq!(interp.current_cpu(), cpu);
-            let out = interp.run(&p, &[add], &mut maps, &mut NoKfuncs).unwrap();
-            assert_eq!(out.return_value, cpu as u64);
+            interp.run(&p, &[add], &mut maps, &mut NoKfuncs).unwrap();
+        }
+        // Each CPU's lane holds only the increments made on it.
+        for (cpu, want) in [(0u32, 5u64), (1, 0), (2, 8), (3, 100)] {
+            let (block, _) = maps.percpu_raw(m, cpu).unwrap();
+            assert_eq!(read_le(&block[0..8]), want, "cpu {cpu}");
         }
         // Userspace reads the lane-merged sum across all CPU slots.
         assert_eq!(maps.percpu_load_merged_u64(m, 0).unwrap(), 113);
@@ -1284,23 +1180,5 @@ mod tests {
             .unwrap();
         assert_eq!(out.return_value as i64, -7);
         assert_eq!(maps.ring_dropped(r).unwrap(), 1);
-    }
-
-    #[test]
-    fn trace_printk_counts() {
-        let mut maps = MapSet::new();
-        let mut b = ProgramBuilder::new("trace");
-        b.mov(Reg::R1, 1)
-            .call(HelperId::TracePrintk)
-            .mov(Reg::R1, 2)
-            .call(HelperId::TracePrintk)
-            .mov(Reg::R0, 0)
-            .exit();
-        let p = Verifier::new(&maps, &[])
-            .verify(&b.build().unwrap())
-            .unwrap();
-        let mut interp = Interpreter::new();
-        interp.run(&p, &[], &mut maps, &mut NoKfuncs).unwrap();
-        assert_eq!(interp.trace_events(), 2);
     }
 }

@@ -20,7 +20,7 @@
 //! * [`Interpreter`] — executes verified programs with eBPF
 //!   semantics (helper calling convention, div-by-zero-is-zero,
 //!   32-bit zero extension),
-//! * [`MapSet`] — array / per-CPU array / hash / ring-buffer maps
+//! * [`MapSet`] — array / per-CPU array / ring-buffer maps
 //!   shared between programs and their userspace loaders,
 //! * [`TelemetryRecord`] — the typed record schema programs emit
 //!   over ring buffers for the kernel→user telemetry channel,

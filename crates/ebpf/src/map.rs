@@ -7,7 +7,6 @@
 //!
 //! * **array** — fixed number of fixed-size values, like
 //!   `BPF_MAP_TYPE_ARRAY`; keys are `u32` indices,
-//! * **hash** — like `BPF_MAP_TYPE_HASH`, bounded capacity,
 //! * **ring buffer** — like `BPF_MAP_TYPE_RINGBUF`, a byte FIFO the
 //!   program appends records to and userspace drains,
 //! * **per-CPU array** — like `BPF_MAP_TYPE_PERCPU_ARRAY`: every
@@ -16,7 +15,6 @@
 //!   merges the slots by summing each 8-byte lane, the standard
 //!   stats-aggregation idiom.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -59,9 +57,6 @@ pub enum MapKind {
     /// by `u32` index; entries are zero-initialized and always
     /// present.
     Array,
-    /// Hash map: up to `max_entries` entries with `key_size`-byte
-    /// keys.
-    Hash,
     /// Ring buffer: `max_entries` is the buffer capacity in bytes;
     /// `key_size` and `value_size` are ignored.
     RingBuf,
@@ -82,7 +77,7 @@ pub struct MapDef {
     pub key_size: u32,
     /// Value size in bytes.
     pub value_size: u32,
-    /// Capacity: entries for array/hash, bytes for ring buffers.
+    /// Capacity: entries for arrays, bytes for ring buffers.
     pub max_entries: u32,
 }
 
@@ -92,16 +87,6 @@ impl MapDef {
         MapDef {
             kind: MapKind::Array,
             key_size: 4,
-            value_size,
-            max_entries,
-        }
-    }
-
-    /// A hash map.
-    pub const fn hash(key_size: u32, value_size: u32, max_entries: u32) -> Self {
-        MapDef {
-            kind: MapKind::Hash,
-            key_size,
             value_size,
             max_entries,
         }
@@ -162,8 +147,6 @@ pub enum MapError {
         /// Number of entries.
         max_entries: u32,
     },
-    /// Hash map is full.
-    Full(MapId),
     /// Ring buffer has insufficient free space for this record right
     /// now (it would fit an empty ring — the drop is transient and
     /// counted).
@@ -214,7 +197,6 @@ impl fmt::Display for MapError {
                     "{map}: index {index} out of bounds ({max_entries} entries)"
                 )
             }
-            MapError::Full(id) => write!(f, "{id}: map full"),
             MapError::RingFull {
                 map,
                 capacity,
@@ -245,9 +227,6 @@ impl std::error::Error for MapError {}
 enum MapStorage {
     Array {
         values: Vec<u8>, // max_entries * value_size, zero-initialized
-    },
-    Hash {
-        entries: HashMap<Vec<u8>, Vec<u8>>,
     },
     Ring {
         records: VecDeque<Vec<u8>>,
@@ -324,16 +303,6 @@ impl MapSet {
                     values: vec![0; def.max_entries as usize * def.value_size as usize],
                 }
             }
-            MapKind::Hash => {
-                if def.key_size == 0 || def.value_size == 0 {
-                    return Err(MapError::BadDefinition(
-                        "hash maps need key and value sizes",
-                    ));
-                }
-                MapStorage::Hash {
-                    entries: HashMap::new(),
-                }
-            }
             MapKind::RingBuf => MapStorage::Ring {
                 records: VecDeque::new(),
                 used_bytes: 0,
@@ -401,8 +370,8 @@ impl MapSet {
     ///
     /// # Errors
     ///
-    /// Key-size mismatches and unknown maps are errors; a missing
-    /// hash key or out-of-bounds array index is `Ok(None)`.
+    /// Key-size mismatches and unknown maps are errors; an
+    /// out-of-bounds array index is `Ok(None)`.
     pub fn lookup(&self, id: MapId, key: &[u8]) -> Result<Option<Vec<u8>>, MapError> {
         self.trace.incr("ebpf.map.lookups");
         let inst = self.instance(id)?;
@@ -416,10 +385,6 @@ impl MapSet {
                     }
                     None => Ok(None),
                 }
-            }
-            MapStorage::Hash { entries } => {
-                check_key(id, &inst.def, key)?;
-                Ok(entries.get(key).cloned())
             }
             MapStorage::Ring { .. } => Err(MapError::WrongKind(id)),
             MapStorage::PerCpuArray { values } => {
@@ -450,12 +415,12 @@ impl MapSet {
         }
     }
 
-    /// Inserts or updates a value.
+    /// Writes a value (the userspace load path for array maps).
     ///
     /// # Errors
     ///
-    /// Size mismatches, unknown maps, out-of-bounds array indices,
-    /// and full hash maps are errors.
+    /// Size mismatches, unknown maps and out-of-bounds array indices
+    /// are errors.
     pub fn update(&mut self, id: MapId, key: &[u8], value: &[u8]) -> Result<(), MapError> {
         self.trace.incr("ebpf.map.updates");
         let inst = self.instance_mut(id)?;
@@ -475,14 +440,6 @@ impl MapSet {
                 })?;
                 let vs = inst.def.value_size as usize;
                 values[idx * vs..(idx + 1) * vs].copy_from_slice(value);
-                Ok(())
-            }
-            MapStorage::Hash { entries } => {
-                check_key(id, &inst.def, key)?;
-                if !entries.contains_key(key) && entries.len() >= inst.def.max_entries as usize {
-                    return Err(MapError::Full(id));
-                }
-                entries.insert(key.to_vec(), value.to_vec());
                 Ok(())
             }
             MapStorage::Ring { .. } => Err(MapError::WrongKind(id)),
@@ -507,41 +464,6 @@ impl MapSet {
                 }
                 Ok(())
             }
-        }
-    }
-
-    /// Deletes a hash-map entry. Deleting array entries is not
-    /// supported (as in the kernel).
-    ///
-    /// # Errors
-    ///
-    /// Unknown maps, wrong kinds, and key-size mismatches are
-    /// errors; deleting a missing key returns `Ok(false)`.
-    pub fn delete(&mut self, id: MapId, key: &[u8]) -> Result<bool, MapError> {
-        self.trace.incr("ebpf.map.deletes");
-        let inst = self.instance_mut(id)?;
-        match &mut inst.storage {
-            MapStorage::Hash { entries } => {
-                check_key(id, &inst.def, key)?;
-                Ok(entries.remove(key).is_some())
-            }
-            MapStorage::Array { .. } | MapStorage::Ring { .. } | MapStorage::PerCpuArray { .. } => {
-                Err(MapError::WrongKind(id))
-            }
-        }
-    }
-
-    /// Number of live entries (hash) or total entries (array).
-    ///
-    /// # Errors
-    ///
-    /// Unknown maps and ring buffers are errors.
-    pub fn entry_count(&self, id: MapId) -> Result<u32, MapError> {
-        let inst = self.instance(id)?;
-        match &inst.storage {
-            MapStorage::Array { .. } | MapStorage::PerCpuArray { .. } => Ok(inst.def.max_entries),
-            MapStorage::Hash { entries } => Ok(entries.len() as u32),
-            MapStorage::Ring { .. } => Err(MapError::WrongKind(id)),
         }
     }
 
@@ -741,28 +663,6 @@ impl MapSet {
             _ => Err(MapError::WrongKind(id)),
         }
     }
-
-    /// Direct access to a hash-map value's bytes.
-    pub(crate) fn hash_raw(&self, id: MapId, key: &[u8]) -> Result<Option<&[u8]>, MapError> {
-        let inst = self.instance(id)?;
-        match &inst.storage {
-            MapStorage::Hash { entries } => Ok(entries.get(key).map(|v| v.as_slice())),
-            _ => Err(MapError::WrongKind(id)),
-        }
-    }
-
-    /// Direct mutable access to a hash-map value's bytes.
-    pub(crate) fn hash_raw_mut(
-        &mut self,
-        id: MapId,
-        key: &[u8],
-    ) -> Result<Option<&mut [u8]>, MapError> {
-        let inst = self.instance_mut(id)?;
-        match &mut inst.storage {
-            MapStorage::Hash { entries } => Ok(entries.get_mut(key).map(|v| v.as_mut_slice())),
-            _ => Err(MapError::WrongKind(id)),
-        }
-    }
 }
 
 fn check_key(id: MapId, def: &MapDef, key: &[u8]) -> Result<(), MapError> {
@@ -802,38 +702,12 @@ mod tests {
         // Out of bounds.
         assert!(maps.array_load_u64(m, 4).is_err());
         assert!(maps.array_store_u64(m, 4, 1).is_err());
-        assert_eq!(maps.entry_count(m).unwrap(), 4);
-    }
-
-    #[test]
-    fn hash_map_lifecycle() {
-        let mut maps = MapSet::new();
-        let m = maps.create(MapDef::hash(8, 8, 2)).unwrap();
-        let k1 = 1u64.to_le_bytes();
-        let k2 = 2u64.to_le_bytes();
-        let k3 = 3u64.to_le_bytes();
-        assert_eq!(maps.lookup(m, &k1).unwrap(), None);
-        maps.update(m, &k1, &10u64.to_le_bytes()).unwrap();
-        maps.update(m, &k2, &20u64.to_le_bytes()).unwrap();
-        assert_eq!(maps.entry_count(m).unwrap(), 2);
-        // Capacity enforced for new keys, updates still allowed.
-        assert_eq!(
-            maps.update(m, &k3, &30u64.to_le_bytes()),
-            Err(MapError::Full(m))
-        );
-        maps.update(m, &k1, &11u64.to_le_bytes()).unwrap();
-        assert_eq!(
-            maps.lookup(m, &k1).unwrap().unwrap(),
-            11u64.to_le_bytes().to_vec()
-        );
-        assert!(maps.delete(m, &k1).unwrap());
-        assert!(!maps.delete(m, &k1).unwrap());
     }
 
     #[test]
     fn key_and_value_sizes_enforced() {
         let mut maps = MapSet::new();
-        let m = maps.create(MapDef::hash(4, 8, 8)).unwrap();
+        let m = maps.create(MapDef::array(8, 8)).unwrap();
         assert!(matches!(
             maps.lookup(m, &[0u8; 8]),
             Err(MapError::BadKeySize { .. })
@@ -963,7 +837,6 @@ mod tests {
         assert_eq!(u64::from_le_bytes(merged[8..16].try_into().unwrap()), 6);
         // Out of bounds reads as None, like plain arrays.
         assert_eq!(maps.lookup(m, &4u32.to_le_bytes()).unwrap(), None);
-        assert_eq!(maps.entry_count(m).unwrap(), 4);
     }
 
     #[test]
@@ -983,15 +856,10 @@ mod tests {
         maps.update(m, &0u32.to_le_bytes(), &0u64.to_le_bytes())
             .unwrap();
         assert_eq!(maps.percpu_load_merged_u64(m, 0).unwrap(), 0);
-        // Out-of-bounds writes error like plain arrays; deletes are
-        // unsupported.
+        // Out-of-bounds writes error like plain arrays.
         assert!(maps
             .update(m, &2u32.to_le_bytes(), &1u64.to_le_bytes())
             .is_err());
-        assert_eq!(
-            maps.delete(m, &0u32.to_le_bytes()),
-            Err(MapError::WrongKind(m))
-        );
     }
 
     #[test]
@@ -1034,10 +902,7 @@ mod tests {
         let r = maps.create(MapDef::ringbuf(32)).unwrap();
         assert_eq!(maps.ring_push(a, &[1]), Err(MapError::WrongKind(a)));
         assert_eq!(maps.lookup(r, &[]), Err(MapError::WrongKind(r)));
-        assert_eq!(
-            maps.delete(a, &0u32.to_le_bytes()),
-            Err(MapError::WrongKind(a))
-        );
+        assert_eq!(maps.update(r, &[], &[]), Err(MapError::WrongKind(r)));
     }
 
     #[test]
@@ -1053,7 +918,6 @@ mod tests {
                 max_entries: 1
             })
             .is_err());
-        assert!(maps.create(MapDef::hash(0, 8, 1)).is_err());
     }
 
     #[test]
@@ -1066,7 +930,9 @@ mod tests {
 
     #[test]
     fn error_display_smoke() {
-        assert!(MapError::Full(MapId(1)).to_string().contains("full"));
+        assert!(MapError::WrongKind(MapId(1))
+            .to_string()
+            .contains("unsupported"));
         assert!(MapError::BadDefinition("x").to_string().contains("x"));
     }
 }

@@ -289,7 +289,6 @@ fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Vec<(usize, AbsState)> {
                     RegType::MapRef(id) => RegType::MapValueOrNull(id),
                     _ => RegType::Uninit,
                 },
-                HelperId::GetSmpProcessorId => RegType::Scalar(range_u32()),
                 _ => RegType::Scalar(ScalarRange::unknown()),
             };
             clobber_caller_saved(&mut out);
@@ -520,10 +519,9 @@ enum SpanKind {
 /// The number of argument registers a helper consumes.
 pub(crate) fn helper_argc(helper: HelperId) -> usize {
     match helper {
-        HelperId::MapLookup | HelperId::MapDelete => 2,
-        HelperId::MapUpdate | HelperId::RingbufOutput => 4,
-        HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => 0,
-        HelperId::TracePrintk => 1,
+        HelperId::MapLookup => 2,
+        HelperId::RingbufOutput => 4,
+        HelperId::KtimeGetNs => 0,
     }
 }
 
@@ -548,14 +546,9 @@ fn helper_stack_reads(helper: HelperId, st: Option<&AbsState>, maps: &MapSet, li
         _ => None,
     };
     match helper {
-        HelperId::MapLookup | HelperId::MapDelete => {
+        HelperId::MapLookup => {
             let key = map_of_r1(st).map(|d| d.key_size as usize);
             read_span(st.regs[2], key);
-        }
-        HelperId::MapUpdate => {
-            let def = map_of_r1(st);
-            read_span(st.regs[2], def.as_ref().map(|d| d.key_size as usize));
-            read_span(st.regs[3], def.as_ref().map(|d| d.value_size as usize));
         }
         HelperId::RingbufOutput => {
             let len = match st.regs[3] {
@@ -564,7 +557,7 @@ fn helper_stack_reads(helper: HelperId, st: Option<&AbsState>, maps: &MapSet, li
             };
             read_span(st.regs[2], len);
         }
-        HelperId::KtimeGetNs | HelperId::GetSmpProcessorId | HelperId::TracePrintk => {}
+        HelperId::KtimeGetNs => {}
     }
 }
 

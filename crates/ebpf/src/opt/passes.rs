@@ -287,10 +287,7 @@ pub(crate) fn dce(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStats
             | Insn::LoadCtx { dst, .. }
             | Insn::Load { dst, .. } => dead(dst),
             Insn::Call { helper } => {
-                matches!(
-                    helper,
-                    HelperId::MapLookup | HelperId::KtimeGetNs | HelperId::GetSmpProcessorId
-                ) && dead(Reg::R0)
+                matches!(helper, HelperId::MapLookup | HelperId::KtimeGetNs) && dead(Reg::R0)
             }
             _ => false,
         };
@@ -745,12 +742,12 @@ pub(crate) fn licm(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStat
             }
         }
         for pc in h..l {
-            let Insn::Call { helper } = insns[pc] else {
+            let Insn::Call {
+                helper: HelperId::KtimeGetNs,
+            } = insns[pc]
+            else {
                 continue;
             };
-            if !matches!(helper, HelperId::KtimeGetNs | HelperId::GetSmpProcessorId) {
-                continue;
-            }
             let Insn::Store {
                 base: Reg::R10,
                 off,
@@ -777,7 +774,9 @@ pub(crate) fn licm(insns: &mut Vec<Insn>, an: &mut Analyses, stats: &mut OptStat
             if slot_ok(pc + 1, pc, sb, ln) {
                 hoisted_pcs.push(pc);
                 hoisted_pcs.push(pc + 1);
-                preheader.push(Insn::Call { helper });
+                preheader.push(Insn::Call {
+                    helper: HelperId::KtimeGetNs,
+                });
                 preheader.push(Insn::Store {
                     base: Reg::R10,
                     off,

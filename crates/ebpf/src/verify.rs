@@ -1278,55 +1278,12 @@ impl<'a> Verifier<'a> {
                     .def(map)
                     .map_err(|_| err(VerifyErrorKind::UnknownMap(map)))?;
                 if def.kind == MapKind::RingBuf {
-                    return Err(bad(Reg::R1, "array, per-cpu array, or hash map"));
+                    return Err(bad(Reg::R1, "array or per-cpu array map"));
                 }
                 stack_buf(st, Reg::R2, def.key_size, bad)?;
                 RegType::MapValueOrNull(map)
             }
-            HelperId::MapUpdate => {
-                let map = match st.regs[Reg::R1.index()] {
-                    RegType::MapRef(m) => m,
-                    _ => return Err(bad(Reg::R1, "map reference")),
-                };
-                let def = self
-                    .maps
-                    .def(map)
-                    .map_err(|_| err(VerifyErrorKind::UnknownMap(map)))?;
-                if def.kind == MapKind::RingBuf || def.kind == MapKind::PerCpuArray {
-                    // Programs mutate per-CPU slots through
-                    // lookup + store; a whole-map update is a
-                    // userspace-only operation.
-                    return Err(bad(Reg::R1, "array or hash map"));
-                }
-                stack_buf(st, Reg::R2, def.key_size, bad)?;
-                stack_buf(st, Reg::R3, def.value_size, bad)?;
-                if !matches!(st.regs[Reg::R4.index()], RegType::Scalar(_)) {
-                    return Err(bad(Reg::R4, "scalar flags"));
-                }
-                RegType::scalar_unknown()
-            }
-            HelperId::MapDelete => {
-                let map = match st.regs[Reg::R1.index()] {
-                    RegType::MapRef(m) => m,
-                    _ => return Err(bad(Reg::R1, "map reference")),
-                };
-                let def = self
-                    .maps
-                    .def(map)
-                    .map_err(|_| err(VerifyErrorKind::UnknownMap(map)))?;
-                if def.kind != MapKind::Hash {
-                    return Err(bad(Reg::R1, "hash map"));
-                }
-                stack_buf(st, Reg::R2, def.key_size, bad)?;
-                RegType::scalar_unknown()
-            }
-            HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => RegType::scalar_unknown(),
-            HelperId::TracePrintk => {
-                if !matches!(st.regs[Reg::R1.index()], RegType::Scalar(_)) {
-                    return Err(bad(Reg::R1, "scalar format id"));
-                }
-                RegType::scalar_unknown()
-            }
+            HelperId::KtimeGetNs => RegType::scalar_unknown(),
             HelperId::RingbufOutput => {
                 let map = match st.regs[Reg::R1.index()] {
                     RegType::MapRef(m) => m,
@@ -2580,35 +2537,6 @@ mod tests {
             matches!(
                 e.kind,
                 VerifyErrorKind::MapValueOutOfBounds { value_size: 8, .. }
-            ),
-            "{e}"
-        );
-    }
-
-    #[test]
-    fn percpu_update_from_program_rejected() {
-        let mut maps = MapSet::new();
-        let m = maps.create(MapDef::percpu_array(8, 4)).unwrap();
-        let mut b = ProgramBuilder::new("upd");
-        b.store_imm(Reg::R10, -4, 0, AccessSize::B4)
-            .store_imm(Reg::R10, -16, 1, AccessSize::B8)
-            .load_map(Reg::R1, m)
-            .mov(Reg::R2, Reg::R10)
-            .add(Reg::R2, -4)
-            .mov(Reg::R3, Reg::R10)
-            .add(Reg::R3, -16)
-            .mov(Reg::R4, 0)
-            .call(HelperId::MapUpdate)
-            .exit();
-        let e = verify(&b.build().unwrap(), &maps).unwrap_err();
-        assert!(
-            matches!(
-                e.kind,
-                VerifyErrorKind::BadHelperArg {
-                    helper: HelperId::MapUpdate,
-                    arg: Reg::R1,
-                    ..
-                }
             ),
             "{e}"
         );

@@ -59,13 +59,9 @@ fn size_of(i: u8) -> AccessSize {
 }
 
 fn helper_of(i: u8) -> HelperId {
-    match i % 7 {
+    match i % 3 {
         0 => HelperId::MapLookup,
-        1 => HelperId::MapUpdate,
-        2 => HelperId::MapDelete,
-        3 => HelperId::KtimeGetNs,
-        4 => HelperId::GetSmpProcessorId,
-        5 => HelperId::TracePrintk,
+        1 => HelperId::KtimeGetNs,
         _ => HelperId::RingbufOutput,
     }
 }

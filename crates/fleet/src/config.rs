@@ -8,17 +8,6 @@ use snapbpf_workloads::FunctionMix;
 
 use crate::placement::PlacementKind;
 
-/// What to do with an arrival that finds the admission queue full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Reject the incoming request (classic bounded-queue tail drop).
-    #[default]
-    DropNewest,
-    /// Drop the oldest queued request to admit the incoming one
-    /// (freshness-biased shedding).
-    DropOldest,
-}
-
 /// How cold-start restores are scheduled against other host events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RestoreMode {
@@ -229,10 +218,9 @@ pub struct FleetConfig {
     /// Maximum invocations in flight (running or restoring); beyond
     /// it requests queue.
     pub max_concurrency: usize,
-    /// Admission-queue depth; beyond it requests are shed.
+    /// Admission-queue depth; an arrival that finds the queue full
+    /// is shed (tail drop).
     pub queue_depth: usize,
-    /// The shed policy for a full queue.
-    pub shed: ShedPolicy,
     /// Keep-alive TTL of idle sandboxes.
     pub keepalive_ttl: SimDuration,
     /// Maximum parked idle sandboxes (LRU beyond; 0 = every start is
@@ -283,7 +271,6 @@ impl FleetConfig {
             seed: 42,
             max_concurrency: 8,
             queue_depth: 64,
-            shed: ShedPolicy::DropNewest,
             keepalive_ttl: SimDuration::from_secs(1),
             pool_capacity: 8,
             memory_pages: None,

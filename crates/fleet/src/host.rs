@@ -21,7 +21,7 @@ use snapbpf_storage::{Disk, IoTracer};
 use snapbpf_vmm::{InvocationCursor, MicroVm, Snapshot, UffdResolver};
 use snapbpf_workloads::{InvocationTrace, Workload};
 
-use crate::config::{FleetConfig, RestoreMode, RetryPolicy, ShedPolicy, SnapshotDistribution};
+use crate::config::{FleetConfig, RestoreMode, RetryPolicy, SnapshotDistribution};
 use crate::metrics::FuncStats;
 use crate::pool::SandboxPool;
 
@@ -501,18 +501,8 @@ impl Host<'_> {
                 );
             }
         } else {
-            match self.cfg.shed {
-                ShedPolicy::DropNewest => {
-                    self.per_func[req.func].shed += 1;
-                    self.note_shed(req.at, req.func);
-                }
-                ShedPolicy::DropOldest => {
-                    let old = self.pending.pop_front().expect("full queue is non-empty");
-                    self.per_func[old.func].shed += 1;
-                    self.note_shed(req.at, old.func);
-                    self.pending.push_back(req);
-                }
-            }
+            self.per_func[req.func].shed += 1;
+            self.note_shed(req.at, req.func);
         }
         Ok(())
     }

@@ -163,8 +163,9 @@ impl<'a> Runner<'a> {
     /// [`StrategyError::Config`] for an invalid configuration (zero
     /// hosts, an empty or mismatched function mix, zero
     /// `max_concurrency`, a scale outside `(0, 1]`, a memory cap below
-    /// one frame-allocator block, an invalid arrival process, a
-    /// placement decision outside the host range); strategy and kernel errors propagate;
+    /// [`snapbpf_kernel::KernelConfig::MIN_MEMORY_PAGES`], an invalid
+    /// arrival process, a placement decision outside the host range);
+    /// strategy and kernel errors propagate;
     /// [`StrategyError::TraceIo`] reports a failed `trace_out`
     /// write.
     pub fn run(self) -> Result<RunOutput, StrategyError> {

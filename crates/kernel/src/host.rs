@@ -665,8 +665,8 @@ impl HostKernel {
         }
     }
 
-    /// Pins the simulated CPU subsequent program invocations observe
-    /// (`bpf_get_smp_processor_id`, per-CPU map slot selection).
+    /// Pins the simulated CPU subsequent program invocations run on,
+    /// which selects their per-CPU map slots.
     /// Parallel cluster shards pin distinct CPUs so their per-CPU
     /// bumps never contend; wraps at [`snapbpf_ebpf::NCPUS`].
     pub fn set_smp_processor_id(&mut self, cpu: u32) {

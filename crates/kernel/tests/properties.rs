@@ -167,69 +167,86 @@ proptest! {
         }
     }
 
-    /// Accounting (used pages = cache + anon) holds across arbitrary
-    /// operation interleavings, and residency agrees with a model
-    /// under RA-off single-page reads.
+    /// Accounting (used pages = cache + anon) and the per-file
+    /// resident count hold across arbitrary operation interleavings,
+    /// with and without a page-cache budget (the budgeted run
+    /// exercises pressure eviction), and without a budget residency
+    /// agrees with a model under RA-off single-page reads.
     #[test]
     fn kernel_invariants(ops in kernel_ops()) {
-        let mut host = HostKernel::new(
-            Disk::new(Box::new(SsdModel::micron_5300())),
-            KernelConfig::default(),
-        );
-        let f = host.disk_mut().create_file("f", FILE_PAGES).unwrap();
-        let mut vm = KvmVm::new(OwnerId::new(0), f, FILE_PAGES, CowPolicy::Opportunistic);
-        let mut t = SimTime::ZERO;
-        // Reference model of which pages *must* be cached (lower
-        // bound: pages explicitly requested while not dropped).
-        let mut must_cache: HashSet<u64> = HashSet::new();
+        for budget in [None, Some(FILE_PAGES / 4)] {
+            let mut host = HostKernel::new(
+                Disk::new(Box::new(SsdModel::micron_5300())),
+                KernelConfig {
+                    page_cache_budget_pages: budget,
+                    ..KernelConfig::default()
+                },
+            );
+            let f = host.disk_mut().create_file("f", FILE_PAGES).unwrap();
+            let mut vm = KvmVm::new(OwnerId::new(0), f, FILE_PAGES, CowPolicy::Opportunistic);
+            let mut t = SimTime::ZERO;
+            // Reference model of which pages *must* be cached (lower
+            // bound: pages explicitly requested while not dropped).
+            let mut must_cache: HashSet<u64> = HashSet::new();
 
-        for op in ops {
-            t += SimDuration::from_micros(100);
-            match op {
-                KernelOp::Read(p) => {
-                    let out = host.read_file_page(t, f, p).unwrap();
-                    prop_assert!(out.ready_at >= t);
-                    must_cache.insert(p);
-                }
-                KernelOp::Prefetch(s, n) => {
-                    host.ra_unbounded(t, f, s, n).unwrap();
-                    for p in s..(s + n).min(FILE_PAGES) {
+            for op in &ops {
+                t += SimDuration::from_micros(100);
+                match *op {
+                    KernelOp::Read(p) => {
+                        let out = host.read_file_page(t, f, p).unwrap();
+                        prop_assert!(out.ready_at >= t);
                         must_cache.insert(p);
                     }
+                    KernelOp::Prefetch(s, n) => {
+                        host.ra_unbounded(t, f, s, n).unwrap();
+                        for p in s..(s + n).min(FILE_PAGES) {
+                            must_cache.insert(p);
+                        }
+                    }
+                    KernelOp::VmRead(p) => {
+                        let out = vm.access(t, p, false, &mut host).unwrap();
+                        prop_assert!(out.ready_at >= t);
+                        must_cache.insert(p);
+                    }
+                    KernelOp::VmWrite(p) => {
+                        vm.access(t, p, true, &mut host).unwrap();
+                    }
+                    KernelOp::VmAlloc(p) => {
+                        vm.access(t, p | snapbpf_kernel::PV_MIRROR_BIT, true, &mut host)
+                            .unwrap();
+                    }
+                    KernelOp::DropCaches => {
+                        host.drop_all_caches().unwrap();
+                        must_cache.clear();
+                    }
+                    KernelOp::ToggleRa(on) => host.set_readahead(on),
                 }
-                KernelOp::VmRead(p) => {
-                    let out = vm.access(t, p, false, &mut host).unwrap();
-                    prop_assert!(out.ready_at >= t);
-                    must_cache.insert(p);
-                }
-                KernelOp::VmWrite(p) => {
-                    vm.access(t, p, true, &mut host).unwrap();
-                }
-                KernelOp::VmAlloc(p) => {
-                    vm.access(t, p | snapbpf_kernel::PV_MIRROR_BIT, true, &mut host)
-                        .unwrap();
-                }
-                KernelOp::DropCaches => {
-                    host.drop_all_caches().unwrap();
-                    must_cache.clear();
-                }
-                KernelOp::ToggleRa(on) => host.set_readahead(on),
+                prop_assert_eq!(host.accounting_discrepancy(), 0);
+                // `f` is the only file, so every cached page is one
+                // of its pages, and the O(1) per-file count that
+                // locality placement reads matches a full scan.
+                let cache = host.cache();
+                prop_assert_eq!(cache.len(), cache.file_page_count(f));
+                prop_assert_eq!(cache.len(), cache.pages_of_file(f).count() as u64);
             }
+
+            // Every explicitly requested, never-dropped page is cached
+            // or was CoW'd (a VM write replaces the mapping but the
+            // cache page remains unless dropped) — i.e. present. A
+            // budget may evict such pages, so only the unbudgeted run
+            // checks this.
+            if budget.is_none() {
+                for p in must_cache {
+                    prop_assert!(
+                        host.page_state(f, p).is_some() || vm.is_mapped(p),
+                        "page {p} vanished"
+                    );
+                }
+            }
+
+            vm.teardown(&mut host).unwrap();
             prop_assert_eq!(host.accounting_discrepancy(), 0);
         }
-
-        // Every explicitly requested, never-dropped page is cached
-        // or was CoW'd (a VM write replaces the mapping but the
-        // cache page remains unless dropped) — i.e. present.
-        for p in must_cache {
-            prop_assert!(
-                host.page_state(f, p).is_some() || vm.is_mapped(p),
-                "page {p} vanished"
-            );
-        }
-
-        vm.teardown(&mut host).unwrap();
-        prop_assert_eq!(host.accounting_discrepancy(), 0);
     }
 
     /// mincore agrees with page_state for arbitrary prefetch

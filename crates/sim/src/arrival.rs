@@ -5,24 +5,15 @@
 //! sequence is a pure function of the seed, so two runs of the same
 //! configuration see bit-identical arrival times.
 //!
-//! Three processes cover the fleet experiments:
+//! The synthetic process is [`ArrivalProcess::Poisson`]: memoryless
+//! arrivals at a fixed rate, the classic open-loop load model.
 //!
-//! * [`ArrivalProcess::Poisson`] — memoryless arrivals at a fixed
-//!   rate, the classic open-loop load model.
-//! * [`ArrivalProcess::Mmpp`] — a two-state Markov-modulated Poisson
-//!   process alternating between a quiet and a burst rate; the
-//!   standard way to model the bursty invocation trains production
-//!   FaaS traces show.
-//! * [`ArrivalProcess::Periodic`] — fixed-period arrivals with
-//!   bounded uniform jitter, the dominant pattern of the Azure
-//!   Functions trace (most functions are timers/cron).
-//!
-//! Beyond the synthetic processes, [`TraceArrival`] replays an
-//! explicit recorded schedule — a sorted list of (offset, function)
-//! points — with loop, time-scale, and rate-scale controls. Both
-//! kinds implement [`ArrivalSchedule`], and [`ArrivalSource`] is the
-//! closed enum run configurations store, so experiment code accepts
-//! recorded or trace-derived workloads anywhere synthetic ones work.
+//! [`TraceArrival`] replays an explicit recorded schedule — a sorted
+//! list of (offset, function) points — with loop, time-scale, and
+//! rate-scale controls, and [`ComposedArrivals`] layers diurnal and
+//! burst traffic over either. [`ArrivalSource`] is the closed enum
+//! run configurations store, so experiment code accepts recorded or
+//! trace-derived workloads anywhere synthetic ones work.
 
 use std::sync::Arc;
 
@@ -38,69 +29,26 @@ pub enum ArrivalProcess {
         /// Mean arrival rate in requests per second.
         rate_rps: f64,
     },
-    /// Two-state Markov-modulated Poisson process: the process dwells
-    /// in a quiet state (rate `low_rps`) and a burst state (rate
-    /// `high_rps`), with exponentially distributed dwell times of
-    /// mean `mean_dwell` in each state.
-    Mmpp {
-        /// Arrival rate in the quiet state.
-        low_rps: f64,
-        /// Arrival rate in the burst state.
-        high_rps: f64,
-        /// Mean dwell time in each state.
-        mean_dwell: SimDuration,
-    },
-    /// Timer-driven arrivals: one per `period`, each shifted by a
-    /// uniform jitter in `[0, jitter_frac * period)`.
-    Periodic {
-        /// Base interarrival period.
-        period: SimDuration,
-        /// Jitter as a fraction of the period, in `[0, 1]`.
-        jitter_frac: f64,
-    },
 }
 
 impl ArrivalProcess {
     /// The long-run mean arrival rate in requests per second.
     pub fn mean_rate_rps(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_rps } => rate_rps,
-            // Equal mean dwell in both states: the average of the
-            // two rates.
-            ArrivalProcess::Mmpp {
-                low_rps, high_rps, ..
-            } => (low_rps + high_rps) / 2.0,
-            ArrivalProcess::Periodic { period, .. } => 1.0 / period.as_secs_f64(),
-        }
+        let ArrivalProcess::Poisson { rate_rps } = *self;
+        rate_rps
     }
 
-    /// Checks the parameters [`ArrivalProcess::generator`] needs:
-    /// positive rates (NaN is not), a non-zero period and a jitter
-    /// fraction in `[0, 1]`.
+    /// Checks the parameter [`ArrivalProcess::generator`] needs: a
+    /// positive rate (NaN is not).
     ///
     /// # Errors
     ///
     /// The violated condition, as a message.
     pub fn check(&self) -> Result<(), &'static str> {
-        let (ok, msg) = match *self {
-            ArrivalProcess::Poisson { rate_rps } => {
-                (rate_rps > 0.0, "Poisson rate must be positive")
-            }
-            ArrivalProcess::Mmpp {
-                low_rps, high_rps, ..
-            } => (
-                low_rps > 0.0 && high_rps > 0.0,
-                "MMPP rates must be positive",
-            ),
-            ArrivalProcess::Periodic {
-                period,
-                jitter_frac,
-            } => (
-                !period.is_zero() && (0.0..=1.0).contains(&jitter_frac),
-                "a periodic process needs a positive period and a jitter fraction in [0, 1]",
-            ),
-        };
-        ok.then_some(()).ok_or(msg)
+        let ArrivalProcess::Poisson { rate_rps } = *self;
+        (rate_rps > 0.0)
+            .then_some(())
+            .ok_or("Poisson rate must be positive")
     }
 
     /// Starts generating this process from `seed`.
@@ -114,10 +62,18 @@ impl ArrivalProcess {
             process: *self,
             rng: SplitMix64::new(seed),
             next_at: SimTime::ZERO,
-            burst: false,
-            state_left: SimDuration::ZERO,
-            tick: 0,
         }
+    }
+
+    /// All arrivals strictly before `horizon` (measured from time
+    /// zero), in time order; none pins a function. A pure function
+    /// of `(self, seed, horizon)`.
+    pub fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
+        self.generator(seed)
+            .take_until(SimTime::ZERO + horizon)
+            .into_iter()
+            .map(|at| Arrival { at, func: None })
+            .collect()
     }
 }
 
@@ -137,62 +93,14 @@ pub struct ArrivalGen {
     process: ArrivalProcess,
     rng: SplitMix64,
     next_at: SimTime,
-    /// MMPP: currently in the burst state?
-    burst: bool,
-    /// MMPP: time left in the current state.
-    state_left: SimDuration,
-    /// Periodic: index of the next tick.
-    tick: u64,
 }
 
 impl ArrivalGen {
     /// The next arrival time.
     pub fn next_arrival(&mut self) -> SimTime {
-        match self.process {
-            ArrivalProcess::Poisson { rate_rps } => {
-                let gap = SimDuration::from_secs_f64(exp_secs(&mut self.rng, 1.0 / rate_rps));
-                self.next_at += gap.max(SimDuration::from_nanos(1));
-            }
-            ArrivalProcess::Mmpp {
-                low_rps,
-                high_rps,
-                mean_dwell,
-            } => {
-                // Consume state dwell time until an arrival fits in
-                // the current state.
-                loop {
-                    if self.state_left.is_zero() {
-                        self.burst = !self.burst;
-                        self.state_left = SimDuration::from_secs_f64(exp_secs(
-                            &mut self.rng,
-                            mean_dwell.as_secs_f64(),
-                        ))
-                        .max(SimDuration::from_nanos(1));
-                    }
-                    let rate = if self.burst { high_rps } else { low_rps };
-                    let gap = SimDuration::from_secs_f64(exp_secs(&mut self.rng, 1.0 / rate))
-                        .max(SimDuration::from_nanos(1));
-                    if gap <= self.state_left {
-                        self.state_left = self.state_left.saturating_sub(gap);
-                        self.next_at += gap;
-                        break;
-                    }
-                    // The residual exponential restarts in the next
-                    // state (memorylessness makes this exact).
-                    self.next_at += self.state_left;
-                    self.state_left = SimDuration::ZERO;
-                }
-            }
-            ArrivalProcess::Periodic {
-                period,
-                jitter_frac,
-            } => {
-                self.tick += 1;
-                let base = SimDuration::from_nanos(period.as_nanos() * self.tick);
-                let jitter = period.mul_f64(jitter_frac * self.rng.next_f64());
-                self.next_at = SimTime::ZERO + base + jitter;
-            }
-        }
+        let ArrivalProcess::Poisson { rate_rps } = self.process;
+        let gap = SimDuration::from_secs_f64(exp_secs(&mut self.rng, 1.0 / rate_rps));
+        self.next_at += gap.max(SimDuration::from_nanos(1));
         self.next_at
     }
 
@@ -219,35 +127,6 @@ pub struct Arrival {
     pub at: SimTime,
     /// Function index, if the schedule pins one.
     pub func: Option<u32>,
-}
-
-/// Anything that can produce a deterministic arrival schedule for a
-/// run: the synthetic [`ArrivalProcess`]es, a recorded
-/// [`TraceArrival`], or the [`ArrivalSource`] enum wrapping either.
-///
-/// `draw` is a pure function of `(self, seed, horizon)`; two calls
-/// with identical arguments return identical schedules.
-pub trait ArrivalSchedule {
-    /// Long-run mean arrival rate in requests per (virtual) second.
-    fn mean_rate_rps(&self) -> f64;
-
-    /// All arrivals strictly before `horizon` (measured from time
-    /// zero), in non-decreasing time order.
-    fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival>;
-}
-
-impl ArrivalSchedule for ArrivalProcess {
-    fn mean_rate_rps(&self) -> f64 {
-        ArrivalProcess::mean_rate_rps(self)
-    }
-
-    fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
-        self.generator(seed)
-            .take_until(SimTime::ZERO + horizon)
-            .into_iter()
-            .map(|at| Arrival { at, func: None })
-            .collect()
-    }
 }
 
 /// One point of a recorded schedule: an offset from the start of the
@@ -417,17 +296,18 @@ impl TraceArrival {
             (ns as f64 * self.time_scale).round() as u64
         }
     }
-}
 
-impl ArrivalSchedule for TraceArrival {
-    fn mean_rate_rps(&self) -> f64 {
+    /// Long-run mean arrival rate in requests per (virtual) second.
+    pub fn mean_rate_rps(&self) -> f64 {
         if self.points.is_empty() {
             return 0.0;
         }
         self.points.len() as f64 * self.rate_scale / self.scaled_span().as_secs_f64()
     }
 
-    fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
+    /// All arrivals strictly before `horizon`, in time order; a pure
+    /// function of `(self, seed, horizon)`.
+    pub fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
         let horizon_ns = horizon.as_nanos();
         let span_ns = self.scaled_span().as_nanos();
         let whole = self.rate_scale.trunc() as u64;
@@ -502,7 +382,7 @@ const SLICE_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// synthetic process and a recorded trace replay — the base sequence
 /// is preserved bit for bit and every layer draws from its own
 /// salted seed. The merged schedule is a pure function of
-/// `(self, seed, horizon)` like every other [`ArrivalSchedule`].
+/// `(self, seed, horizon)` like every other schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComposedArrivals {
     base: Box<ArrivalSource>,
@@ -643,14 +523,12 @@ impl ComposedArrivals {
             .map(|t| t + start)
             .collect()
     }
-}
 
-impl ArrivalSchedule for ComposedArrivals {
     /// Long-run mean rate: the base's mean plus the diurnal layer's
     /// average. Burst overlays are transient (their windows are
     /// fixed offsets, not horizon fractions), so they are excluded
     /// from the long-run figure.
-    fn mean_rate_rps(&self) -> f64 {
+    pub fn mean_rate_rps(&self) -> f64 {
         let curve_mean = if self.curve.is_empty() {
             0.0
         } else {
@@ -659,7 +537,9 @@ impl ArrivalSchedule for ComposedArrivals {
         self.base.mean_rate_rps() + curve_mean
     }
 
-    fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
+    /// The base arrivals plus every layer's, strictly before
+    /// `horizon`, in time order.
+    pub fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
         let mut out = self.base.draw(seed, horizon);
         let slices = self.curve.len() as u64;
         for (i, &mult) in self.curve.iter().enumerate() {
@@ -735,26 +615,16 @@ impl ArrivalSource {
 
     /// Long-run mean arrival rate in requests per second.
     pub fn mean_rate_rps(&self) -> f64 {
-        ArrivalSchedule::mean_rate_rps(self)
-    }
-
-    /// All arrivals strictly before `horizon`, in order (see
-    /// [`ArrivalSchedule::draw`]).
-    pub fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
-        ArrivalSchedule::draw(self, seed, horizon)
-    }
-}
-
-impl ArrivalSchedule for ArrivalSource {
-    fn mean_rate_rps(&self) -> f64 {
         match self {
-            ArrivalSource::Process(p) => ArrivalSchedule::mean_rate_rps(p),
-            ArrivalSource::Trace(t) => ArrivalSchedule::mean_rate_rps(t),
-            ArrivalSource::Composed(c) => ArrivalSchedule::mean_rate_rps(c),
+            ArrivalSource::Process(p) => p.mean_rate_rps(),
+            ArrivalSource::Trace(t) => t.mean_rate_rps(),
+            ArrivalSource::Composed(c) => c.mean_rate_rps(),
         }
     }
 
-    fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
+    /// All arrivals strictly before `horizon`, in time order; two
+    /// calls with identical arguments return identical schedules.
+    pub fn draw(&self, seed: u64, horizon: SimDuration) -> Vec<Arrival> {
         match self {
             ArrivalSource::Process(p) => p.draw(seed, horizon),
             ArrivalSource::Trace(t) => t.draw(seed, horizon),
@@ -797,23 +667,11 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic() {
-        for p in [
-            ArrivalProcess::Poisson { rate_rps: 30.0 },
-            ArrivalProcess::Mmpp {
-                low_rps: 5.0,
-                high_rps: 80.0,
-                mean_dwell: SimDuration::from_millis(500),
-            },
-            ArrivalProcess::Periodic {
-                period: SimDuration::from_millis(40),
-                jitter_frac: 0.3,
-            },
-        ] {
-            let a = p.generator(42).take_until(SimTime::ZERO + SEC * 10);
-            let b = p.generator(42).take_until(SimTime::ZERO + SEC * 10);
-            assert_eq!(a, b);
-            assert!(a.windows(2).all(|w| w[0] <= w[1]), "ordered arrivals");
-        }
+        let p = ArrivalProcess::Poisson { rate_rps: 30.0 };
+        let a = p.generator(42).take_until(SimTime::ZERO + SEC * 10);
+        let b = p.generator(42).take_until(SimTime::ZERO + SEC * 10);
+        assert_eq!(a, b);
+        assert!(a.windows(2).all(|w| w[0] <= w[1]), "ordered arrivals");
     }
 
     #[test]
@@ -822,65 +680,6 @@ mod tests {
         let a = p.generator(1).take_until(SimTime::ZERO + SEC * 2);
         let b = p.generator(2).take_until(SimTime::ZERO + SEC * 2);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn mmpp_is_burstier_than_poisson() {
-        // Count arrivals per 100 ms window; the MMPP's window counts
-        // must have a higher coefficient of variation than a Poisson
-        // process of the same mean rate.
-        let window = SimDuration::from_millis(100);
-        let horizon = SimTime::ZERO + SEC * 60;
-        let count_cv = |arrivals: &[SimTime]| {
-            let n_windows = 600usize;
-            let mut counts = vec![0u32; n_windows];
-            for &t in arrivals {
-                let w = (t.as_nanos() / window.as_nanos()) as usize;
-                counts[w.min(n_windows - 1)] += 1;
-            }
-            let mean = counts.iter().map(|&c| c as f64).sum::<f64>() / n_windows as f64;
-            let var = counts
-                .iter()
-                .map(|&c| (c as f64 - mean).powi(2))
-                .sum::<f64>()
-                / n_windows as f64;
-            var.sqrt() / mean
-        };
-        let mmpp = ArrivalProcess::Mmpp {
-            low_rps: 4.0,
-            high_rps: 76.0,
-            mean_dwell: SimDuration::from_millis(800),
-        };
-        let poisson = ArrivalProcess::Poisson {
-            rate_rps: mmpp.mean_rate_rps(),
-        };
-        let cv_mmpp = count_cv(&mmpp.generator(3).take_until(horizon));
-        let cv_poisson = count_cv(&poisson.generator(3).take_until(horizon));
-        assert!(
-            cv_mmpp > 1.5 * cv_poisson,
-            "MMPP CV {cv_mmpp:.2} vs Poisson CV {cv_poisson:.2}"
-        );
-    }
-
-    #[test]
-    fn periodic_respects_period_and_jitter() {
-        let period = SimDuration::from_millis(50);
-        let p = ArrivalProcess::Periodic {
-            period,
-            jitter_frac: 0.2,
-        };
-        let arrivals = p.generator(9).take_until(SimTime::ZERO + SEC * 5);
-        // ~100 ticks in 5 s.
-        assert!((90..=101).contains(&arrivals.len()), "{}", arrivals.len());
-        for (i, &t) in arrivals.iter().enumerate() {
-            let tick = (i + 1) as u64;
-            let base = period.as_nanos() * tick;
-            assert!(t.as_nanos() >= base, "tick {tick} before its base time");
-            assert!(
-                t.as_nanos() < base + period.mul_f64(0.2).as_nanos() + 1,
-                "tick {tick} past its jitter window"
-            );
-        }
     }
 
     fn tiny_trace() -> TraceArrival {
@@ -996,14 +795,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_trait_covers_processes() {
+    fn process_draw_matches_its_generator() {
         let p = ArrivalProcess::Poisson { rate_rps: 40.0 };
-        let via_trait = ArrivalSchedule::draw(&p, 11, SEC * 5);
+        let drawn = p.draw(11, SEC * 5);
         let direct = p.generator(11).take_until(SimTime::ZERO + SEC * 5);
-        assert_eq!(via_trait.len(), direct.len());
-        assert!(via_trait.iter().all(|a| a.func.is_none()));
-        assert_eq!(via_trait.iter().map(|a| a.at).collect::<Vec<_>>(), direct);
-        assert_eq!(ArrivalSchedule::mean_rate_rps(&p), 40.0);
+        assert!(drawn.iter().all(|a| a.func.is_none()));
+        assert_eq!(drawn.iter().map(|a| a.at).collect::<Vec<_>>(), direct);
     }
 
     #[test]
@@ -1118,27 +915,6 @@ mod tests {
         assert!(recorded.contains(&(9_000_000, Some(2))));
         assert!(src.composed().is_some());
         // Mean rate folds base + diurnal average (none here).
-        assert!(
-            (ArrivalSchedule::mean_rate_rps(src.composed().unwrap().base()) - 300.0).abs() < 1e-9
-        );
-    }
-
-    #[test]
-    fn mean_rates_are_consistent() {
-        assert_eq!(
-            ArrivalProcess::Poisson { rate_rps: 8.0 }.mean_rate_rps(),
-            8.0
-        );
-        let mmpp = ArrivalProcess::Mmpp {
-            low_rps: 2.0,
-            high_rps: 10.0,
-            mean_dwell: SEC,
-        };
-        assert_eq!(mmpp.mean_rate_rps(), 6.0);
-        let per = ArrivalProcess::Periodic {
-            period: SimDuration::from_millis(250),
-            jitter_frac: 0.0,
-        };
-        assert!((per.mean_rate_rps() - 4.0).abs() < 1e-12);
+        assert!((src.composed().unwrap().base().mean_rate_rps() - 300.0).abs() < 1e-9);
     }
 }

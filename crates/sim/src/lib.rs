@@ -42,14 +42,14 @@ mod time;
 pub mod trace;
 
 pub use arrival::{
-    Arrival, ArrivalGen, ArrivalProcess, ArrivalSchedule, ArrivalSource, BurstOverlay,
-    ComposedArrivals, LoopMode, TraceArrival, TracePoint,
+    Arrival, ArrivalGen, ArrivalProcess, ArrivalSource, BurstOverlay, ComposedArrivals, LoopMode,
+    TraceArrival, TracePoint,
 };
 pub use hash::{WordHasher, WordState};
 pub use rng::SplitMix64;
 pub use series::{SeriesBin, SeriesRegistry, SERIES_WINDOW_NS};
 pub use snapbpf_json::Json;
-pub use stats::{Histogram, Quantile, Summary};
+pub use stats::{Histogram, Quantile};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     chrome_trace_json, sandbox_tid, MetricsRegistry, NoopSink, RecordingSink, TraceEvent,

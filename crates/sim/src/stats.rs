@@ -1,16 +1,15 @@
-//! Statistics collection: online summaries and percentile histograms
-//! used by every layer of the simulation.
+//! Statistics collection: percentile histograms used by every layer
+//! of the simulation.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use crate::time::SimDuration;
 
 /// The standard quantile points reported across the workspace
 /// (p50 / p90 / p99 / p99.9).
 ///
-/// Both [`Summary::quantile`] and [`Histogram::quantile`] accept
-/// these, so every layer shares one tail-latency vocabulary.
+/// [`Histogram::quantile`] accepts these, so every layer shares one
+/// tail-latency vocabulary.
 ///
 /// # Examples
 ///
@@ -55,169 +54,6 @@ impl Quantile {
             Quantile::P99 => "p99",
             Quantile::P999 => "p99.9",
         }
-    }
-
-    /// Standard-normal z-score of this quantile, used by
-    /// [`Summary::quantile`]'s normal approximation.
-    const fn z(self) -> f64 {
-        match self {
-            Quantile::P50 => 0.0,
-            Quantile::P90 => 1.281_551_565_544_600_4,
-            Quantile::P99 => 2.326_347_874_040_840_8,
-            Quantile::P999 => 3.090_232_306_167_813,
-        }
-    }
-}
-
-/// Online summary of a stream of `f64` samples (count, mean, min,
-/// max, variance) using Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use snapbpf_sim::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), Some(1.0));
-/// assert_eq!(s.max(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-    sum: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary::default()
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = Some(self.min.map_or(value, |m| m.min(value)));
-        self.max = Some(self.max.map_or(value, |m| m.max(value)));
-    }
-
-    /// Adds a duration sample, in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos() as f64);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-
-    /// Approximate value at quantile `q` under a normal model:
-    /// `mean + z·σ`, clamped to the observed `[min, max]` range so a
-    /// heavy tail can never push the estimate past a real sample.
-    /// `None` when empty.
-    ///
-    /// A Welford summary keeps no per-sample state, so this is an
-    /// *approximation* — exact for symmetric distributions, and
-    /// bounded by the observed extremes otherwise. Use [`Histogram`]
-    /// where accurate tails matter.
-    pub fn quantile(&self, q: Quantile) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let est = self.mean() + q.z() * self.stddev();
-        let (min, max) = (self.min?, self.max?);
-        Some(est.clamp(min, max))
-    }
-
-    /// Merges another summary into this one, as if all of its samples
-    /// had been recorded here.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.sum += other.sum;
-        self.count = total;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.2} min={:.2} max={:.2} sd={:.2}",
-            self.count,
-            self.mean(),
-            self.min.unwrap_or(0.0),
-            self.max.unwrap_or(0.0),
-            self.stddev()
-        )
     }
 }
 
@@ -404,62 +240,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_statistics() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn summary_empty_is_safe() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn summary_merge_equals_combined_stream() {
-        let mut all = Summary::new();
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for i in 0..100 {
-            let v = (i * 37 % 11) as f64;
-            all.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.record(5.0);
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut empty = Summary::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
-    }
-
-    #[test]
     fn histogram_percentiles_are_monotone() {
         let mut h = Histogram::new();
         let mut rng = crate::rng::SplitMix64::new(42);
@@ -543,50 +323,5 @@ mod tests {
         h.record_duration(SimDuration::from_secs(2));
         assert!((h.percentile_secs(50.0) - 2.0).abs() < 0.5);
         assert!((h.mean_secs() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_quantiles_match_normal_distribution() {
-        let mut s = Summary::new();
-        let mut rng = crate::rng::SplitMix64::new(99);
-        for _ in 0..50_000 {
-            s.record(rng.next_gaussian(100.0, 15.0));
-        }
-        let expect = [
-            (Quantile::P50, 100.0),
-            (Quantile::P90, 100.0 + 15.0 * 1.2816),
-            (Quantile::P99, 100.0 + 15.0 * 2.3263),
-        ];
-        for (q, want) in expect {
-            let got = s.quantile(q).unwrap();
-            assert!(
-                (got - want).abs() / want < 0.02,
-                "{}: got {got}, expected {want}",
-                q.label()
-            );
-        }
-    }
-
-    #[test]
-    fn summary_quantiles_clamp_and_empty() {
-        assert_eq!(Summary::new().quantile(Quantile::P99), None);
-        let mut s = Summary::new();
-        for _ in 0..10 {
-            s.record(5.0);
-        }
-        // Degenerate distribution: every quantile is the value.
-        for q in Quantile::ALL {
-            assert_eq!(s.quantile(q), Some(5.0));
-        }
-        // A single outlier cannot be exceeded by the estimate.
-        s.record(50.0);
-        assert!(s.quantile(Quantile::P999).unwrap() <= 50.0);
-    }
-
-    #[test]
-    fn display_formats() {
-        let mut s = Summary::new();
-        s.record(1.0);
-        assert!(s.to_string().contains("n=1"));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
-use snapbpf_sim::{Histogram, SimDuration, SimTime, SplitMix64, Summary};
+use snapbpf_sim::{Histogram, SimDuration, SimTime, SplitMix64};
 
 proptest! {
     /// Bounded RNG output respects its bounds for arbitrary seeds.
@@ -57,27 +57,6 @@ proptest! {
             prev = v;
         }
         prop_assert_eq!(h.count(), values.len() as u64);
-    }
-
-    /// Merging summaries equals summarizing the concatenation.
-    #[test]
-    fn summary_merge_associativity(
-        xs in prop::collection::vec(-1e6f64..1e6, 0..100),
-        ys in prop::collection::vec(-1e6f64..1e6, 0..100),
-    ) {
-        let mut a = Summary::new();
-        xs.iter().for_each(|&v| a.record(v));
-        let mut b = Summary::new();
-        ys.iter().for_each(|&v| b.record(v));
-        let mut whole = Summary::new();
-        xs.iter().chain(&ys).for_each(|&v| whole.record(v));
-
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        if whole.count() > 0 {
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-3 * (1.0 + whole.variance()));
-        }
     }
 
     /// Duration arithmetic saturates instead of overflowing.

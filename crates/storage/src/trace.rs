@@ -3,14 +3,15 @@
 //! The paper verifies FaaSnap's working-set-file inflation "by
 //! instrumenting the kernel using eBPF" (§2.1). Here the equivalent
 //! observability hook is a tracer attached to the disk façade: it
-//! aggregates every block request into totals, sequentiality, a
-//! latency summary, and read amplification against a caller-declared
-//! useful-byte count. It keeps no per-request log; per-request spans
-//! go to the disk's [`snapbpf_sim::Tracer`] when one is installed.
+//! aggregates every block request into totals, sequentiality, the
+//! mean device latency, and read amplification against a
+//! caller-declared useful-byte count. It keeps no per-request log;
+//! per-request spans go to the disk's [`snapbpf_sim::Tracer`] when
+//! one is installed.
 
 use std::fmt;
 
-use snapbpf_sim::{SimDuration, SimTime, Summary};
+use snapbpf_sim::{SimDuration, SimTime};
 
 use crate::device::{IoCompletion, IoKind, IoPath, IoRequest};
 
@@ -39,7 +40,8 @@ pub struct IoTracer {
     write_requests: u64,
     direct_requests: u64,
     sequential_requests: u64,
-    latency: Summary,
+    /// Summed per-request device latency, in nanoseconds.
+    latency_ns: u64,
 }
 
 impl IoTracer {
@@ -66,8 +68,7 @@ impl IoTracer {
         if completion.sequential {
             self.sequential_requests += 1;
         }
-        self.latency
-            .record(completion.latency(submitted_at).as_nanos() as f64);
+        self.latency_ns += completion.latency(submitted_at).as_nanos();
     }
 
     /// Total bytes read.
@@ -116,14 +117,9 @@ impl IoTracer {
         (useful_bytes > 0).then(|| self.read_bytes as f64 / useful_bytes as f64)
     }
 
-    /// Per-request device latency summary.
-    pub fn latency(&self) -> &Summary {
-        &self.latency
-    }
-
-    /// Mean per-request latency.
+    /// Mean per-request latency (zero when no requests were traced).
     pub fn mean_latency(&self) -> SimDuration {
-        SimDuration::from_nanos(self.latency.mean() as u64)
+        SimDuration::from_nanos(self.latency_ns.checked_div(self.requests()).unwrap_or(0))
     }
 
     /// Clears everything.
@@ -175,11 +171,11 @@ mod tests {
         assert_eq!(tracer.read_bytes(), 10 * 4096);
         assert_eq!(tracer.read_requests(), 10);
         assert_eq!(tracer.write_bytes(), 0);
-        assert_eq!(tracer.latency().count(), 10);
+        assert!(tracer.mean_latency() > SimDuration::ZERO);
         tracer.clear();
         assert_eq!(tracer.requests(), 0);
         assert_eq!(tracer.read_bytes(), 0);
-        assert_eq!(tracer.latency().count(), 0);
+        assert_eq!(tracer.mean_latency(), SimDuration::ZERO);
     }
 
     #[test]

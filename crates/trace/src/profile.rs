@@ -51,6 +51,9 @@ pub enum ProfileError {
     BadUtf8,
     /// An event names a function index past the function table.
     FuncOutOfRange,
+    /// A varint, or the sum of the event deltas, does not fit in 64
+    /// bits.
+    Overflow,
     /// Bytes remain after the checksum.
     TrailingBytes,
 }
@@ -71,6 +74,7 @@ impl fmt::Display for ProfileError {
             ProfileError::FuncOutOfRange => {
                 write!(f, "profile event names a function past the function table")
             }
+            ProfileError::Overflow => write!(f, "profile value overflows 64 bits"),
             ProfileError::TrailingBytes => write!(f, "trailing bytes after profile checksum"),
         }
     }
@@ -262,7 +266,7 @@ impl Profile {
             if func >= nfuncs as u64 {
                 return Err(ProfileError::FuncOutOfRange);
             }
-            prev += delta;
+            prev = prev.checked_add(delta).ok_or(ProfileError::Overflow)?;
             events.push(TracePoint {
                 offset: SimDuration::from_nanos(prev),
                 func: func as u32,
@@ -343,7 +347,13 @@ impl<'a> Reader<'a> {
         let mut shift = 0u32;
         loop {
             let byte = self.take(1)?[0];
-            v |= u64::from(byte & 0x7f) << shift;
+            let bits = u64::from(byte & 0x7f);
+            // The tenth byte holds only bit 63; anything above it
+            // would be shifted out silently.
+            if shift == 63 && bits > 1 {
+                return Err(ProfileError::Overflow);
+            }
+            v |= bits << shift;
             if byte & 0x80 == 0 {
                 return Ok(v);
             }
@@ -454,12 +464,40 @@ mod tests {
     }
 
     #[test]
+    fn values_that_overflow_are_rejected() {
+        let varint = |bytes: &[u8]| Reader { bytes, pos: 0 }.varint();
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(varint(&max), Ok(u64::MAX));
+        *max.last_mut().unwrap() = 0x7f;
+        assert_eq!(varint(&max), Err(ProfileError::Overflow));
+
+        // A well-formed, correctly checksummed profile whose two
+        // event deltas sum past u64::MAX nanoseconds.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&3u16.to_le_bytes());
+        bytes.extend_from_slice(b"f00");
+        for field in [128u64, 3072, 8_000, 2, 50_000_000, 2] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        for delta in [u64::MAX, 1] {
+            write_varint(&mut bytes, delta);
+            write_varint(&mut bytes, 0);
+        }
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(Profile::from_bytes(&bytes), Err(ProfileError::Overflow));
+    }
+
+    #[test]
     fn arrivals_replay_the_topology() {
         let p = sample();
         let t = p.arrivals();
         assert_eq!(t.len(), 3);
         assert_eq!(t.span(), SimDuration::from_millis(50));
-        let drawn = snapbpf_sim::ArrivalSchedule::draw(&t, 1, t.total_duration());
+        let drawn = t.draw(1, t.total_duration());
         assert_eq!(drawn.len(), 3);
         assert_eq!(drawn[0].func, Some(0));
     }

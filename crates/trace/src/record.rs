@@ -148,7 +148,6 @@ pub fn record_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snapbpf_sim::ArrivalSchedule;
 
     #[test]
     fn capture_keeps_only_arrivals() {

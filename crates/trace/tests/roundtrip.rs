@@ -8,7 +8,6 @@
 
 use proptest::prelude::*;
 use snapbpf::StrategyKind;
-use snapbpf_sim::ArrivalSchedule;
 use snapbpf_trace::{record_fleet, Profile};
 
 proptest! {
