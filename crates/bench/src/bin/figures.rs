@@ -124,6 +124,9 @@ fn parse_args() -> Result<Args, String> {
                 args.instances = value("--instances")?
                     .parse()
                     .map_err(|e| format!("bad --instances: {e}"))?;
+                if args.instances == 0 {
+                    return Err("--instances must be at least 1".into());
+                }
             }
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--verifier-log" => args.verifier_log = true,

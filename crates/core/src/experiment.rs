@@ -211,7 +211,9 @@ fn sum_stats(results: &[snapbpf_vmm::InvocationResult]) -> VmMemStats {
 ///
 /// # Errors
 ///
-/// Strategy and kernel errors propagate.
+/// [`StrategyError::Config`] when `cfg` asks for zero instances or
+/// less host memory than a kernel needs; strategy and kernel errors
+/// propagate.
 pub fn run_one(
     kind: StrategyKind,
     workload: &Workload,
@@ -226,7 +228,7 @@ pub fn run_one(
 ///
 /// # Errors
 ///
-/// Strategy and kernel errors propagate.
+/// As [`run_one`].
 pub fn run_one_with(
     strategy: &mut dyn Strategy,
     label: &'static str,
@@ -243,7 +245,7 @@ pub fn run_one_with(
 ///
 /// # Errors
 ///
-/// Strategy and kernel errors propagate.
+/// As [`run_one`].
 pub fn run_one_traced(
     kind: StrategyKind,
     workload: &Workload,
@@ -260,6 +262,11 @@ fn run_one_inner(
     cfg: &RunConfig,
     tracer: &Tracer,
 ) -> Result<RunResult, StrategyError> {
+    if cfg.instances == 0 {
+        return Err(StrategyError::Config(
+            "instances must be at least 1".to_owned(),
+        ));
+    }
     let kernel_config = kernel_config_for(cfg.memory_pages)?;
     let mut host = HostKernel::new(Disk::new(cfg.device.build()), kernel_config);
     let workload = workload.scaled(cfg.scale);
@@ -684,5 +691,23 @@ mod tests {
         }
         let cfg = RunConfig::single(0.02).with_memory_pages(min);
         assert!(run_one(StrategyKind::SnapBpf, &w, &cfg).is_ok());
+    }
+
+    #[test]
+    fn zero_instances_is_a_config_error() {
+        let w = Workload::by_name("json").unwrap();
+        let cfg = RunConfig::concurrent(0.02, 0);
+        let kind = StrategyKind::SnapBpf;
+        for err in [
+            run_one(kind, &w, &cfg).unwrap_err(),
+            run_one_with(kind.build().as_mut(), kind.label(), &w, &cfg).unwrap_err(),
+            run_one_traced(kind, &w, &cfg, &Tracer::recording()).unwrap_err(),
+        ] {
+            assert!(matches!(err, StrategyError::Config(_)), "got {err}");
+            assert!(
+                err.to_string().contains("instances must be at least 1"),
+                "{err}"
+            );
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! mechanism is exercised end-to-end, not narrated.
 
 use snapbpf_ebpf::{AccessSize, HelperId, JmpCond, MapDef, MapId, Program, ProgramBuilder, Reg};
-use snapbpf_kernel::{KFUNC_SNAPBPF_PREFETCH, PAGE_CACHE_ADD_HOOK, PROG_RET_DISABLE};
+use snapbpf_kernel::{KFUNC_SNAPBPF_PREFETCH, PROG_RET_DISABLE};
 use snapbpf_storage::FileId;
 
 use crate::wset::{OffsetSample, WsGroup};
@@ -266,8 +266,8 @@ pub fn build_prefetch_program_telemetry(
     b.build().expect("telemetry prefetch program assembles")
 }
 
-/// Verifies every shipped program — capture and prefetch — against
-/// a fresh host kernel with the verifier log enabled, returning the
+/// Verifies every shipped program — capture and prefetch — with
+/// [`snapbpf_ebpf::Verifier::verify_logged`], returning the
 /// concatenated rendered logs. This backs the `figures` CLI's
 /// `--verifier-log` flag.
 ///
@@ -275,13 +275,15 @@ pub fn build_prefetch_program_telemetry(
 ///
 /// Fails if any shipped program is rejected by the verifier.
 pub fn verifier_log_report() -> Result<String, snapbpf_kernel::KernelError> {
-    let (mut k, programs) = shipped_programs()?;
-    k.set_verifier_log(true);
-    for prog in programs {
-        let probe = k.load_and_attach(PAGE_CACHE_ADD_HOOK, &prog)?;
-        k.detach(probe)?;
+    let (k, programs) = shipped_programs()?;
+    let verifier = snapbpf_ebpf::Verifier::new(k.maps(), HOST_KFUNCS);
+    let mut logs = Vec::with_capacity(programs.len());
+    for prog in &programs {
+        let (result, log) = verifier.verify_logged(prog);
+        result?;
+        logs.push(log.render());
     }
-    Ok(k.take_verifier_logs().join("\n"))
+    Ok(logs.join("\n"))
 }
 
 /// The signatures of the kfuncs the host kernel registers, for

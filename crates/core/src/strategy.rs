@@ -73,8 +73,6 @@ pub enum StrategyError {
         /// The underlying failure.
         source: Box<StrategyError>,
     },
-    /// Writing a trace output file failed.
-    TraceIo(String),
     /// A run configuration was invalid (e.g. a zero-host cluster or
     /// an empty function mix) — reported instead of panicking so CLI
     /// surfaces can print a clean message.
@@ -91,7 +89,6 @@ impl fmt::Display for StrategyError {
             StrategyError::Stage { stage, source } => {
                 write!(f, "restore stage {stage}: {source}")
             }
-            StrategyError::TraceIo(e) => write!(f, "trace output: {e}"),
             StrategyError::Config(e) => write!(f, "config: {e}"),
         }
     }
@@ -103,7 +100,7 @@ impl std::error::Error for StrategyError {
             StrategyError::Kernel(e) => Some(e),
             StrategyError::NotRecorded { .. } => None,
             StrategyError::Stage { source, .. } => Some(source.as_ref()),
-            StrategyError::TraceIo(_) | StrategyError::Config(_) => None,
+            StrategyError::Config(_) => None,
         }
     }
 }

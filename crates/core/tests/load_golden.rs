@@ -138,7 +138,7 @@ fn render_corpus(out: &mut String) {
 }
 
 /// Loads the same shapes into one host kernel repeatedly — fresh map
-/// ids, a different size, the verifier log on and off — and renders
+/// ids and different sizes — and renders
 /// the load metrics the host emits.
 fn render_host_loads(out: &mut String) {
     let mut k = HostKernel::new(disk(), KernelConfig::default());
@@ -176,10 +176,8 @@ fn render_host_loads(out: &mut String) {
     load(&mut k, 8);
     load_capture(&mut k);
     load_capture(&mut k);
-    k.set_verifier_log(true);
     load(&mut k, 8);
     load(&mut k, 16);
-    k.set_verifier_log(false);
     load(&mut k, 16);
     let _ = writeln!(out, "== host loads");
     out.push_str(&tracer.metrics_snapshot().to_json().pretty());

@@ -9,7 +9,6 @@
 //! that the kernel translates into a [`KprobeRegistry::disable`]
 //! call.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use snapbpf_sim::Tracer;
@@ -104,8 +103,6 @@ pub struct FireResult {
 #[derive(Debug, Default)]
 pub struct KprobeRegistry {
     programs: Vec<Option<Attached>>,
-    by_hook: HashMap<String, Vec<ProbeId>>,
-    fires: u64,
     trace: Tracer,
 }
 
@@ -132,7 +129,6 @@ impl KprobeRegistry {
             runs: 0,
             insns: 0,
         }));
-        self.by_hook.entry(hook.to_owned()).or_default().push(id);
         id
     }
 
@@ -147,10 +143,7 @@ impl KprobeRegistry {
             .programs
             .get_mut(id.0 as usize)
             .ok_or(ProbeError::NoSuchProbe(id))?;
-        let attached = slot.take().ok_or(ProbeError::NoSuchProbe(id))?;
-        if let Some(list) = self.by_hook.get_mut(&attached.hook) {
-            list.retain(|&p| p != id);
-        }
+        slot.take().ok_or(ProbeError::NoSuchProbe(id))?;
         Ok(())
     }
 
@@ -202,16 +195,6 @@ impl KprobeRegistry {
         self.attached(id).map(|a| a.insns)
     }
 
-    /// Total hook firings (enabled or not).
-    pub fn fires(&self) -> u64 {
-        self.fires
-    }
-
-    /// Probe ids attached to a hook, in attach order.
-    pub fn probes_on(&self, hook: &str) -> Vec<ProbeId> {
-        self.by_hook.get(hook).cloned().unwrap_or_default()
-    }
-
     fn attached(&self, id: ProbeId) -> Result<&Attached, ProbeError> {
         self.programs
             .get(id.0 as usize)
@@ -246,10 +229,7 @@ impl KprobeRegistry {
         maps: &mut MapSet,
         kfuncs: &mut dyn KfuncHost,
     ) -> Vec<FireResult> {
-        self.fires += 1;
         let mut results = Vec::new();
-        // Slot order is attach order, which matches the per-hook
-        // id lists `probes_on` maintains.
         for (idx, slot) in self.programs.iter_mut().enumerate() {
             let Some(attached) = slot else { continue };
             if !attached.enabled || attached.hook != hook {
@@ -305,7 +285,6 @@ mod tests {
         assert_eq!(results[0].outcome.as_ref().unwrap().return_value, 1);
         assert_eq!(results[1].probe, b);
         assert_eq!(results[1].outcome.as_ref().unwrap().return_value, 2);
-        assert_eq!(probes.fires(), 1);
     }
 
     #[test]
@@ -315,7 +294,6 @@ mod tests {
         let mut interp = Interpreter::new();
         let results = probes.fire("nothing", &[], &mut interp, &mut maps, &mut NoKfuncs);
         assert!(results.is_empty());
-        assert_eq!(probes.fires(), 1);
     }
 
     #[test]
@@ -347,7 +325,6 @@ mod tests {
         let id = probes.attach("hook", ret_const(&maps, 1));
         probes.detach(id).unwrap();
         assert_eq!(probes.detach(id), Err(ProbeError::NoSuchProbe(id)));
-        assert!(probes.probes_on("hook").is_empty());
         let mut interp = Interpreter::new();
         assert!(probes
             .fire("hook", &[], &mut interp, &mut maps, &mut NoKfuncs)

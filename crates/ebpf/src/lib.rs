@@ -99,7 +99,7 @@ pub use insn::{
 };
 pub use interp::{Interpreter, KfuncHost, NoKfuncs, RunError, RunOutcome, INSN_BUDGET};
 pub use kprobe::{FireResult, KprobeRegistry, ProbeError, ProbeId};
-pub use load::{LoadCache, OptOutcome, ShapeKey};
+pub use load::{LoadCache, Loaded};
 pub use map::{MapDef, MapError, MapId, MapKind, MapSet, NCPUS};
 pub use opt::{lint_program, Diagnostic, Lint, LintReport, OptStats, PassManager, Severity};
 pub use program::{AsmError, Label, Program, ProgramBuilder};

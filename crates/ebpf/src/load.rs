@@ -1,16 +1,15 @@
-//! The program-load cache: one memo per program *shape*.
+//! The program-load cache: one entry per program *shape*.
 //!
 //! A kernel verifies a program image once at load, not once per
 //! sandbox restore, and SnapBPF reloads an identical prefetch program
 //! (modulo fresh map ids) on every cold start. Verification and
-//! optimization are pure functions of the program's [`ShapeKey`]: the
+//! optimization are pure functions of the program's shape: the
 //! instructions with each map reference replaced by the referenced
-//! map's definition, plus the kfunc signature table. So one
-//! [`LoadCache`] entry per shape holds everything a load computes —
-//! the verdict, the optimized image with its [`OptStats`], and the
-//! re-verification verdict of that image — and a load that hits it
-//! does no analysis at all. The key is computed once per load and
-//! serves every lookup.
+//! map's definition, plus the kfunc signature table. So
+//! [`LoadCache::load`] computes that shape once, and one entry per
+//! shape holds everything a load computes — the optimized image with
+//! its [`OptStats`], or the fact that the image failed
+//! re-verification — so a load that hits it does no analysis at all.
 //!
 //! Keys are compared exactly, never by hash alone, so a collision can
 //! never smuggle an unverified program past the verifier. Failed
@@ -24,7 +23,7 @@ use crate::insn::{Insn, Reg};
 use crate::map::{MapDef, MapId, MapSet};
 use crate::opt::{OptStats, PassManager};
 use crate::program::Program;
-use crate::verify::{KfuncSig, VerifiedProgram, Verifier, VerifyError};
+use crate::verify::{KfuncSig, VerifiedProgram, Verifier, VerifierStats, VerifyError};
 
 /// One instruction of a [`ShapeKey`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,16 +43,17 @@ enum ShapeInsn {
 /// the kfunc signature table. The program's name and its concrete
 /// [`MapId`]s are not part of it. Two programs with equal keys verify
 /// and optimize identically, up to renaming their maps.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ShapeKey {
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ShapeKey {
     kfuncs: Vec<KfuncSig>,
     insns: Vec<ShapeInsn>,
 }
 
 impl ShapeKey {
-    /// The shape of `program` against `maps` and `kfuncs`; `None`
-    /// when it references a map `maps` does not hold.
-    pub fn of(program: &Program, maps: &MapSet, kfuncs: &[KfuncSig]) -> Option<ShapeKey> {
+    /// The shape of `program` against `maps` and `kfuncs`, with the
+    /// program's distinct maps in slot order; `None` when it
+    /// references a map `maps` does not hold.
+    fn of(program: &Program, maps: &MapSet, kfuncs: &[KfuncSig]) -> Option<(ShapeKey, Vec<MapId>)> {
         let mut order: Vec<MapId> = Vec::new();
         let insns = program
             .insns()
@@ -76,78 +76,53 @@ impl ShapeKey {
                 other => Some(ShapeInsn::Insn(other)),
             })
             .collect::<Option<Vec<_>>>()?;
-        Some(ShapeKey {
+        let key = ShapeKey {
             kfuncs: kfuncs.to_vec(),
             insns,
+        };
+        Some((key, order))
+    }
+}
+
+/// `insns` with every map reference `m` replaced by `f(m)`.
+fn remap(insns: &[Insn], f: impl Fn(MapId) -> MapId) -> Vec<Insn> {
+    insns
+        .iter()
+        .map(|insn| match *insn {
+            Insn::LoadMapRef { dst, map } => Insn::LoadMapRef { dst, map: f(map) },
+            other => other,
         })
-    }
+        .collect()
 }
 
-/// The distinct maps `insns` reference, in first-occurrence order —
-/// the order of [`ShapeInsn::Map`] slots.
-fn distinct_maps(insns: &[Insn]) -> Vec<MapId> {
-    let mut order = Vec::new();
-    for insn in insns {
-        if let Insn::LoadMapRef { map, .. } = insn {
-            if !order.contains(map) {
-                order.push(*map);
-            }
-        }
-    }
-    order
-}
-
-/// Everything loads of one shape computed.
-#[derive(Debug, Default)]
-struct ShapeEntry {
-    /// The shape passed a full verification.
-    verified: bool,
-    /// The optimizer's result for the shape, once it ran.
-    opt: Option<CachedOpt>,
-}
-
-/// An optimized image, in terms of the maps of the program it was
-/// optimized from.
+/// Everything the first load of one shape computed.
 #[derive(Debug)]
-struct CachedOpt {
-    insns: Vec<Insn>,
-    /// The original program's distinct maps in first-occurrence
-    /// order. A later program of the same shape lists its own maps in
-    /// the same slots.
-    map_order: Vec<MapId>,
+struct ShapeEntry {
+    /// The optimized image in slot form: each map reference holds its
+    /// first-occurrence slot (`MapId::from_raw(slot)`), so it rebases
+    /// onto any program of the shape. `None` when the image failed
+    /// re-verification and the original is attached instead.
+    image: Option<Vec<Insn>>,
     stats: OptStats,
-    /// Whether the optimized image passed re-verification.
-    reverified: bool,
 }
 
-impl CachedOpt {
-    /// The cached image rebased onto `original`'s maps, slot by slot;
-    /// `None` (a miss) when a reference does not translate.
-    fn rebase(&self, original: &Program) -> Option<Program> {
-        let ours = distinct_maps(original.insns());
-        if ours.len() != self.map_order.len() {
-            return None;
-        }
-        let mut insns = self.insns.clone();
-        for insn in &mut insns {
-            if let Insn::LoadMapRef { map, .. } = insn {
-                let slot = self.map_order.iter().position(|m| m == map)?;
-                *map = ours[slot];
-            }
-        }
-        Some(Program::from_raw(original.name().to_string(), insns))
-    }
-}
-
-/// What the optimize step of one load did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptOutcome {
+/// What one [`LoadCache::load`] attached and what the kernel reports
+/// about it.
+#[derive(Debug)]
+pub struct Loaded {
+    /// The image to attach: the optimized one when it re-verified,
+    /// the original otherwise.
+    pub attached: VerifiedProgram,
+    /// The statistics of the verifier's walk of the original image;
+    /// empty on a cache hit, which walks nothing.
+    pub verifier: VerifierStats,
     /// The optimizer's statistics for the program's shape.
-    pub stats: OptStats,
-    /// The image came from the cache; the optimizer did not run.
+    pub opt: OptStats,
+    /// The shape was cached: neither the verifier nor the optimizer
+    /// ran.
     pub cache_hit: bool,
     /// The optimized image failed re-verification, so the original
-    /// image is attached instead.
+    /// image is attached.
     pub reverify_rejected: bool,
 }
 
@@ -158,90 +133,77 @@ pub struct LoadCache {
 }
 
 impl LoadCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        LoadCache::default()
-    }
-
-    /// Verifies `program` unless a program of its shape (`key`)
-    /// already verified. A hit skips the walk entirely: the token
-    /// carries empty `VerifierStats`, and the returned flag is `true`.
-    /// Pass `None` for a program whose shape does not resolve; it is
-    /// verified uncached.
+    /// Loads `program` against `maps` and `kfuncs`: verifies it,
+    /// optimizes it and re-verifies the optimized image, or replays
+    /// all three from the entry of its shape, rebased onto
+    /// `program`'s maps. The re-verification reports nothing, so the
+    /// optimizer never changes what the verifier reports about the
+    /// program the author wrote. A program whose maps do not resolve
+    /// has no shape and is loaded uncached.
     ///
     /// # Errors
     ///
-    /// Returns the first [`VerifyError`] found on any path.
-    pub fn verify(
+    /// Returns the first [`VerifyError`] found on any path of the
+    /// original image.
+    pub fn load(
         &mut self,
         program: &Program,
-        key: Option<&ShapeKey>,
         maps: &MapSet,
         kfuncs: &[KfuncSig],
-    ) -> (Result<VerifiedProgram, VerifyError>, bool) {
-        let Some(key) = key else {
-            return (Verifier::new(maps, kfuncs).verify(program), false);
-        };
-        if self.shapes.get(key).is_some_and(|e| e.verified) {
-            return (Ok(VerifiedProgram::proven(program.clone())), true);
-        }
-        let result = Verifier::new(maps, kfuncs).verify(program);
-        if result.is_ok() {
-            self.shapes.entry(key.clone()).or_default().verified = true;
-        }
-        (result, false)
-    }
-
-    /// Optimizes an accepted program and re-verifies the optimized
-    /// image, or replays both from the entry for `key`. Returns the
-    /// image to attach: the optimized one when it re-verified,
-    /// `verified` (the original) otherwise.
-    pub fn optimize(
-        &mut self,
-        program: &Program,
-        key: Option<&ShapeKey>,
-        verified: VerifiedProgram,
-        maps: &MapSet,
-        kfuncs: &[KfuncSig],
-    ) -> (VerifiedProgram, OptOutcome) {
-        let hit = key
-            .and_then(|k| self.shapes.get(k)?.opt.as_ref())
-            .and_then(|c| Some((c.rebase(program)?, c.stats.clone(), c.reverified)));
-        if let Some((optimized, stats, reverified)) = hit {
-            let attached = if reverified {
-                VerifiedProgram::proven(optimized)
-            } else {
-                verified
-            };
-            return (
-                attached,
-                OptOutcome {
-                    stats,
+    ) -> Result<Loaded, VerifyError> {
+        let shape = ShapeKey::of(program, maps, kfuncs);
+        if let Some((key, order)) = &shape {
+            if let Some(entry) = self.shapes.get(key) {
+                let attached = match &entry.image {
+                    Some(image) => Program::from_raw(
+                        program.name().to_string(),
+                        remap(image, |slot| order[slot.as_u32() as usize]),
+                    ),
+                    None => program.clone(),
+                };
+                return Ok(Loaded {
+                    attached: VerifiedProgram::proven(attached),
+                    verifier: VerifierStats::default(),
+                    opt: entry.stats.clone(),
                     cache_hit: true,
-                    reverify_rejected: !reverified,
+                    reverify_rejected: entry.image.is_none(),
+                });
+            }
+        }
+        let verifier = Verifier::new(maps, kfuncs);
+        let verified = verifier.verify(program)?;
+        let (optimized, stats) = PassManager::new().optimize(program, maps, kfuncs);
+        // The entry's image is built before the re-verify walk, so the
+        // walk's scratch memory is freed above every allocation that
+        // outlives the load and the allocator can hand it back (built
+        // after, it pinned about 1 MiB more peak RSS in fleet-warm).
+        let slotted = shape.map(|(key, order)| {
+            let image = remap(optimized.insns(), |map| {
+                let slot = order
+                    .iter()
+                    .position(|m| *m == map)
+                    .expect("the optimizer only keeps or drops the program's map references");
+                MapId::from_raw(slot as u32)
+            });
+            (key, image)
+        });
+        let reverified = verifier.verify(&optimized).ok();
+        if let Some((key, image)) = slotted {
+            self.shapes.insert(
+                key,
+                ShapeEntry {
+                    image: reverified.is_some().then_some(image),
+                    stats: stats.clone(),
                 },
             );
         }
-        let (optimized, stats) = PassManager::new().optimize(program, maps, kfuncs);
-        let optimized_key = ShapeKey::of(&optimized, maps, kfuncs);
-        let (reverified, _) = self.verify(&optimized, optimized_key.as_ref(), maps, kfuncs);
-        if let Some(key) = key {
-            self.shapes.entry(key.clone()).or_default().opt = Some(CachedOpt {
-                insns: optimized.insns().to_vec(),
-                map_order: distinct_maps(program.insns()),
-                stats: stats.clone(),
-                reverified: reverified.is_ok(),
-            });
-        }
-        let reverify_rejected = reverified.is_err();
-        (
-            reverified.unwrap_or(verified),
-            OptOutcome {
-                stats,
-                cache_hit: false,
-                reverify_rejected,
-            },
-        )
+        Ok(Loaded {
+            reverify_rejected: reverified.is_none(),
+            verifier: verified.stats().clone(),
+            attached: reverified.unwrap_or(verified),
+            opt: stats,
+            cache_hit: false,
+        })
     }
 }
 
@@ -288,7 +250,7 @@ mod tests {
     }
 
     fn key(program: &Program, maps: &MapSet, kfuncs: &[KfuncSig]) -> ShapeKey {
-        ShapeKey::of(program, maps, kfuncs).expect("maps resolve")
+        ShapeKey::of(program, maps, kfuncs).expect("maps resolve").0
     }
 
     #[test]
@@ -296,23 +258,21 @@ mod tests {
         let mut maps = MapSet::new();
         let a = maps.create(MapDef::array(8, 16)).unwrap();
         let b = maps.create(MapDef::array(8, 16)).unwrap();
-        let mut cache = LoadCache::new();
+        let mut cache = LoadCache::default();
 
-        let p1 = lookup_program("p1", a, 0);
-        let (first, hit) = cache.verify(&p1, Some(&key(&p1, &maps, &[])), &maps, &[]);
-        assert!(first.unwrap().states_explored() > 0, "first load walks");
-        assert!(!hit);
+        let first = cache.load(&lookup_program("p1", a, 0), &maps, &[]).unwrap();
+        assert!(first.verifier.states_explored > 0, "first load walks");
+        assert!(!first.cache_hit);
         assert_eq!(cache.shapes.len(), 1);
 
         // Different map id, identical definition: verifier-equivalent.
-        let p2 = lookup_program("p2", b, 0);
-        let (second, hit) = cache.verify(&p2, Some(&key(&p2, &maps, &[])), &maps, &[]);
+        let second = cache.load(&lookup_program("p2", b, 0), &maps, &[]).unwrap();
         assert_eq!(
-            second.unwrap().states_explored(),
-            0,
+            second.verifier,
+            VerifierStats::default(),
             "cache hit does no work"
         );
-        assert!(hit);
+        assert!(second.cache_hit);
         assert_eq!(cache.shapes.len(), 1);
     }
 
@@ -321,12 +281,14 @@ mod tests {
         let mut maps = MapSet::new();
         let small = maps.create(MapDef::array(8, 16)).unwrap();
         let big = maps.create(MapDef::array(8, 1024)).unwrap();
-        let mut cache = LoadCache::new();
+        let mut cache = LoadCache::default();
         for m in [small, big] {
-            let p = lookup_program("p", m, 0);
-            let (result, hit) = cache.verify(&p, Some(&key(&p, &maps, &[])), &maps, &[]);
-            assert!(result.unwrap().states_explored() > 0);
-            assert!(!hit, "different max_entries is a different shape");
+            let loaded = cache.load(&lookup_program("p", m, 0), &maps, &[]).unwrap();
+            assert!(loaded.verifier.states_explored > 0);
+            assert!(
+                !loaded.cache_hit,
+                "different max_entries is a different shape"
+            );
         }
         assert_eq!(cache.shapes.len(), 2);
     }
@@ -345,15 +307,12 @@ mod tests {
             .load(Reg::R0, Reg::R0, 0, AccessSize::B8)
             .exit();
         let prog = b.build().unwrap();
-        let k = key(&prog, &maps, &[]);
-        let mut cache = LoadCache::new();
+        let mut cache = LoadCache::default();
         for _ in 0..2 {
-            let (result, hit) = cache.verify(&prog, Some(&k), &maps, &[]);
             assert!(matches!(
-                result.unwrap_err().kind,
+                cache.load(&prog, &maps, &[]).unwrap_err().kind,
                 VerifyErrorKind::PossiblyNull(_)
             ));
-            assert!(!hit);
         }
         assert!(cache.shapes.is_empty());
     }
@@ -394,19 +353,15 @@ mod tests {
             maps.create(MapDef::percpu_array(8, 16)).unwrap(),
             maps.create(MapDef::array(16, 16)).unwrap(),
         ];
-        let mut cache = LoadCache::new();
-        let mut load = |p: &Program, kfuncs: &[KfuncSig]| {
-            let k = key(p, &maps, kfuncs);
-            let (verified, hit) = cache.verify(p, Some(&k), &maps, kfuncs);
-            let (_, opt) = cache.optimize(p, Some(&k), verified.unwrap(), &maps, kfuncs);
-            (hit, opt.cache_hit)
-        };
+        let mut cache = LoadCache::default();
+        let mut hit =
+            |p: &Program, kfuncs: &[KfuncSig]| cache.load(p, &maps, kfuncs).unwrap().cache_hit;
         for m in ms {
-            assert_eq!(load(&lookup_program("p", m, 0), KFUNCS), (false, false));
+            assert!(!hit(&lookup_program("p", m, 0), KFUNCS));
         }
-        assert_eq!(load(&lookup_program("p", ms[0], 0), &[]), (false, false));
-        assert_eq!(load(&lookup_program("p", ms[0], 1), KFUNCS), (false, false));
-        assert_eq!(load(&lookup_program("p", ms[0], 0), KFUNCS), (true, true));
+        assert!(!hit(&lookup_program("p", ms[0], 0), &[]));
+        assert!(!hit(&lookup_program("p", ms[0], 1), KFUNCS));
+        assert!(hit(&lookup_program("p", ms[0], 0), KFUNCS));
     }
 
     #[test]
@@ -414,40 +369,30 @@ mod tests {
         let mut maps = MapSet::new();
         let a = maps.create(MapDef::array(8, 16)).unwrap();
         let b = maps.create(MapDef::array(8, 16)).unwrap();
-        let mut cache = LoadCache::new();
-        let mut load = |p: &Program| {
-            let k = key(p, &maps, KFUNCS);
-            let (verified, _) = cache.verify(p, Some(&k), &maps, KFUNCS);
-            cache.optimize(p, Some(&k), verified.unwrap(), &maps, KFUNCS)
-        };
-        let (first, miss) = load(&lookup_program("p1", a, 0));
-        let (second, hit) = load(&lookup_program("p2", b, 0));
+        let mut cache = LoadCache::default();
+        let miss = cache
+            .load(&lookup_program("p1", a, 0), &maps, KFUNCS)
+            .unwrap();
+        let hit = cache
+            .load(&lookup_program("p2", b, 0), &maps, KFUNCS)
+            .unwrap();
         assert!(!miss.cache_hit && hit.cache_hit);
-        assert_eq!(miss.stats, hit.stats);
+        assert_eq!(miss.opt, hit.opt);
         assert!(!hit.reverify_rejected);
-        assert_eq!(second.program().name(), "p2");
-        assert_eq!(
-            distinct_maps(second.program().insns()),
-            vec![b],
-            "the hit references the caller's map"
-        );
-        // Identical image up to the map id.
-        let renamed: Vec<Insn> = first
-            .program()
-            .insns()
-            .iter()
-            .map(|i| match *i {
-                Insn::LoadMapRef { dst, .. } => Insn::LoadMapRef { dst, map: b },
-                other => other,
-            })
-            .collect();
-        assert_eq!(second.program().insns(), renamed.as_slice());
+        assert_eq!(hit.attached.program().name(), "p2");
+        // Identical image up to the map id: the hit references the
+        // caller's map.
+        let renamed = remap(miss.attached.program().insns(), |m| {
+            assert_eq!(m, a);
+            b
+        });
+        assert_eq!(hit.attached.program().insns(), renamed.as_slice());
         assert_eq!(
             Verifier::new(&maps, KFUNCS)
-                .verify(second.program())
+                .verify(hit.attached.program())
                 .map(|v| v.stats().clone()),
             Verifier::new(&maps, KFUNCS)
-                .verify(first.program())
+                .verify(miss.attached.program())
                 .map(|v| v.stats().clone())
         );
     }
@@ -457,48 +402,19 @@ mod tests {
         let mut maps = MapSet::new();
         let a = maps.create(MapDef::array(8, 16)).unwrap();
         let p = lookup_program("p", a, 0);
-        let k = key(&p, &maps, KFUNCS);
-        let mut cache = LoadCache::new();
+        let mut cache = LoadCache::default();
         cache.shapes.insert(
-            k.clone(),
+            key(&p, &maps, KFUNCS),
             ShapeEntry {
-                verified: true,
-                opt: Some(CachedOpt {
-                    insns: vec![Insn::Exit],
-                    map_order: vec![a],
-                    stats: OptStats::default(),
-                    reverified: false,
-                }),
+                image: None,
+                stats: OptStats::default(),
             },
         );
         for _ in 0..2 {
-            let (verified, hit) = cache.verify(&p, Some(&k), &maps, KFUNCS);
-            assert!(hit);
-            let (attached, outcome) =
-                cache.optimize(&p, Some(&k), verified.unwrap(), &maps, KFUNCS);
-            assert!(outcome.cache_hit && outcome.reverify_rejected);
-            assert_eq!(attached.program().insns(), p.insns());
+            let loaded = cache.load(&p, &maps, KFUNCS).unwrap();
+            assert!(loaded.cache_hit && loaded.reverify_rejected);
+            assert_eq!(loaded.attached.program().insns(), p.insns());
         }
-    }
-
-    #[test]
-    fn untranslatable_rebase_is_a_miss_not_a_panic() {
-        let mut maps = MapSet::new();
-        let a = maps.create(MapDef::array(8, 16)).unwrap();
-        let b = maps.create(MapDef::array(8, 16)).unwrap();
-        let cached = CachedOpt {
-            // References a map the original never did.
-            insns: lookup_program("p", b, 0).insns().to_vec(),
-            map_order: vec![a],
-            stats: OptStats::default(),
-            reverified: true,
-        };
-        assert!(cached.rebase(&lookup_program("p", a, 0)).is_none());
-        let two_maps = CachedOpt {
-            map_order: vec![a, b],
-            ..cached
-        };
-        assert!(two_maps.rebase(&lookup_program("p", a, 0)).is_none());
     }
 
     #[test]
@@ -523,9 +439,8 @@ mod tests {
         let maps = MapSet::new();
         let p = lookup_program("p", MapId::from_raw(3), 0);
         assert!(ShapeKey::of(&p, &maps, &[]).is_none());
-        let mut cache = LoadCache::new();
-        let (result, hit) = cache.verify(&p, None, &maps, &[]);
-        assert!(result.is_err() && !hit);
+        let mut cache = LoadCache::default();
+        assert!(cache.load(&p, &maps, &[]).is_err());
         assert!(cache.shapes.is_empty());
     }
 }

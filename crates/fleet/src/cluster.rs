@@ -44,8 +44,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use snapbpf_sim::{
-    chrome_trace_json, MetricsRegistry, SeriesRegistry, SimDuration, SimTime, TraceEvent, Tracer,
-    TracerClass, TID_CONTROL, TID_DISK, TID_KERNEL,
+    MetricsRegistry, SeriesRegistry, SimDuration, SimTime, TraceEvent, Tracer, TracerClass,
+    TID_CONTROL, TID_DISK, TID_KERNEL,
 };
 use snapbpf_workloads::{FunctionSpec, Workload};
 
@@ -53,7 +53,7 @@ use crate::config::{FaultKind, FleetConfig, RetryPolicy};
 use crate::host::{build_host, draw_arrivals, Host, Request};
 use crate::metrics::FuncStats;
 use crate::placement::{HostView, PlacementPolicy};
-use snapbpf::{kernel_config_for, StrategyError};
+use snapbpf::StrategyError;
 
 /// Everything one host of a cluster run measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,8 +164,6 @@ pub(crate) fn validate(cfg: &FleetConfig, workloads: &[Workload]) -> Result<(), 
             cfg.scale
         )));
     }
-    // Each host's kernel rejects memory below its minimum.
-    kernel_config_for(cfg.memory_pages)?;
     if let Some(Err(msg)) = cfg.arrival.process().map(|p| p.check()) {
         return Err(StrategyError::Config(msg.to_owned()));
     }
@@ -889,11 +887,6 @@ fn drive(
     }
 
     let metrics = tracer.metrics_snapshot();
-    if let Some(path) = &cfg.trace_out {
-        let json = chrome_trace_json(&tracer.take_events(), Some(&metrics));
-        std::fs::write(path, json.pretty())
-            .map_err(|e| StrategyError::TraceIo(format!("{}: {e}", path.display())))?;
-    }
     Ok(ClusterResult {
         strategy: cfg.strategy.label(),
         placement: cfg.placement.label(),
@@ -992,22 +985,6 @@ mod tests {
             let err = run(&cfg, &w).unwrap_err();
             assert!(matches!(err, StrategyError::Config(_)), "got {err}");
             assert!(err.to_string().contains("scale must be in (0, 1]"), "{err}");
-        }
-    }
-
-    #[test]
-    fn memory_below_the_host_minimum_is_a_config_error() {
-        let w: Vec<Workload> = vec![Workload::by_name("json").unwrap()];
-        for (hosts, pages) in [(1, 16), (1, 0), (2, 16), (2, 0)] {
-            let mut cfg = FleetConfig::new(StrategyKind::SnapBpf, 1, 10.0);
-            cfg.hosts = hosts;
-            cfg.memory_pages = Some(pages);
-            let err = run(&cfg, &w).unwrap_err();
-            assert!(matches!(err, StrategyError::Config(_)), "got {err}");
-            assert!(
-                err.to_string().contains("pages a host kernel needs"),
-                "{err}"
-            );
         }
     }
 

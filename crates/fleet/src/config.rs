@@ -1,7 +1,5 @@
 //! Fleet run configuration.
 
-use std::path::PathBuf;
-
 use snapbpf::{DeviceKind, StrategyKind};
 use snapbpf_sim::{ArrivalProcess, ArrivalSource, SimDuration, TraceArrival};
 use snapbpf_workloads::FunctionMix;
@@ -226,8 +224,6 @@ pub struct FleetConfig {
     /// Maximum parked idle sandboxes (LRU beyond; 0 = every start is
     /// cold).
     pub pool_capacity: usize,
-    /// Optional host-memory cap in pages (`None` = kernel default).
-    pub memory_pages: Option<u64>,
     /// How cold-start restores interleave with other host events.
     pub restore_mode: RestoreMode,
     /// Number of hosts in a cluster run; each host gets its own
@@ -250,9 +246,6 @@ pub struct FleetConfig {
     pub cache_budget_pages: Option<u64>,
     /// Optional tenant assignment for interference experiments.
     pub tenants: Option<TenancyConfig>,
-    /// When set, the run's Chrome trace-event JSON is written here
-    /// (requires an event-retaining tracer on the [`crate::Runner`]).
-    pub trace_out: Option<PathBuf>,
 }
 
 impl FleetConfig {
@@ -273,7 +266,6 @@ impl FleetConfig {
             queue_depth: 64,
             keepalive_ttl: SimDuration::from_secs(1),
             pool_capacity: 8,
-            memory_pages: None,
             restore_mode: RestoreMode::default(),
             hosts: 1,
             placement: PlacementKind::default(),
@@ -281,7 +273,6 @@ impl FleetConfig {
             faults: FaultSchedule::default(),
             cache_budget_pages: None,
             tenants: None,
-            trace_out: None,
         }
     }
 
@@ -338,13 +329,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_distribution(mut self, distribution: SnapshotDistribution) -> FleetConfig {
         self.distribution = distribution;
-        self
-    }
-
-    /// Same configuration writing a Chrome trace to `path`.
-    #[must_use]
-    pub fn with_trace_out(mut self, path: PathBuf) -> FleetConfig {
-        self.trace_out = Some(path);
         self
     }
 

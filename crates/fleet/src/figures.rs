@@ -877,6 +877,24 @@ mod tests {
             .and_then(|j| j.as_array())
             .expect("traceEvents array");
         assert!(!events.is_empty());
+        for e in events {
+            assert!(e.get("name").and_then(|j| j.as_str()).is_some());
+            assert!(e.get("pid").and_then(|j| j.as_u64()).is_some());
+            assert!(e.get("tid").and_then(|j| j.as_u64()).is_some());
+            match e.get("ph").and_then(|j| j.as_str()).expect("ph") {
+                "X" => assert!(e.get("ts").is_some() && e.get("dur").is_some()),
+                "i" => assert!(e.get("ts").is_some()),
+                "M" => {}
+                other => panic!("unknown phase `{other}`"),
+            }
+        }
+        assert!(
+            events
+                .iter()
+                .any(|e| e.get("ph").and_then(|j| j.as_str()) != Some("M")),
+            "trace has metadata only"
+        );
+        assert!(parsed.get("metrics").is_some());
         // One Chrome process row per strategy.
         let pids: std::collections::BTreeSet<u64> = events
             .iter()

@@ -11,10 +11,8 @@
 
 use std::collections::VecDeque;
 
-use snapbpf::{
-    kernel_config_for, FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError,
-};
-use snapbpf_kernel::HostKernel;
+use snapbpf::{FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError};
+use snapbpf_kernel::{HostKernel, KernelConfig};
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{sandbox_tid, SimDuration, SimTime, SplitMix64, Tracer, TID_CONTROL};
 use snapbpf_storage::{Disk, IoTracer};
@@ -137,8 +135,10 @@ pub(crate) fn build_host<'a>(
     workloads: &[Workload],
     tracer: &Tracer,
 ) -> Result<(Host<'a>, SimTime), StrategyError> {
-    let mut kernel_config = kernel_config_for(cfg.memory_pages)?;
-    kernel_config.page_cache_budget_pages = cfg.cache_budget_pages;
+    let kernel_config = KernelConfig {
+        page_cache_budget_pages: cfg.cache_budget_pages,
+        ..KernelConfig::default()
+    };
     let mut kernel = HostKernel::new(Disk::new(cfg.device.build()), kernel_config);
 
     let mut t = SimTime::ZERO;

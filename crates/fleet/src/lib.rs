@@ -93,7 +93,7 @@
 #![warn(missing_docs)]
 
 use snapbpf::StrategyError;
-use snapbpf_sim::{chrome_trace_json, Tracer, TID_CONTROL, TID_DISK, TID_KERNEL};
+use snapbpf_sim::{Tracer, TID_CONTROL, TID_DISK, TID_KERNEL};
 use snapbpf_workloads::Workload;
 
 mod cluster;
@@ -184,11 +184,6 @@ pub(crate) fn fleet_impl(
         aggregate.merge(f);
     }
     let metrics = tracer.metrics_snapshot();
-    if let Some(path) = &cfg.trace_out {
-        let json = chrome_trace_json(&tracer.take_events(), Some(&metrics));
-        std::fs::write(path, json.pretty())
-            .map_err(|e| StrategyError::TraceIo(format!("{}: {e}", path.display())))?;
-    }
     Ok(FleetResult {
         strategy: cfg.strategy.label(),
         per_function: fleet.per_func,
@@ -374,50 +369,5 @@ mod tests {
                 stage.label()
             );
         }
-    }
-
-    #[test]
-    fn trace_out_writes_parseable_chrome_json() {
-        let w = small_suite();
-        let path =
-            std::env::temp_dir().join(format!("snapbpf-fleet-trace-{}.json", std::process::id()));
-        let cfg = small_cfg(StrategyKind::Reap, 30.0).with_trace_out(path.clone());
-        let r = run_fleet_with(&cfg, &w, &Tracer::recording()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let parsed = snapbpf_sim::Json::parse(&text).expect("trace file reparses");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(|j| j.as_array())
-            .expect("traceEvents array");
-        assert!(!events.is_empty());
-        for e in events {
-            assert!(e.get("name").and_then(|j| j.as_str()).is_some());
-            assert!(e.get("pid").and_then(|j| j.as_u64()).is_some());
-            assert!(e.get("tid").and_then(|j| j.as_u64()).is_some());
-            match e.get("ph").and_then(|j| j.as_str()).expect("ph") {
-                "X" => assert!(e.get("ts").is_some() && e.get("dur").is_some()),
-                "i" => assert!(e.get("ts").is_some()),
-                "M" => {}
-                other => panic!("unknown phase `{other}`"),
-            }
-        }
-        assert!(
-            events
-                .iter()
-                .any(|e| e.get("ph").and_then(|j| j.as_str()) != Some("M")),
-            "trace has metadata only"
-        );
-        assert!(parsed.get("metrics").is_some());
-        assert!(r.metrics.counter("fleet.arrivals") > 0);
-    }
-
-    #[test]
-    fn trace_out_unwritable_parent_reports_trace_io() {
-        let w = small_suite();
-        let path = std::path::PathBuf::from("/nonexistent-dir/fleet-trace.json");
-        let cfg = small_cfg(StrategyKind::Reap, 30.0).with_trace_out(path);
-        let err = run_fleet_with(&cfg, &w, &Tracer::recording()).unwrap_err();
-        assert!(matches!(err, StrategyError::TraceIo(_)), "got {err}");
     }
 }

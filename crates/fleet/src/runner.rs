@@ -128,9 +128,8 @@ impl<'a> Runner<'a> {
     }
 
     /// Collects events and metrics through `tracer` (pass
-    /// [`Tracer::recording`] to retain Chrome trace events; when
-    /// `cfg.trace_out` is set they are written there as Chrome
-    /// trace-event JSON). Tracing never perturbs the simulation.
+    /// [`Tracer::recording`] to retain Chrome trace events). Tracing
+    /// never perturbs the simulation.
     pub fn tracer(mut self, tracer: &'a Tracer) -> Runner<'a> {
         self.tracer = Some(tracer);
         self
@@ -162,12 +161,9 @@ impl<'a> Runner<'a> {
     ///
     /// [`StrategyError::Config`] for an invalid configuration (zero
     /// hosts, an empty or mismatched function mix, zero
-    /// `max_concurrency`, a scale outside `(0, 1]`, a memory cap below
-    /// [`snapbpf_kernel::KernelConfig::MIN_MEMORY_PAGES`], an invalid
-    /// arrival process, a placement decision outside the host range);
-    /// strategy and kernel errors propagate;
-    /// [`StrategyError::TraceIo`] reports a failed `trace_out`
-    /// write.
+    /// `max_concurrency`, a scale outside `(0, 1]`, an invalid arrival
+    /// process, a placement decision outside the host range); strategy
+    /// and kernel errors propagate.
     pub fn run(self) -> Result<RunOutput, StrategyError> {
         let fallback = Tracer::noop();
         let tracer = self.tracer.unwrap_or(&fallback);

@@ -213,8 +213,6 @@ pub struct HostKernel {
     ebpf_cpu: SimDuration,
     telemetry: Option<TelemetryDrain>,
     trace: Tracer,
-    verifier_log_enabled: bool,
-    verifier_logs: Vec<String>,
     load_cache: snapbpf_ebpf::LoadCache,
 }
 
@@ -253,9 +251,7 @@ impl HostKernel {
             ebpf_cpu: SimDuration::ZERO,
             telemetry: None,
             trace: Tracer::disabled(),
-            verifier_log_enabled: false,
-            verifier_logs: Vec::new(),
-            load_cache: snapbpf_ebpf::LoadCache::new(),
+            load_cache: snapbpf_ebpf::LoadCache::default(),
             config,
         }
     }
@@ -316,18 +312,19 @@ impl HostKernel {
         Ok(self.maps.create(def)?)
     }
 
-    /// Verifies `program` against the current maps and kfuncs and
-    /// attaches it to `hook` — the `bpf()` load + attach path.
+    /// Verifies `program` against the current maps and kfuncs,
+    /// optimizes it, and attaches it to `hook` — the `bpf()` load +
+    /// attach path.
     ///
     /// Loads are memoized per program *shape*
-    /// ([`snapbpf_ebpf::LoadCache`], keyed by one
-    /// [`snapbpf_ebpf::ShapeKey`] computed per load): reloading an
-    /// identically-shaped program against identically-defined maps —
-    /// what every SnapBPF cold restore after the first does — skips
-    /// the abstract-interpretation walk and counts as
-    /// `ebpf.verifier.cache_hits` instead of processed instructions.
-    /// The verdict cache is bypassed while verifier-log capture is on,
-    /// so captured logs always reflect a full walk.
+    /// ([`snapbpf_ebpf::LoadCache`]): reloading an identically-shaped
+    /// program against identically-defined maps — what every SnapBPF
+    /// cold restore after the first does — skips the verifier walk
+    /// and the optimizer and counts as `ebpf.verifier.cache_hits`
+    /// instead of processed instructions. The optimized image is
+    /// attached only when it passes the verifier again; otherwise the
+    /// original is kept and `ebpf.opt.reverify_rejections` counts the
+    /// fallback.
     ///
     /// # Errors
     ///
@@ -337,25 +334,10 @@ impl HostKernel {
         hook: &str,
         program: &Program,
     ) -> Result<ProbeId, KernelError> {
-        let key = snapbpf_ebpf::ShapeKey::of(program, &self.maps, &self.kfunc_sigs);
-        let (result, stats) = if self.verifier_log_enabled {
-            let verifier = snapbpf_ebpf::Verifier::new(&self.maps, &self.kfunc_sigs);
-            let (result, log) = verifier.verify_logged(program);
-            let stats = log.stats().clone();
-            self.verifier_logs.push(log.render());
-            (result, stats)
-        } else {
-            let (result, hit) =
-                self.load_cache
-                    .verify(program, key.as_ref(), &self.maps, &self.kfunc_sigs);
-            if hit {
-                self.trace.incr("ebpf.verifier.cache_hits");
-            }
-            let stats = match &result {
-                Ok(v) => v.stats().clone(),
-                Err(_) => snapbpf_ebpf::VerifierStats::default(),
-            };
-            (result, stats)
+        let result = self.load_cache.load(program, &self.maps, &self.kfunc_sigs);
+        let stats = match &result {
+            Ok(loaded) => loaded.verifier.clone(),
+            Err(_) => snapbpf_ebpf::VerifierStats::default(),
         };
         self.trace
             .add("ebpf.verifier.insns_processed", stats.insns_processed);
@@ -366,69 +348,27 @@ impl HostKernel {
             "ebpf.verifier.peak_branch_depth",
             stats.peak_branch_depth as u64,
         );
-        match result {
-            Ok(verified) => {
-                self.trace.incr("ebpf.verifier.programs");
-                let attached = self.optimize_for_attach(program, key.as_ref(), verified);
-                Ok(self.probes.attach(hook, attached))
-            }
+        let loaded = match result {
+            Ok(loaded) => loaded,
             Err(e) => {
                 self.trace.incr("ebpf.verifier.rejections");
-                Err(e.into())
+                return Err(e.into());
             }
-        }
-    }
-
-    /// Runs the optimization pipeline on an accepted program and
-    /// re-verifies the result. The optimized image is attached only
-    /// when it passes the verifier again; otherwise the original
-    /// `verified` image is kept and `ebpf.opt.reverify_rejections`
-    /// counts the fallback. The optimized image and both verdicts are
-    /// memoized in the same shape entry as the verdict.
-    fn optimize_for_attach(
-        &mut self,
-        program: &Program,
-        key: Option<&snapbpf_ebpf::ShapeKey>,
-        verified: snapbpf_ebpf::VerifiedProgram,
-    ) -> snapbpf_ebpf::VerifiedProgram {
-        // Re-verification is silent: no verifier metrics or captured
-        // logs, so the optimizer never changes what the verifier
-        // reports about the program the author wrote.
-        let (attached, outcome) =
-            self.load_cache
-                .optimize(program, key, verified, &self.maps, &self.kfunc_sigs);
-        if outcome.cache_hit {
+        };
+        self.trace.incr("ebpf.verifier.programs");
+        self.trace.incr("ebpf.opt.programs");
+        if loaded.cache_hit {
+            self.trace.incr("ebpf.verifier.cache_hits");
             self.trace.incr("ebpf.opt.cache_hits");
         }
-        self.trace.incr("ebpf.opt.programs");
         self.trace
-            .add("ebpf.opt.insns_before", outcome.stats.insns_before);
+            .add("ebpf.opt.insns_before", loaded.opt.insns_before);
         self.trace
-            .add("ebpf.opt.insns_after", outcome.stats.insns_after);
-        if outcome.reverify_rejected {
+            .add("ebpf.opt.insns_after", loaded.opt.insns_after);
+        if loaded.reverify_rejected {
             self.trace.incr("ebpf.opt.reverify_rejections");
         }
-        attached
-    }
-
-    /// Enables or disables verifier-log capture: when enabled, every
-    /// subsequent [`Self::load_and_attach`] retains its rendered
-    /// [`snapbpf_ebpf::VerifierLog`] (accepted *and* rejected loads)
-    /// for [`Self::verifier_logs`].
-    pub fn set_verifier_log(&mut self, enabled: bool) {
-        self.verifier_log_enabled = enabled;
-    }
-
-    /// Rendered verifier logs captured since the last
-    /// [`Self::take_verifier_logs`], in load order. Empty unless
-    /// [`Self::set_verifier_log`] enabled capture.
-    pub fn verifier_logs(&self) -> &[String] {
-        &self.verifier_logs
-    }
-
-    /// Drains the captured verifier logs.
-    pub fn take_verifier_logs(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.verifier_logs)
+        Ok(self.probes.attach(hook, loaded.attached))
     }
 
     /// Detaches a program.
