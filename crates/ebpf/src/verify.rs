@@ -537,7 +537,6 @@ impl fmt::Display for VerifierLog {
 pub struct VerifiedProgram {
     program: Program,
     stats: VerifierStats,
-    log: Option<String>,
 }
 
 impl VerifiedProgram {
@@ -547,7 +546,6 @@ impl VerifiedProgram {
         VerifiedProgram {
             program,
             stats: VerifierStats::default(),
-            log: None,
         }
     }
 
@@ -564,12 +562,6 @@ impl VerifiedProgram {
     /// Summary statistics from the verification run.
     pub fn stats(&self) -> &VerifierStats {
         &self.stats
-    }
-
-    /// The rendered verifier log, when verification ran with logging
-    /// enabled ([`Verifier::verify_logged`]).
-    pub fn log(&self) -> Option<&str> {
-        self.log.as_deref()
     }
 }
 
@@ -713,8 +705,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// Verifies `program` with the verifier log enabled; the log is
-    /// returned alongside the result (and also retained on the
-    /// [`VerifiedProgram`] on success).
+    /// returned alongside the result.
     pub fn verify_logged(
         &self,
         program: &Program,
@@ -884,12 +875,10 @@ impl<'a> Verifier<'a> {
             )
         });
         log.stats = stats.clone();
-        let rendered = want_log.then(|| log.render());
         (
             Ok(VerifiedProgram {
                 program: program.clone(),
                 stats,
-                log: rendered,
             }),
             log,
         )
@@ -2433,10 +2422,8 @@ mod tests {
         let v = res.unwrap();
         assert!(log.lines().iter().any(|l| l.contains("add64 r0, 4")));
         assert_eq!(log.stats().states_explored, 3);
+        assert_eq!(log.stats(), v.stats());
         assert!(log.render().contains("verification stats:"));
-        assert_eq!(v.log(), Some(log.render().as_str()));
-        // Without logging, no log is retained.
-        assert_eq!(verify(&b.build().unwrap(), &maps).unwrap().log(), None);
     }
 
     #[test]

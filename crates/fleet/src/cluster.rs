@@ -1,8 +1,8 @@
 //! Multi-host cluster simulation: N per-host worlds, a placement
 //! policy routing arrivals between them, and a snapshot-distribution
-//! cost model (DESIGN.md §8), executed by an epoch/barrier engine
-//! that runs host event loops in parallel without giving up
-//! determinism (DESIGN.md §11).
+//! cost model (DESIGN.md §8), executed by a segment engine that runs
+//! host event loops independently, on one thread or many, without
+//! giving up determinism (DESIGN.md §11).
 //!
 //! A cluster run generalizes the single-host fleet run: every host
 //! owns its own simulated kernel, disk, page cache, and keep-alive
@@ -11,26 +11,39 @@
 //! the single-host path draws it; a [`PlacementPolicy`] then decides,
 //! per arrival, which host serves it.
 //!
-//! ## The epoch/barrier execution model
+//! ## The segment execution model
 //!
-//! Hosts only interact at placement decisions: between two arrivals
-//! no event on host A can affect host B. The driver therefore
-//! partitions virtual time into **epochs** bounded by the next
-//! arrival. In each epoch every host independently drains its events
-//! with clocks `<= t_arrival` (the same `<=` tie-break the
-//! single-host loop uses), buffering trace events and metrics into a
-//! private per-host [`Tracer`]. At the **barrier** the driver
-//! collects each host's [`HostView`] and buffered events **in host
-//! index order**, consults the placement policy, emits the
-//! `cluster:place` instant, and dispatches the arrival to its target
-//! host. `threads = 1` runs the epochs inline; `threads > 1` runs
-//! them on a pool of worker threads, each owning a fixed subset of
-//! hosts (host `h` lives on worker `h % threads`). Both paths share
-//! the driver and the merge order, so a run is a pure function of
-//! ([`FleetConfig`], workload list) — the same seed produces
-//! byte-identical Chrome traces and field-identical
-//! [`ClusterResult`]s at any thread count (property-tested in
-//! `tests/parallel.rs`).
+//! Hosts only interact through routing: once an arrival's host is
+//! known, no event on host A can affect host B. Routing can change
+//! only at a fault (a drain shrinks the placeable set, a crash
+//! re-places its retries) or at an arrival whose policy reads
+//! per-host state ([`PlacementPolicy::static_route`] is `None`). The
+//! driver therefore cuts the run into **segments** bounded by the
+//! next routing change: the next fault for a static policy such as
+//! hash placement, the next arrival for a load- or locality-aware
+//! one. Within a segment each host runs only its own arrivals (an
+//! index list into the global schedule): it drains its events with
+//! clocks `<= t_arrival` (the single-host loop's tie-break), handles
+//! the arrival, and finally drains up to the segment's end. At the
+//! end the driver applies the fault, or places the arrival from every
+//! host's [`HostView`]; crash retries join the remaining schedule and
+//! are routed for the new live set. `threads = 1` runs the hosts of a
+//! segment one after another; `threads > 1` sends one command per
+//! segment to each of a pool of workers, each owning a fixed subset
+//! of hosts (host `h` lives on worker `h % threads`).
+//!
+//! Trace events merge as a barrier per arrival would record them.
+//! Each host buffers into a private [`Tracer`] and cuts its buffer
+//! into epochs: an event belongs to the first barrier (fault or
+//! arrival, in run order) at or after the clock of the step that
+//! emitted it, but never before one past the host's latest arrival or
+//! fault. The driver merges chunks in (epoch, host) order and puts
+//! each arrival's `cluster:place` instant after its epoch's chunks;
+//! metrics and series merge in host order at the end. A run is thus
+//! a pure function of ([`FleetConfig`], workload list) — the same
+//! seed produces byte-identical Chrome traces and field-identical
+//! [`ClusterResult`]s at any thread count and whether or not routing
+//! was static (`tests/parallel.rs`).
 //!
 //! With one host, [`crate::SnapshotDistribution::Local`], and any
 //! placement policy, a cluster run degenerates to a single-host
@@ -41,7 +54,9 @@
 //! cluster tests assert this field for field.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 use snapbpf_sim::{
     MetricsRegistry, SeriesRegistry, SimDuration, SimTime, TraceEvent, Tracer, TracerClass,
@@ -228,16 +243,79 @@ pub(crate) fn validate(cfg: &FleetConfig, workloads: &[Workload]) -> Result<(), 
 }
 
 // ---------------------------------------------------------------
-// The epoch engine
+// The segment engine
 // ---------------------------------------------------------------
 
-/// One host's contribution to an epoch barrier: its placement view
-/// (when the barrier is an arrival) and the trace events it buffered
-/// since the previous barrier.
-struct EpochSlot {
+/// One stretch of a run up to the next point where routing can
+/// change, shared read-only with every shard worker.
+///
+/// Barriers are the points a per-arrival engine would stop every
+/// host at, numbered in run order: the faults and the arrivals. With
+/// `faults` fault barriers fired so far, arrival `i` of `schedule` is
+/// barrier `i + faults`.
+struct Segment {
+    /// Every arrival of the run, base arrivals and crash retries, in
+    /// barrier order: by time, and at one instant base arrivals
+    /// before retries, retries in crash order.
+    schedule: Vec<Request>,
+    /// Per host, the arrivals it handles in this segment: ascending
+    /// indices into `schedule`.
+    routes: Vec<Vec<u32>>,
+    /// The arrivals routed ahead in this segment: barriers every host
+    /// passes without stopping.
+    ahead: Range<usize>,
+    /// Fault barriers fired before this segment.
+    faults: usize,
+    /// Where the segment ends: every host runs its events with clock
+    /// `<= until`. `None` runs them all, so it marks the last segment.
+    until: Option<SimTime>,
+    /// The function of the arrival at `until`, when its placement
+    /// needs every host's [`HostView`].
+    probe: Option<usize>,
+}
+
+impl Segment {
+    /// The barrier a per-arrival engine would run an event with clock
+    /// `tc` in: the first barrier at or after `tc`. Barriers before
+    /// this segment have passed.
+    fn barrier_at(&self, tc: SimTime) -> usize {
+        let ahead = &self.schedule[self.ahead.clone()];
+        self.faults + self.ahead.start + ahead.partition_point(|r| r.at < tc)
+    }
+}
+
+/// A run of one host's trace events that a per-arrival engine would
+/// drain at one barrier: `(epoch, host, events)`, where epoch `k`
+/// holds what that engine drains at barrier `k`.
+type Chunk = (usize, usize, Vec<TraceEvent>);
+
+/// Where host `host` cuts its buffered trace events into epochs. An
+/// event emitted by a step with clock `tc` belongs to epoch `max(E,
+/// first barrier at or after tc)`, where `E` is one past the host's
+/// latest arrival or fault barrier: exactly the barrier a per-arrival
+/// engine drains it at, ties included. Epochs never decrease, so a
+/// cut is one drain.
+struct EpochCuts {
     host: usize,
-    view: Option<HostView>,
-    events: Vec<TraceEvent>,
+    /// Epoch of the events now buffered in the host's tracer.
+    epoch: usize,
+}
+
+impl EpochCuts {
+    /// Moves the buffer into a chunk once `epoch` passes its epoch.
+    fn enter(&mut self, tracer: &Tracer, epoch: usize, chunks: &mut Vec<Chunk>) {
+        if epoch > self.epoch {
+            self.flush(tracer, chunks);
+            self.epoch = epoch;
+        }
+    }
+
+    fn flush(&self, tracer: &Tracer, chunks: &mut Vec<Chunk>) {
+        let events = tracer.drain_events();
+        if !events.is_empty() {
+            chunks.push((self.epoch, self.host, events));
+        }
+    }
 }
 
 /// Everything a host world hands back at the end of a run — plain
@@ -253,8 +331,7 @@ struct HostOutcome {
     pool_hwm: u64,
     placed: u64,
     snapshot_fetches: u64,
-    /// Teardown-phase trace events plus whatever the final epoch had
-    /// not yet drained.
+    /// Teardown-phase trace events.
     events: Vec<TraceEvent>,
     process_names: BTreeMap<u32, String>,
     thread_names: BTreeMap<(u32, u64), String>,
@@ -262,40 +339,169 @@ struct HostOutcome {
     series: SeriesRegistry,
 }
 
-/// The executor behind a cluster run: advances hosts through epochs
-/// and reports per-host state at each barrier. Two implementations —
-/// [`InlineShard`] (one thread, no handoff) and [`ThreadedShard`]
-/// (a worker pool) — drive identical host code, so the driver above
-/// them cannot tell which one it is running on.
+/// One host world of a shard, with its own buffering tracer.
+struct ShardHost<'a> {
+    index: usize,
+    tracer: Tracer,
+    host: Host<'a>,
+    /// Epoch cuts when the run records events; metrics-only runs
+    /// buffer nothing.
+    cuts: Option<EpochCuts>,
+}
+
+impl<'a> ShardHost<'a> {
+    /// Builds host world `h`, returning it with the invocation-phase
+    /// start `t0`.
+    fn build(
+        cfg: &'a FleetConfig,
+        workloads: &[Workload],
+        class: TracerClass,
+        h: usize,
+    ) -> Result<(ShardHost<'a>, SimTime), StrategyError> {
+        let tracer = Tracer::of_class(class);
+        tracer.set_pid(h as u32 + 1);
+        let (mut host, t0) = build_host(cfg, workloads, &tracer)?;
+        // Pin each host world to its own simulated CPU (wrapping at
+        // NCPUS) so per-CPU map bumps from parallel shards land in
+        // distinct lanes, exactly as distinct cores would.
+        host.kernel.set_smp_processor_id(h as u32);
+        let cuts = tracer.events_enabled().then(|| {
+            tracer.name_process(&format!("host {h}"));
+            tracer.name_thread(TID_CONTROL, "scheduler");
+            tracer.name_thread(TID_DISK, "disk");
+            tracer.name_thread(TID_KERNEL, "kernel");
+            EpochCuts { host: h, epoch: 0 }
+        });
+        let sh = ShardHost {
+            index: h,
+            tracer,
+            host,
+            cuts,
+        };
+        Ok((sh, t0))
+    }
+
+    /// Runs this host through `seg`: each of its arrivals at its
+    /// instant, then on to the segment's end. Pushes the host's view
+    /// when the segment carries a probe, and its cut trace chunks.
+    fn run(
+        &mut self,
+        seg: &Segment,
+        views: &mut Vec<HostView>,
+        chunks: &mut Vec<Chunk>,
+    ) -> Result<(), StrategyError> {
+        for &i in &seg.routes[self.index] {
+            let req = seg.schedule[i as usize];
+            self.advance(seg, Some(req.at), chunks)?;
+            if let Some(cuts) = &mut self.cuts {
+                cuts.enter(&self.tracer, i as usize + seg.faults + 1, chunks);
+            }
+            self.host.handle_arrival(req)?;
+        }
+        self.advance(seg, seg.until, chunks)?;
+        if let Some(cuts) = &self.cuts {
+            cuts.flush(&self.tracer, chunks);
+        }
+        if let (Some(func), Some(at)) = (seg.probe, seg.until) {
+            views.push(HostView {
+                host: self.index,
+                in_flight: self.host.active.len(),
+                queued: self.host.pending.len(),
+                warm_parked: self.host.warm_parked(func, at),
+                cached_snapshot_pages: self.host.cached_snapshot_pages(func),
+            });
+        }
+        Ok(())
+    }
+
+    fn advance(
+        &mut self,
+        seg: &Segment,
+        until: Option<SimTime>,
+        chunks: &mut Vec<Chunk>,
+    ) -> Result<(), StrategyError> {
+        match &mut self.cuts {
+            None => self.host.advance_until(until, None),
+            Some(cuts) => {
+                let tracer = &self.tracer;
+                let mut tag = |tc| cuts.enter(tracer, seg.barrier_at(tc), chunks);
+                self.host.advance_until(until, Some(&mut tag))
+            }
+        }
+    }
+
+    /// Injects a fault at barrier `barrier`, returning the functions
+    /// of crash-killed requests to retry (always empty for a drain).
+    fn fault(
+        &mut self,
+        kind: FaultKind,
+        at: SimTime,
+        barrier: usize,
+    ) -> Result<Vec<usize>, StrategyError> {
+        // The segment's end flushed the buffer: only the epoch moves.
+        if let Some(cuts) = &mut self.cuts {
+            cuts.epoch = barrier + 1;
+        }
+        match kind {
+            FaultKind::Crash => self.host.crash(at),
+            FaultKind::Drain => self.host.drain(at).map(|()| Vec::new()),
+        }
+    }
+
+    /// Tears the host down and packages its outcome.
+    fn finish(mut self) -> Result<HostOutcome, StrategyError> {
+        self.host.teardown()?;
+        let (host, tracer) = (self.host, self.tracer);
+        let (process_names, thread_names) = tracer.take_names();
+        Ok(HostOutcome {
+            mem_hwm_bytes: host.mem_hwm_bytes,
+            last_completion: host.last_completion,
+            read_bytes: host.kernel.disk().tracer().read_bytes(),
+            write_bytes: host.kernel.disk().tracer().write_bytes(),
+            pool_evictions: host.pool.evictions(),
+            pool_expirations: host.pool.expirations(),
+            pool_hwm: host.pool_hwm,
+            placed: host.placed,
+            snapshot_fetches: host.snapshot_fetches,
+            per_func: host.per_func,
+            events: tracer.drain_events(),
+            process_names,
+            thread_names,
+            metrics: tracer.metrics_snapshot(),
+            series: tracer.series_snapshot(),
+        })
+    }
+}
+
+/// The executor behind a cluster run: runs hosts through segments.
+/// Two implementations — [`InlineShard`] (one thread, no handoff)
+/// and [`ThreadedShard`] (a worker pool) — drive identical host
+/// code, so the driver above them cannot tell which one it is
+/// running on.
 trait Shard {
     /// Virtual time the invocation phase starts at (identical on
     /// every host by construction).
     fn t0(&self) -> SimTime;
 
-    /// Advances every host through its events with clock `<= until`
-    /// (all remaining events when `until` is `None`), returning one
-    /// [`EpochSlot`] per host in ascending host order. `probe`
-    /// carries the `(func, at)` of the arrival bounding this epoch;
-    /// when set, each slot carries the host's [`HostView`] for it.
-    fn epoch(
+    /// Runs every host through `seg` (see [`ShardHost::run`]). Pushes
+    /// one [`HostView`] per host, in ascending host order, when the
+    /// segment carries a probe, and every host's trace chunks in any
+    /// order.
+    fn segment(
         &mut self,
-        until: Option<SimTime>,
-        probe: Option<(usize, SimTime)>,
-    ) -> Result<Vec<EpochSlot>, StrategyError>;
+        seg: &Arc<Segment>,
+        views: &mut Vec<HostView>,
+        chunks: &mut Vec<Chunk>,
+    ) -> Result<(), StrategyError>;
 
-    /// Hands an arrival to its target host. Fire-and-forget: errors
-    /// surface at the next [`Shard::epoch`] or [`Shard::finish`].
-    fn dispatch(&mut self, target: usize, req: Request) -> Result<(), StrategyError>;
-
-    /// Injects a fault into `host` at `at` (a synchronous round-trip:
-    /// the driver needs the outcome before the next barrier). Returns
-    /// the function indices of crash-killed requests the retry policy
-    /// converts into fresh arrivals (always empty for a drain).
+    /// Injects a fault into `host` at barrier `barrier` (see
+    /// [`ShardHost::fault`]).
     fn fault(
         &mut self,
         host: usize,
         kind: FaultKind,
         at: SimTime,
+        barrier: usize,
     ) -> Result<Vec<usize>, StrategyError>;
 
     /// Tears every host down and returns the outcomes in ascending
@@ -303,80 +509,14 @@ trait Shard {
     fn finish(&mut self) -> Result<Vec<HostOutcome>, StrategyError>;
 }
 
-/// Builds the per-host world `h` with its own buffering tracer.
-fn build_shard_host<'a>(
-    cfg: &'a FleetConfig,
-    workloads: &[Workload],
-    class: TracerClass,
-    h: usize,
-) -> Result<(Tracer, Host<'a>, SimTime), StrategyError> {
-    let tracer = Tracer::of_class(class);
-    tracer.set_pid(h as u32 + 1);
-    let (mut host, t0) = build_host(cfg, workloads, &tracer)?;
-    // Pin each host world to its own simulated CPU (wrapping at
-    // NCPUS) so per-CPU map bumps from parallel shards land in
-    // distinct lanes, exactly as distinct cores would.
-    host.kernel.set_smp_processor_id(h as u32);
-    if tracer.events_enabled() {
-        tracer.name_process(&format!("host {h}"));
-        tracer.name_thread(TID_CONTROL, "scheduler");
-        tracer.name_thread(TID_DISK, "disk");
-        tracer.name_thread(TID_KERNEL, "kernel");
-    }
-    Ok((tracer, host, t0))
-}
-
-/// Advances one host through an epoch and harvests its slot.
-fn host_epoch(
-    h: usize,
-    host: &mut Host<'_>,
-    tracer: &Tracer,
-    until: Option<SimTime>,
-    probe: Option<(usize, SimTime)>,
-) -> Result<EpochSlot, StrategyError> {
-    host.advance_until(until)?;
-    let view = probe.map(|(func, at)| HostView {
-        host: h,
-        in_flight: host.active.len(),
-        queued: host.pending.len(),
-        warm_parked: host.warm_parked(func, at),
-        cached_snapshot_pages: host.cached_snapshot_pages(func),
-    });
-    Ok(EpochSlot {
-        host: h,
-        view,
-        events: tracer.drain_events(),
-    })
-}
-
-/// Tears one host down and packages its outcome.
-fn finish_host(mut host: Host<'_>, tracer: &Tracer) -> Result<HostOutcome, StrategyError> {
-    host.teardown()?;
-    let (process_names, thread_names) = tracer.take_names();
-    Ok(HostOutcome {
-        mem_hwm_bytes: host.mem_hwm_bytes,
-        last_completion: host.last_completion,
-        read_bytes: host.kernel.disk().tracer().read_bytes(),
-        write_bytes: host.kernel.disk().tracer().write_bytes(),
-        pool_evictions: host.pool.evictions(),
-        pool_expirations: host.pool.expirations(),
-        pool_hwm: host.pool_hwm,
-        placed: host.placed,
-        snapshot_fetches: host.snapshot_fetches,
-        per_func: host.per_func,
-        events: tracer.drain_events(),
-        process_names,
-        thread_names,
-        metrics: tracer.metrics_snapshot(),
-        series: tracer.series_snapshot(),
-    })
-}
-
-/// The single-threaded shard: hosts advance one after another on the
-/// caller's thread. No workers, no channels — `threads = 1` pays
-/// nothing for the parallel machinery.
+/// Hosts that run one after another on the calling thread: the whole
+/// cluster when `threads = 1` (no workers, no channels), and each
+/// worker's share under [`ThreadedShard`].
 struct InlineShard<'a> {
-    hosts: Vec<(Tracer, Host<'a>)>,
+    /// The hosts not yet torn down, in ascending host order.
+    live: Vec<ShardHost<'a>>,
+    /// Outcomes of the hosts already torn down, in host order.
+    done: Vec<HostOutcome>,
     t0: SimTime,
 }
 
@@ -385,15 +525,17 @@ impl<'a> InlineShard<'a> {
         cfg: &'a FleetConfig,
         workloads: &[Workload],
         class: TracerClass,
+        indices: impl ExactSizeIterator<Item = usize>,
     ) -> Result<InlineShard<'a>, StrategyError> {
-        let mut hosts = Vec::with_capacity(cfg.hosts);
+        let mut live = Vec::with_capacity(indices.len());
         let mut t0 = SimTime::ZERO;
-        for h in 0..cfg.hosts {
-            let (tracer, host, t) = build_shard_host(cfg, workloads, class, h)?;
+        for h in indices {
+            let (host, t) = ShardHost::build(cfg, workloads, class, h)?;
             t0 = t;
-            hosts.push((tracer, host));
+            live.push(host);
         }
-        Ok(InlineShard { hosts, t0 })
+        let done = Vec::with_capacity(live.len());
+        Ok(InlineShard { live, done, t0 })
     }
 }
 
@@ -402,20 +544,26 @@ impl Shard for InlineShard<'_> {
         self.t0
     }
 
-    fn epoch(
+    /// The last segment (`until` is `None`) tears each host down as
+    /// soon as it has run, so its memory is freed before the next
+    /// host runs.
+    fn segment(
         &mut self,
-        until: Option<SimTime>,
-        probe: Option<(usize, SimTime)>,
-    ) -> Result<Vec<EpochSlot>, StrategyError> {
-        self.hosts
-            .iter_mut()
-            .enumerate()
-            .map(|(h, (tracer, host))| host_epoch(h, host, tracer, until, probe))
-            .collect()
-    }
-
-    fn dispatch(&mut self, target: usize, req: Request) -> Result<(), StrategyError> {
-        self.hosts[target].1.handle_arrival(req)
+        seg: &Arc<Segment>,
+        views: &mut Vec<HostView>,
+        chunks: &mut Vec<Chunk>,
+    ) -> Result<(), StrategyError> {
+        if seg.until.is_some() {
+            return self
+                .live
+                .iter_mut()
+                .try_for_each(|h| h.run(seg, views, chunks));
+        }
+        for mut host in self.live.drain(..) {
+            host.run(seg, views, chunks)?;
+            self.done.push(host.finish()?);
+        }
+        Ok(())
     }
 
     fn fault(
@@ -423,38 +571,31 @@ impl Shard for InlineShard<'_> {
         host: usize,
         kind: FaultKind,
         at: SimTime,
+        barrier: usize,
     ) -> Result<Vec<usize>, StrategyError> {
-        let h = &mut self.hosts[host].1;
-        match kind {
-            FaultKind::Crash => h.crash(at),
-            FaultKind::Drain => h.drain(at).map(|()| Vec::new()),
-        }
+        self.live
+            .iter_mut()
+            .find(|h| h.index == host)
+            .expect("fault routed to the host's owner")
+            .fault(kind, at, barrier)
     }
 
     fn finish(&mut self) -> Result<Vec<HostOutcome>, StrategyError> {
-        std::mem::take(&mut self.hosts)
-            .into_iter()
-            .map(|(tracer, host)| finish_host(host, &tracer))
-            .collect()
+        for host in self.live.drain(..) {
+            self.done.push(host.finish()?);
+        }
+        Ok(std::mem::take(&mut self.done))
     }
 }
 
-/// Driver → worker commands. Workers process them strictly in order,
-/// so a `Dispatch` sent after an `Epoch` reply executes before the
-/// next epoch begins — virtual time stays coherent per host.
+/// Driver → worker commands, processed strictly in order.
 enum Cmd {
-    Epoch {
-        until: Option<SimTime>,
-        probe: Option<(usize, SimTime)>,
-    },
-    Dispatch {
-        host: usize,
-        req: Request,
-    },
+    Segment(Arc<Segment>),
     Fault {
         host: usize,
         kind: FaultKind,
         at: SimTime,
+        barrier: usize,
     },
     Finish,
 }
@@ -464,9 +605,9 @@ enum Reply {
     /// Build handshake: the worker's hosts are ready (all sharing
     /// `t0`), or construction failed.
     Ready(Result<SimTime, StrategyError>),
-    /// One slot per owned host, in ascending host order. A stored
-    /// dispatch error surfaces here.
-    Epoch(Result<Vec<EpochSlot>, StrategyError>),
+    /// The worker's hosts' views (ascending host order) and trace
+    /// chunks for one segment.
+    Segment(Result<(Vec<HostView>, Vec<Chunk>), StrategyError>),
     /// Outcome of a fault round-trip: the functions to retry.
     Fault(Result<Vec<usize>, StrategyError>),
     /// One outcome per owned host, in ascending host order.
@@ -485,95 +626,48 @@ fn worker_main(
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
-    let mut hosts: Vec<(usize, Tracer, Host<'_>)> = Vec::with_capacity(indices.len());
-    let mut t0 = SimTime::ZERO;
-    let mut build_err = None;
-    for h in indices {
-        match build_shard_host(cfg, workloads, class, h) {
-            Ok((tracer, host, t)) => {
-                t0 = t;
-                hosts.push((h, tracer, host));
-            }
-            Err(e) => {
-                build_err = Some(e);
-                break;
-            }
-        }
-    }
-    let ready = match build_err {
-        Some(e) => Err(e),
-        None => Ok(t0),
-    };
-    let failed = ready.is_err();
-    if tx.send(Reply::Ready(ready)).is_err() || failed {
-        return;
-    }
-
-    // A dispatch error is held here and surfaced in the next reply.
-    let mut pending_err: Option<StrategyError> = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Epoch { until, probe } => {
-                let reply = match pending_err.take() {
-                    Some(e) => Err(e),
-                    None => hosts
-                        .iter_mut()
-                        .map(|(h, tracer, host)| host_epoch(*h, host, tracer, until, probe))
-                        .collect(),
-                };
-                if tx.send(Reply::Epoch(reply)).is_err() {
-                    return;
-                }
-            }
-            Cmd::Dispatch { host, req } => {
-                if pending_err.is_some() {
-                    continue;
-                }
-                let owned = hosts
-                    .iter_mut()
-                    .find(|(h, _, _)| *h == host)
-                    .expect("dispatch routed to the owning worker");
-                if let Err(e) = owned.2.handle_arrival(req) {
-                    pending_err = Some(e);
-                }
-            }
-            Cmd::Fault { host, kind, at } => {
-                let reply = match pending_err.take() {
-                    Some(e) => Err(e),
-                    None => {
-                        let owned = hosts
-                            .iter_mut()
-                            .find(|(h, _, _)| *h == host)
-                            .expect("fault routed to the owning worker");
-                        match kind {
-                            FaultKind::Crash => owned.2.crash(at),
-                            FaultKind::Drain => owned.2.drain(at).map(|()| Vec::new()),
-                        }
-                    }
-                };
-                if tx.send(Reply::Fault(reply)).is_err() {
-                    return;
-                }
-            }
-            Cmd::Finish => {
-                let reply = match pending_err.take() {
-                    Some(e) => Err(e),
-                    None => hosts
-                        .drain(..)
-                        .map(|(_, tracer, host)| finish_host(host, &tracer))
-                        .collect(),
-                };
-                let _ = tx.send(Reply::Finished(reply));
+    let mut hosts = match InlineShard::build(cfg, workloads, class, indices.into_iter()) {
+        Ok(hosts) => {
+            if tx.send(Reply::Ready(Ok(hosts.t0))).is_err() {
                 return;
             }
+            hosts
+        }
+        Err(e) => {
+            let _ = tx.send(Reply::Ready(Err(e)));
+            return;
+        }
+    };
+    while let Ok(cmd) = rx.recv() {
+        let reply = match cmd {
+            Cmd::Segment(seg) => {
+                let (mut views, mut chunks) = (Vec::new(), Vec::new());
+                let ran = hosts.segment(&seg, &mut views, &mut chunks);
+                // Released before the reply: the driver reuses the
+                // segment in place once every worker has answered.
+                drop(seg);
+                Reply::Segment(ran.map(|()| (views, chunks)))
+            }
+            Cmd::Fault {
+                host,
+                kind,
+                at,
+                barrier,
+            } => Reply::Fault(hosts.fault(host, kind, at, barrier)),
+            Cmd::Finish => {
+                let _ = tx.send(Reply::Finished(hosts.finish()));
+                return;
+            }
+        };
+        if tx.send(reply).is_err() {
+            return;
         }
     }
 }
 
 /// The parallel shard: `threads` workers, each owning the hosts with
-/// index `≡ worker (mod threads)`. Barriers are blocking channel
-/// round-trips — between barriers the workers advance their hosts
-/// concurrently.
+/// index `≡ worker (mod threads)`. A segment is one command per
+/// worker; the workers run their hosts through it concurrently.
 struct ThreadedShard {
     cmds: Vec<Sender<Cmd>>,
     replies: Vec<Receiver<Reply>>,
@@ -627,45 +721,31 @@ impl Shard for ThreadedShard {
         self.t0
     }
 
-    fn epoch(
+    fn segment(
         &mut self,
-        until: Option<SimTime>,
-        probe: Option<(usize, SimTime)>,
-    ) -> Result<Vec<EpochSlot>, StrategyError> {
+        seg: &Arc<Segment>,
+        views: &mut Vec<HostView>,
+        chunks: &mut Vec<Chunk>,
+    ) -> Result<(), StrategyError> {
         for tx in &self.cmds {
-            tx.send(Cmd::Epoch { until, probe })
+            tx.send(Cmd::Segment(Arc::clone(seg)))
                 .expect("worker alive for the whole run");
         }
-        let mut slots: Vec<Option<EpochSlot>> = (0..self.hosts).map(|_| None).collect();
         let mut first_err = None;
         for rx in &self.replies {
             match rx.recv().expect("worker alive for the whole run") {
-                Reply::Epoch(Ok(worker_slots)) => {
-                    for slot in worker_slots {
-                        let host = slot.host;
-                        slots[host] = Some(slot);
-                    }
+                Reply::Segment(Ok((worker_views, worker_chunks))) => {
+                    views.extend(worker_views);
+                    chunks.extend(worker_chunks);
                 }
-                Reply::Epoch(Err(e)) => {
+                Reply::Segment(Err(e)) => {
                     first_err.get_or_insert(e);
                 }
-                _ => unreachable!("worker answered an epoch out of protocol"),
+                _ => unreachable!("worker answered a segment out of protocol"),
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(slots
-                .into_iter()
-                .map(|s| s.expect("every host reported its epoch slot"))
-                .collect()),
-        }
-    }
-
-    fn dispatch(&mut self, target: usize, req: Request) -> Result<(), StrategyError> {
-        self.cmds[target % self.cmds.len()]
-            .send(Cmd::Dispatch { host: target, req })
-            .expect("worker alive for the whole run");
-        Ok(())
+        views.sort_unstable_by_key(|v| v.host);
+        first_err.map_or(Ok(()), Err)
     }
 
     fn fault(
@@ -673,10 +753,16 @@ impl Shard for ThreadedShard {
         host: usize,
         kind: FaultKind,
         at: SimTime,
+        barrier: usize,
     ) -> Result<Vec<usize>, StrategyError> {
         let w = host % self.cmds.len();
         self.cmds[w]
-            .send(Cmd::Fault { host, kind, at })
+            .send(Cmd::Fault {
+                host,
+                kind,
+                at,
+                barrier,
+            })
             .expect("worker alive for the whole run");
         match self.replies[w]
             .recv()
@@ -692,16 +778,17 @@ impl Shard for ThreadedShard {
             tx.send(Cmd::Finish)
                 .expect("worker alive for the whole run");
         }
-        let mut outcomes: Vec<Option<(usize, HostOutcome)>> =
-            (0..self.hosts).map(|_| None).collect();
+        let threads = self.cmds.len();
+        let mut outcomes = Vec::with_capacity(self.hosts);
         let mut first_err = None;
         for (w, rx) in self.replies.iter().enumerate() {
             match rx.recv().expect("worker alive until Finish") {
                 Reply::Finished(Ok(outs)) => {
-                    for (i, out) in outs.into_iter().enumerate() {
-                        let host = w + i * self.cmds.len();
-                        outcomes[host] = Some((host, out));
-                    }
+                    outcomes.extend(
+                        outs.into_iter()
+                            .enumerate()
+                            .map(|(i, o)| (w + i * threads, o)),
+                    );
                 }
                 Reply::Finished(Err(e)) => {
                     first_err.get_or_insert(e);
@@ -709,13 +796,8 @@ impl Shard for ThreadedShard {
                 _ => unreachable!("worker answered Finish out of protocol"),
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(outcomes
-                .into_iter()
-                .map(|s| s.expect("every host reported its outcome").1)
-                .collect()),
-        }
+        outcomes.sort_unstable_by_key(|&(host, _)| host);
+        first_err.map_or(Ok(outcomes.into_iter().map(|(_, o)| o).collect()), Err)
     }
 }
 
@@ -732,9 +814,69 @@ pub(crate) fn effective_threads(threads: usize, hosts: usize) -> usize {
     t.clamp(1, hosts.max(1))
 }
 
-/// The driver shared by every thread count: epochs between arrivals,
-/// placement at the barriers, host-order merge of trace and metric
-/// buffers, teardown, assembly.
+/// The error for a placement outside the placeable hosts.
+fn misplaced(policy: &dyn PlacementPolicy, target: usize, placeable: usize) -> StrategyError {
+    StrategyError::Config(format!(
+        "placement policy {} returned host {target}, not one of the {placeable} placeable hosts",
+        policy.label()
+    ))
+}
+
+/// Each function's host under `policy` while the hosts not
+/// `draining` take placements; `None` where the policy places
+/// arrival by arrival.
+fn static_routes(
+    policy: &dyn PlacementPolicy,
+    workloads: &[Workload],
+    draining: &[bool],
+) -> Result<Vec<Option<usize>>, StrategyError> {
+    let live: Vec<usize> = (0..draining.len()).filter(|&h| !draining[h]).collect();
+    workloads
+        .iter()
+        .map(|w| match policy.static_route(w.name(), &live) {
+            Some(h) if !live.contains(&h) => Err(misplaced(policy, h, live.len())),
+            route => Ok(route),
+        })
+        .collect()
+}
+
+/// Feeds one segment's trace chunks into `tracer` in the order a
+/// per-arrival engine records them: chunks by (epoch, host), and the
+/// `cluster:place` instant of each arrival in `places` (`(arrival,
+/// host)`, ascending) right after its own epoch's chunks.
+fn merge_segment(
+    tracer: &Tracer,
+    label: &'static str,
+    seg: &Segment,
+    chunks: &mut Vec<Chunk>,
+    places: &mut Vec<(usize, usize)>,
+) {
+    chunks.sort_unstable_by_key(|&(epoch, host, _)| (epoch, host));
+    let place = |(i, host): (usize, usize)| {
+        let req = seg.schedule[i];
+        tracer.set_pid(host as u32 + 1);
+        tracer.instant(
+            "cluster",
+            "place",
+            TID_CONTROL,
+            req.at,
+            vec![("func", req.func.into()), ("policy", label.into())],
+        );
+    };
+    let mut places = places.drain(..).peekable();
+    for (epoch, _, events) in chunks.drain(..) {
+        while let Some(p) = places.next_if(|&(i, _)| i + seg.faults < epoch) {
+            place(p);
+        }
+        tracer.record_all(events);
+    }
+    places.for_each(place);
+}
+
+/// The driver shared by every thread count (DESIGN.md §11): routes
+/// arrivals, runs segments up to each routing change, places and
+/// faults at those barriers, merges trace buffers in barrier order,
+/// then tears down and assembles.
 fn drive(
     cfg: &FleetConfig,
     workloads: &[Workload],
@@ -743,11 +885,18 @@ fn drive(
     shard: &mut dyn Shard,
 ) -> Result<ClusterResult, StrategyError> {
     let t0 = shard.t0();
-    let mut arrivals: VecDeque<Request> = draw_arrivals(cfg, t0).into();
-    let first_arrival = arrivals.front().map(|r| r.at).unwrap_or(t0);
+    let mut seg = Arc::new(Segment {
+        schedule: draw_arrivals(cfg, t0),
+        routes: vec![Vec::new(); cfg.hosts],
+        ahead: 0..0,
+        faults: 0,
+        until: None,
+        probe: None,
+    });
+    let first_arrival = seg.schedule.first().map_or(t0, |r| r.at);
 
-    // Fault events in (time, host) order; each fires as its own epoch
-    // barrier ahead of any arrival at the same instant.
+    // Fault events in (time, host) order; each is a barrier ahead of
+    // any arrival at the same instant.
     let mut faults: VecDeque<(SimTime, usize, FaultKind)> = {
         let mut evs: Vec<(SimTime, usize, FaultKind)> = cfg
             .faults
@@ -762,86 +911,88 @@ fn drive(
         RetryPolicy::Fail => SimDuration::ZERO,
         RetryPolicy::Retry { delay } => delay,
     };
-    // Crash retries, appended in crash order. Crash instants are
-    // non-decreasing and the back-off is fixed, so the queue stays
-    // sorted by re-arrival time.
-    let mut retries: VecDeque<Request> = VecDeque::new();
     let mut draining = vec![false; cfg.hosts];
+    let mut routes = static_routes(policy, workloads, &draining)?;
+    let events = tracer.events_enabled();
+    // The first arrival not yet routed, and the arrival placed at the
+    // last barrier, which its host handles in the next segment.
+    let mut next = 0;
+    let mut placed: Option<(usize, usize)> = None;
+    let mut views = Vec::with_capacity(cfg.hosts);
+    let mut chunks = Vec::new();
+    let mut places = Vec::new();
 
     loop {
-        // The next barrier: the earliest of the pending fault, base
-        // arrival, and retry streams. Ties fire the fault first (an
-        // arrival at the crash instant sees the post-crash cluster),
-        // then the base arrival, then the retry.
+        let s = Arc::get_mut(&mut seg).expect("shard workers release each segment");
+        s.routes.iter_mut().for_each(Vec::clear);
+        if let Some((i, h)) = placed.take() {
+            s.routes[h].push(i as u32);
+        }
+        // Route ahead every arrival before the next fault whose host
+        // the policy knows without looking; the segment ends at the
+        // first routing change: an arrival the policy must place from
+        // views, the fault, or the end of the run.
         let tf = faults.front().map(|f| f.0);
-        let ta = arrivals.front().map(|r| r.at);
-        let tr = retries.front().map(|r| r.at);
-        let Some(next) = [tf, ta, tr].into_iter().flatten().min() else {
-            break;
-        };
-        if tf == Some(next) {
-            let (at, host, kind) = faults.pop_front().expect("checked front");
-            // Barrier: events with clocks at or before the fault
-            // instant complete first — an invocation finishing
-            // exactly then counts as completed, the usual tie-break.
-            for slot in shard.epoch(Some(at), None)? {
-                tracer.record_all(slot.events);
+        let start = next;
+        let unrouted = |i: usize| s.schedule.get(i).filter(|r| tf.is_none_or(|tf| r.at < tf));
+        while let Some(h) = unrouted(next).and_then(|r| routes[r.func]) {
+            s.routes[h].push(next as u32);
+            if events {
+                places.push((next, h));
             }
-            if kind == FaultKind::Drain {
-                draining[host] = true;
+            next += 1;
+        }
+        let probe = unrouted(next).copied();
+        s.ahead = start..next;
+        s.until = probe.map(|r| r.at).or(tf);
+        s.probe = probe.map(|r| r.func);
+
+        views.clear();
+        shard.segment(&seg, &mut views, &mut chunks)?;
+        if let Some(req) = probe {
+            // Draining hosts take no new placements.
+            views.retain(|v| !draining[v.host]);
+            let target = policy.place(workloads[req.func].name(), &views);
+            if !views.iter().any(|v| v.host == target) {
+                return Err(misplaced(policy, target, views.len()));
             }
-            for func in shard.fault(host, kind, at)? {
-                retries.push_back(Request {
-                    at: at + retry_delay,
-                    func,
-                    retry: true,
-                });
+            placed = Some((next, target));
+            if events {
+                places.push((next, target));
             }
+            next += 1;
+        }
+        if events {
+            merge_segment(tracer, policy.label(), &seg, &mut chunks, &mut places);
+        }
+        if probe.is_some() {
             continue;
         }
-        let req = if ta == Some(next) {
-            arrivals.pop_front().expect("checked front")
-        } else {
-            retries.pop_front().expect("checked front")
+        let Some((at, host, kind)) = faults.pop_front() else {
+            break;
         };
-        // Barrier: every host catches up to the arrival instant
-        // (events scheduled exactly at it execute first — the same
-        // tie-break as the single-host loop) and reports its view.
-        let slots = shard.epoch(Some(req.at), Some((req.func, req.at)))?;
-        let mut views = Vec::with_capacity(slots.len());
-        for slot in slots {
-            tracer.record_all(slot.events);
-            let view = slot.view.expect("arrival epochs carry a probe");
-            // Draining hosts take no new placements.
-            if !draining[view.host] {
-                views.push(view);
-            }
+        // Every host has run its events with clocks at or before the
+        // fault instant: an invocation finishing exactly then counts
+        // as completed, the usual tie-break.
+        let killed = shard.fault(host, kind, at, next + seg.faults)?;
+        let s = Arc::get_mut(&mut seg).expect("shard workers release each segment");
+        s.faults += 1;
+        if !killed.is_empty() {
+            // Retries join the schedule after every arrival at or
+            // before their instant, earlier crashes' retries included.
+            let at = at + retry_delay;
+            let pos = next + s.schedule[next..].partition_point(|r| (r.at, r.retry) <= (at, true));
+            let retries = killed.into_iter().map(|func| Request {
+                at,
+                func,
+                retry: true,
+            });
+            s.schedule.splice(pos..pos, retries);
         }
-        let name = workloads[req.func].name();
-        let target = policy.place(name, &views);
-        if !views.iter().any(|v| v.host == target) {
-            return Err(StrategyError::Config(format!(
-                "placement policy {} returned host {target}, not one of the {} placeable hosts",
-                policy.label(),
-                views.len()
-            )));
+        if kind == FaultKind::Drain {
+            draining[host] = true;
+            routes = static_routes(policy, workloads, &draining)?;
         }
-        tracer.set_pid(target as u32 + 1);
-        if tracer.events_enabled() {
-            tracer.instant(
-                "cluster",
-                "place",
-                TID_CONTROL,
-                req.at,
-                vec![("func", req.func.into()), ("policy", policy.label().into())],
-            );
-        }
-        shard.dispatch(target, req)?;
-    }
-
-    // Tail epoch: no more arrivals, drain every host to quiescence.
-    for slot in shard.epoch(None, None)? {
-        tracer.record_all(slot.events);
     }
 
     // End of run: tear every host down (parked sandboxes released,
@@ -912,7 +1063,7 @@ pub(crate) fn cluster_impl(
     validate(cfg, workloads)?;
     let threads = effective_threads(threads, cfg.hosts);
     if threads <= 1 {
-        let mut shard = InlineShard::build(cfg, workloads, tracer.class())?;
+        let mut shard = InlineShard::build(cfg, workloads, tracer.class(), 0..cfg.hosts)?;
         drive(cfg, workloads, tracer, policy, &mut shard)
     } else {
         std::thread::scope(|scope| {
@@ -1073,6 +1224,81 @@ mod tests {
         cfg.hosts = 2;
         let err = run(&cfg, &w).unwrap_err();
         assert!(err.to_string().contains("references tenant 7"), "{err}");
+    }
+
+    /// An inline shard that counts the segments a run takes and the
+    /// arrivals they route.
+    struct CountingShard<'a> {
+        inner: InlineShard<'a>,
+        segments: usize,
+        routed: usize,
+    }
+
+    impl Shard for CountingShard<'_> {
+        fn t0(&self) -> SimTime {
+            self.inner.t0()
+        }
+
+        fn segment(
+            &mut self,
+            seg: &Arc<Segment>,
+            views: &mut Vec<HostView>,
+            chunks: &mut Vec<Chunk>,
+        ) -> Result<(), StrategyError> {
+            self.segments += 1;
+            self.routed += seg.routes.iter().map(Vec::len).sum::<usize>();
+            self.inner.segment(seg, views, chunks)
+        }
+
+        fn fault(
+            &mut self,
+            host: usize,
+            kind: FaultKind,
+            at: SimTime,
+            barrier: usize,
+        ) -> Result<Vec<usize>, StrategyError> {
+            self.inner.fault(host, kind, at, barrier)
+        }
+
+        fn finish(&mut self) -> Result<Vec<HostOutcome>, StrategyError> {
+            self.inner.finish()
+        }
+    }
+
+    /// `(segments, arrivals routed, arrivals handled)` of one run.
+    fn segments_of(cfg: &FleetConfig, w: &[Workload]) -> (usize, usize, usize) {
+        let tracer = Tracer::noop();
+        let mut shard = CountingShard {
+            inner: InlineShard::build(cfg, w, tracer.class(), 0..cfg.hosts).unwrap(),
+            segments: 0,
+            routed: 0,
+        };
+        let mut policy = cfg.placement.build();
+        let r = drive(cfg, w, &tracer, policy.as_mut(), &mut shard).unwrap();
+        (shard.segments, shard.routed, r.aggregate.arrivals as usize)
+    }
+
+    #[test]
+    fn segments_end_only_where_routing_can_change() {
+        use crate::config::FaultSchedule;
+        use crate::placement::PlacementKind;
+        let w = snapbpf_testkit::small_suite();
+        let mut cfg = FleetConfig::new(StrategyKind::SnapBpf, w.len(), 160.0).at_scale(0.02);
+        cfg.duration = SimDuration::from_millis(500);
+        cfg.hosts = 4;
+        // Hash placement without faults: one segment, in which each
+        // host advances once per arrival of its own and once at the
+        // end.
+        let (segments, routed, arrivals) = segments_of(&cfg, &w);
+        assert!(arrivals > 0);
+        assert_eq!((segments, routed), (1, arrivals));
+        // A drain is one more routing change.
+        cfg.faults = FaultSchedule::none().drain(1, SimDuration::from_millis(200));
+        assert_eq!(segments_of(&cfg, &w), (2, arrivals, arrivals));
+        // A load-aware policy reads views at every arrival.
+        cfg.faults = FaultSchedule::none();
+        cfg.placement = PlacementKind::LeastLoaded;
+        assert_eq!(segments_of(&cfg, &w), (arrivals + 1, arrivals, arrivals));
     }
 
     #[test]

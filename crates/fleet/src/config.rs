@@ -117,7 +117,7 @@ pub enum RetryPolicy {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultSchedule {
     /// The faults, in any order; the cluster engine sorts them by
-    /// `(at, host)` and fires each as its own epoch barrier.
+    /// `(at, host)` and ends a segment at each (DESIGN.md §11).
     pub events: Vec<FaultEvent>,
     /// What crashes do to the invocations they kill.
     pub retry: RetryPolicy,

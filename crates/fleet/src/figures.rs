@@ -107,7 +107,7 @@ pub struct ShardFigureConfig {
     pub seeds: Vec<u64>,
     /// Cross-host snapshot-distribution cost model.
     pub distribution: SnapshotDistribution,
-    /// Worker threads for the cluster's epoch/barrier engine
+    /// Worker threads for the cluster's segment engine
     /// (`0` = all cores). Any value yields identical figures;
     /// threads only change wall-clock time.
     pub threads: usize,

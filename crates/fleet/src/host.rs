@@ -695,7 +695,7 @@ impl Host<'_> {
 
     /// Drains every in-flight event with a clock at or before `until`
     /// (all of them when `until` is `None`) — the per-host event loop
-    /// shared by the fleet driver and the cluster epoch engine.
+    /// shared by the fleet driver and the cluster segment engine.
     ///
     /// The `<=` bound matches the historical arrival tie-break: an
     /// event scheduled exactly at an arrival instant executes before
@@ -705,11 +705,22 @@ impl Host<'_> {
     /// scan the earliest sandbox keeps stepping for as long as it
     /// stays ahead of the runner-up. A completion rescans:
     /// `finalize` reorders the slots and may dispatch a queued request.
-    pub(crate) fn advance_until(&mut self, until: Option<SimTime>) -> Result<(), StrategyError> {
+    ///
+    /// `on_event`, when set, sees each event's clock just before the
+    /// event executes — the hook the cluster engine tags buffered
+    /// trace events with. Event clocks never decrease across calls.
+    pub(crate) fn advance_until(
+        &mut self,
+        until: Option<SimTime>,
+        mut on_event: Option<&mut dyn FnMut(SimTime)>,
+    ) -> Result<(), StrategyError> {
         let due = |tc: SimTime| until.is_none_or(|ta| tc <= ta);
         while let Some(((tc, i), runner_up)) = self.next_two_events() {
             if !due(tc) {
                 break;
+            }
+            if let Some(f) = on_event.as_mut() {
+                f(tc);
             }
             if self.active[i].is_done() {
                 self.finalize(i)?;
@@ -720,6 +731,9 @@ impl Host<'_> {
                 let a = &self.active[i];
                 if a.is_done() || !due(a.clock()) || runner_up.is_some_and(|r| (a.clock(), i) > r) {
                     break;
+                }
+                if let Some(f) = on_event.as_mut() {
+                    f(a.clock());
                 }
             }
         }

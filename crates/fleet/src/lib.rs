@@ -47,7 +47,7 @@
 //! Every run goes through one entry point, the builder-style
 //! [`Runner`]; the [`RunOutput`] is a [`FleetResult`] for
 //! single-host configurations and a [`ClusterResult`] otherwise.
-//! Cluster runs execute on the epoch/barrier engine (DESIGN.md §11):
+//! Cluster runs execute on the segment engine (DESIGN.md §11):
 //! [`Runner::threads`] picks the worker count, and any count
 //! produces byte-identical traces and field-identical results.
 //!
@@ -170,10 +170,10 @@ pub(crate) fn fleet_impl(
     let arrivals = draw_arrivals(cfg, t0);
     let first_arrival = arrivals.first().map(|r| r.at).unwrap_or(t0);
     for req in arrivals {
-        fleet.advance_until(Some(req.at))?;
+        fleet.advance_until(Some(req.at), None)?;
         fleet.handle_arrival(req)?;
     }
-    fleet.advance_until(None)?;
+    fleet.advance_until(None, None)?;
 
     // End of run: tear every parked sandbox down and verify the
     // host's memory accounting closed.

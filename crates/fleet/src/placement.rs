@@ -4,8 +4,11 @@
 //! per arrival, handing it a snapshot of every host's scheduling
 //! state as plain-data [`HostView`]s (no borrows of live host
 //! structures, so policies are unit- and property-testable in
-//! isolation). Three policies cover the design space the literature
-//! converges on:
+//! isolation). A policy whose choice depends only on the set of
+//! placeable hosts says so through
+//! [`PlacementPolicy::static_route`], and the run routes its arrivals
+//! up front instead. Three policies cover the design space the
+//! literature converges on:
 //!
 //! * [`HashPlacement`] — stateless consistent (rendezvous) hashing on
 //!   the *function name*: a function always lands on the same host
@@ -56,6 +59,18 @@ pub trait PlacementPolicy {
     /// `func_name`. `hosts` is non-empty and indexed by host; the
     /// returned index must be one of `hosts[i].host`.
     fn place(&mut self, func_name: &str, hosts: &[HostView]) -> usize;
+
+    /// The host every arrival of `func_name` goes to while the
+    /// placeable hosts are `live` (non-empty, ascending), when the
+    /// choice depends on nothing else: no load, no cache state, no
+    /// history. It must equal what [`PlacementPolicy::place`] returns
+    /// over views of exactly those hosts. A `Some` lets the cluster
+    /// engine route arrivals before the run and keep barriers only
+    /// where the live set changes (DESIGN.md §11); `None`, the
+    /// default, places each arrival from fresh [`HostView`]s.
+    fn static_route(&self, _func_name: &str, _live: &[usize]) -> Option<usize> {
+        None
+    }
 }
 
 /// FNV-1a 64-bit — a small, dependency-free, stable hash. Chrome
@@ -87,23 +102,28 @@ fn mix(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashPlacement;
 
+impl HashPlacement {
+    /// The highest-scoring of `hosts` for `func_name`; `None` when
+    /// `hosts` is empty. Both [`PlacementPolicy`] entry points score
+    /// here, so they cannot disagree.
+    fn rendezvous(func_name: &str, hosts: impl Iterator<Item = usize>) -> Option<usize> {
+        let key = fnv1a(func_name.as_bytes());
+        hosts.max_by_key(|&h| (mix(key ^ (h as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)), h))
+    }
+}
+
 impl PlacementPolicy for HashPlacement {
     fn label(&self) -> &'static str {
         "hash"
     }
 
     fn place(&mut self, func_name: &str, hosts: &[HostView]) -> usize {
-        let key = fnv1a(func_name.as_bytes());
-        hosts
-            .iter()
-            .max_by_key(|v| {
-                (
-                    mix(key ^ (v.host as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                    v.host,
-                )
-            })
+        Self::rendezvous(func_name, hosts.iter().map(|v| v.host))
             .expect("placement over at least one host")
-            .host
+    }
+
+    fn static_route(&self, func_name: &str, live: &[usize]) -> Option<usize> {
+        Self::rendezvous(func_name, live.iter().copied())
     }
 }
 
@@ -298,6 +318,31 @@ mod tests {
                 assert_eq!(before, after, "{name} moved although its host survived");
             } else {
                 assert!(after < 3);
+            }
+        }
+    }
+
+    #[test]
+    fn static_hash_route_equals_place_on_every_live_set() {
+        let names: Vec<String> = snapbpf_workloads::Workload::suite()
+            .iter()
+            .map(|w| w.name().to_owned())
+            .collect();
+        let mut p = HashPlacement;
+        let all = idle(8);
+        for mask in 1u32..(1 << 8) {
+            let views: Vec<HostView> = all
+                .iter()
+                .copied()
+                .filter(|v| mask & (1 << v.host) != 0)
+                .collect();
+            let live: Vec<usize> = views.iter().map(|v| v.host).collect();
+            for name in &names {
+                assert_eq!(
+                    p.static_route(name, &live),
+                    Some(p.place(name, &views)),
+                    "{name} over hosts {live:?}"
+                );
             }
         }
     }

@@ -3,7 +3,7 @@
 //! [`Runner`] is one builder for every run shape: configuration that
 //! historically was encoded in *which free function you called* —
 //! tracing or not, single host or cluster — is plain state on the
-//! builder, and the execution backend (inline or the epoch/barrier
+//! builder, and the execution backend (inline or the segment engine's
 //! thread pool, DESIGN.md §11) is a [`Runner::threads`] knob instead
 //! of a different API.
 //!
@@ -135,7 +135,7 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Worker threads for the cluster's epoch/barrier engine
+    /// Worker threads for the cluster's segment engine
     /// (DESIGN.md §11). `0` means "all available cores"; the count
     /// is clamped to the host count. Any value produces the same
     /// results and byte-identical traces — threads only change

@@ -1,16 +1,20 @@
-//! Determinism tests for the parallel epoch/barrier cluster engine
-//! (DESIGN.md §11): any worker-thread count must reproduce the
-//! single-threaded run exactly — field-identical [`ClusterResult`]s
-//! and byte-identical Chrome traces — because threads only change
-//! which OS core advances a host, never the virtual-time order the
-//! merged outputs are assembled in.
+//! Determinism tests for the cluster segment engine (DESIGN.md §11):
+//! any worker-thread count must reproduce the single-threaded run
+//! exactly — field-identical [`ClusterResult`]s and byte-identical
+//! Chrome traces — because threads only change which OS core advances
+//! a host, never the virtual-time order the merged outputs are
+//! assembled in. Routing ahead must be invisible too: a statically
+//! routed run matches the same policy placed arrival by arrival.
 
 use snapbpf::{StrategyError, StrategyKind};
 use snapbpf_fleet::{
-    ClusterResult, FaultSchedule, FleetConfig, HostView, PlacementKind, PlacementPolicy, Runner,
-    SnapshotDistribution,
+    ClusterResult, FaultSchedule, FleetConfig, HashPlacement, HostView, PlacementKind,
+    PlacementPolicy, Runner, SnapshotDistribution,
 };
-use snapbpf_sim::{chrome_trace_json, SimDuration, Tracer};
+use snapbpf_sim::{
+    chrome_trace_json, ArrivalProcess, ComposedArrivals, SimDuration, TraceArrival, TracePoint,
+    Tracer,
+};
 use snapbpf_testkit::{small_cluster_cfg, small_suite};
 use snapbpf_workloads::Workload;
 
@@ -21,8 +25,18 @@ fn traced_run(
     workloads: &[Workload],
     threads: usize,
 ) -> (ClusterResult, String) {
+    traced_run_with(Runner::new(cfg), workloads, threads)
+}
+
+/// [`traced_run`] on a prepared runner (e.g. with a substituted
+/// placement policy).
+fn traced_run_with(
+    runner: Runner<'_>,
+    workloads: &[Workload],
+    threads: usize,
+) -> (ClusterResult, String) {
     let tracer = Tracer::recording();
-    let r = Runner::new(cfg)
+    let r = runner
         .workloads(workloads)
         .tracer(&tracer)
         .threads(threads)
@@ -200,5 +214,131 @@ fn out_of_range_placement_is_a_config_error_not_a_panic() {
             .unwrap_err();
         assert!(matches!(err, StrategyError::Config(_)), "got {err}");
         assert!(err.to_string().contains("host"), "{err}");
+    }
+}
+
+/// Hash placement without its static route: the cluster engine must
+/// stop every host at every arrival to place it, as a per-arrival
+/// barrier engine does. Same label, so traces compare byte for byte.
+struct PerArrivalHash;
+
+impl PlacementPolicy for PerArrivalHash {
+    fn label(&self) -> &'static str {
+        "hash"
+    }
+
+    fn place(&mut self, func_name: &str, hosts: &[HostView]) -> usize {
+        HashPlacement.place(func_name, hosts)
+    }
+}
+
+/// Routing ahead is invisible: under hash placement, with no faults,
+/// a crash with retries, a drain, a flash crowd, or barriers tied on
+/// one instant, the statically
+/// routed run (one segment per fault, each host running its own
+/// arrival stream) matches the per-arrival reference field for field,
+/// its Chrome trace byte for byte and its series JSON byte for byte,
+/// at one and two worker threads.
+#[test]
+fn static_routing_matches_per_arrival_placement_exactly() {
+    let workloads = small_suite();
+    let base = small_cluster_cfg(StrategyKind::SnapBpf, 4, 160.0)
+        .with_distribution(SnapshotDistribution::remote_10g());
+    // The host hash placement routes the first function to, so the
+    // crash and the drain hit a host with work on it.
+    let busy = HashPlacement
+        .static_route(workloads[0].name(), &[0, 1, 2, 3])
+        .unwrap();
+    let ms = SimDuration::from_millis;
+    let flash_crowd = ComposedArrivals::over(ArrivalProcess::Poisson { rate_rps: 160.0 })
+        .with_flash_crowd(ms(150), ms(100), 1200.0);
+    let cases = [
+        ("hash", base.clone()),
+        (
+            // Cold starts only and mid-surge, so the crash kills work;
+            // a zero back-off puts the retries at the crash instant,
+            // tied with the fault and with any base arrival there.
+            "crash",
+            base.clone()
+                .cold_only()
+                .with_arrivals(flash_crowd.clone())
+                .with_faults(
+                    FaultSchedule::none()
+                        .crash(busy, ms(200))
+                        .retrying(SimDuration::ZERO),
+                ),
+        ),
+        (
+            "drain",
+            base.clone()
+                .with_faults(FaultSchedule::none().drain(busy, ms(200))),
+        ),
+        ("flash-crowd", base.clone().with_arrivals(flash_crowd)),
+        (
+            // Four arrivals at each 1 ms tick, a crash and a drain on
+            // ticks: barriers tie with each other, with the faults and
+            // with the zero-back-off retries.
+            "ties",
+            base.clone()
+                .cold_only()
+                .replaying(TraceArrival::new(
+                    (0..200u32)
+                        .map(|k| TracePoint {
+                            offset: ms(u64::from(k / 4)),
+                            func: k % 3,
+                        })
+                        .collect(),
+                    ms(50),
+                ))
+                .with_faults(
+                    FaultSchedule::none()
+                        .crash(busy, ms(20))
+                        .drain((busy + 1) % 4, ms(30))
+                        .retrying(SimDuration::ZERO),
+                ),
+        ),
+    ];
+    for (name, cfg) in cases {
+        for seed in [1u64, 7, 42] {
+            let cfg = cfg.clone().with_seed(seed);
+            let (reference, reference_trace) = traced_run_with(
+                Runner::new(&cfg).placement(Box::new(PerArrivalHash)),
+                &workloads,
+                1,
+            );
+            match name {
+                "crash" | "ties" => assert!(
+                    reference.aggregate.retried > 0,
+                    "seed {seed}: the crash must kill work"
+                ),
+                "drain" => assert!(
+                    reference
+                        .hosts
+                        .iter()
+                        .filter(|h| h.per_function[0].arrivals > 0)
+                        .count()
+                        > 1,
+                    "seed {seed}: the drain must re-route the first function"
+                ),
+                _ => {}
+            }
+            let reference_series = reference.series.to_json().compact();
+            for threads in [1usize, 2] {
+                let (routed, routed_trace) = traced_run(&cfg, &workloads, threads);
+                assert_eq!(
+                    reference, routed,
+                    "{name} seed {seed} threads={threads}: results diverged"
+                );
+                assert_eq!(
+                    reference_trace, routed_trace,
+                    "{name} seed {seed} threads={threads}: traces diverged"
+                );
+                assert_eq!(
+                    reference_series,
+                    routed.series.to_json().compact(),
+                    "{name} seed {seed} threads={threads}: series JSON diverged"
+                );
+            }
+        }
     }
 }

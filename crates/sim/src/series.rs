@@ -11,7 +11,7 @@
 //! Everything here is plain owned data over `BTreeMap`s: registries
 //! are `Send`, cross thread boundaries by value, and merge
 //! deterministically — the cluster driver merges per-host registries
-//! in ascending host-index order at each epoch barrier, so the JSON
+//! in ascending host-index order at the end of a run, so the JSON
 //! snapshot is byte-identical at any worker-thread count.
 //!
 //! # Examples

@@ -734,7 +734,7 @@ impl Tracer {
 
     /// Folds a series registry into this tracer's (see
     /// [`SeriesRegistry::merge`]) — the cluster driver calls this in
-    /// ascending host-index order at each epoch barrier so merged
+    /// ascending host-index order at the end of a run so merged
     /// series are byte-identical at any worker-thread count.
     pub fn merge_series(&self, other: &SeriesRegistry) {
         if let Some(inner) = &self.inner {
