@@ -32,18 +32,16 @@
 //! segment to each of a pool of workers, each owning a fixed subset
 //! of hosts (host `h` lives on worker `h % threads`).
 //!
-//! Trace events merge as a barrier per arrival would record them.
-//! Each host buffers into a private [`Tracer`] and cuts its buffer
-//! into epochs: an event belongs to the first barrier (fault or
-//! arrival, in run order) at or after the clock of the step that
-//! emitted it, but never before one past the host's latest arrival or
-//! fault. The driver merges chunks in (epoch, host) order and puts
-//! each arrival's `cluster:place` instant after its epoch's chunks;
-//! metrics and series merge in host order at the end. A run is thus
-//! a pure function of ([`FleetConfig`], workload list) — the same
-//! seed produces byte-identical Chrome traces and field-identical
-//! [`ClusterResult`]s at any thread count and whether or not routing
-//! was static (`tests/parallel.rs`).
+//! Each host records into a private [`Tracer`] (`pid = host + 1`),
+//! its `cluster:place` instants included: one just before each
+//! arrival it handles. At the end of the run the driver appends each
+//! host's whole event stream, names, metrics and series to the
+//! caller's tracer, in host order. The merged trace thus groups
+//! events by host, each host's in its own emission order (Perfetto
+//! orders by `ts`), and a run is a pure function of ([`FleetConfig`],
+//! workload list) — the same seed produces byte-identical Chrome
+//! traces and field-identical [`ClusterResult`]s at any thread count
+//! and whether or not routing was static (`tests/parallel.rs`).
 //!
 //! With one host, [`crate::SnapshotDistribution::Local`], and any
 //! placement policy, a cluster run degenerates to a single-host
@@ -54,7 +52,6 @@
 //! cluster tests assert this field for field.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -248,74 +245,22 @@ pub(crate) fn validate(cfg: &FleetConfig, workloads: &[Workload]) -> Result<(), 
 
 /// One stretch of a run up to the next point where routing can
 /// change, shared read-only with every shard worker.
-///
-/// Barriers are the points a per-arrival engine would stop every
-/// host at, numbered in run order: the faults and the arrivals. With
-/// `faults` fault barriers fired so far, arrival `i` of `schedule` is
-/// barrier `i + faults`.
 struct Segment {
     /// Every arrival of the run, base arrivals and crash retries, in
-    /// barrier order: by time, and at one instant base arrivals
-    /// before retries, retries in crash order.
+    /// run order: by time, and at one instant base arrivals before
+    /// retries, retries in crash order.
     schedule: Vec<Request>,
     /// Per host, the arrivals it handles in this segment: ascending
     /// indices into `schedule`.
     routes: Vec<Vec<u32>>,
-    /// The arrivals routed ahead in this segment: barriers every host
-    /// passes without stopping.
-    ahead: Range<usize>,
-    /// Fault barriers fired before this segment.
-    faults: usize,
     /// Where the segment ends: every host runs its events with clock
     /// `<= until`. `None` runs them all, so it marks the last segment.
     until: Option<SimTime>,
     /// The function of the arrival at `until`, when its placement
     /// needs every host's [`HostView`].
     probe: Option<usize>,
-}
-
-impl Segment {
-    /// The barrier a per-arrival engine would run an event with clock
-    /// `tc` in: the first barrier at or after `tc`. Barriers before
-    /// this segment have passed.
-    fn barrier_at(&self, tc: SimTime) -> usize {
-        let ahead = &self.schedule[self.ahead.clone()];
-        self.faults + self.ahead.start + ahead.partition_point(|r| r.at < tc)
-    }
-}
-
-/// A run of one host's trace events that a per-arrival engine would
-/// drain at one barrier: `(epoch, host, events)`, where epoch `k`
-/// holds what that engine drains at barrier `k`.
-type Chunk = (usize, usize, Vec<TraceEvent>);
-
-/// Where host `host` cuts its buffered trace events into epochs. An
-/// event emitted by a step with clock `tc` belongs to epoch `max(E,
-/// first barrier at or after tc)`, where `E` is one past the host's
-/// latest arrival or fault barrier: exactly the barrier a per-arrival
-/// engine drains it at, ties included. Epochs never decrease, so a
-/// cut is one drain.
-struct EpochCuts {
-    host: usize,
-    /// Epoch of the events now buffered in the host's tracer.
-    epoch: usize,
-}
-
-impl EpochCuts {
-    /// Moves the buffer into a chunk once `epoch` passes its epoch.
-    fn enter(&mut self, tracer: &Tracer, epoch: usize, chunks: &mut Vec<Chunk>) {
-        if epoch > self.epoch {
-            self.flush(tracer, chunks);
-            self.epoch = epoch;
-        }
-    }
-
-    fn flush(&self, tracer: &Tracer, chunks: &mut Vec<Chunk>) {
-        let events = tracer.drain_events();
-        if !events.is_empty() {
-            chunks.push((self.epoch, self.host, events));
-        }
-    }
+    /// The placement policy's label, stamped on `cluster:place`.
+    policy: &'static str,
 }
 
 /// Everything a host world hands back at the end of a run — plain
@@ -331,7 +276,7 @@ struct HostOutcome {
     pool_hwm: u64,
     placed: u64,
     snapshot_fetches: u64,
-    /// Teardown-phase trace events.
+    /// Every trace event the host recorded, in emission order.
     events: Vec<TraceEvent>,
     process_names: BTreeMap<u32, String>,
     thread_names: BTreeMap<(u32, u64), String>,
@@ -344,9 +289,6 @@ struct ShardHost<'a> {
     index: usize,
     tracer: Tracer,
     host: Host<'a>,
-    /// Epoch cuts when the run records events; metrics-only runs
-    /// buffer nothing.
-    cuts: Option<EpochCuts>,
 }
 
 impl<'a> ShardHost<'a> {
@@ -365,43 +307,39 @@ impl<'a> ShardHost<'a> {
         // NCPUS) so per-CPU map bumps from parallel shards land in
         // distinct lanes, exactly as distinct cores would.
         host.kernel.set_smp_processor_id(h as u32);
-        let cuts = tracer.events_enabled().then(|| {
+        if tracer.events_enabled() {
             tracer.name_process(&format!("host {h}"));
             tracer.name_thread(TID_CONTROL, "scheduler");
             tracer.name_thread(TID_DISK, "disk");
             tracer.name_thread(TID_KERNEL, "kernel");
-            EpochCuts { host: h, epoch: 0 }
-        });
+        }
         let sh = ShardHost {
             index: h,
             tracer,
             host,
-            cuts,
         };
         Ok((sh, t0))
     }
 
     /// Runs this host through `seg`: each of its arrivals at its
     /// instant, then on to the segment's end. Pushes the host's view
-    /// when the segment carries a probe, and its cut trace chunks.
-    fn run(
-        &mut self,
-        seg: &Segment,
-        views: &mut Vec<HostView>,
-        chunks: &mut Vec<Chunk>,
-    ) -> Result<(), StrategyError> {
+    /// when the segment carries a probe.
+    fn run(&mut self, seg: &Segment, views: &mut Vec<HostView>) -> Result<(), StrategyError> {
         for &i in &seg.routes[self.index] {
             let req = seg.schedule[i as usize];
-            self.advance(seg, Some(req.at), chunks)?;
-            if let Some(cuts) = &mut self.cuts {
-                cuts.enter(&self.tracer, i as usize + seg.faults + 1, chunks);
+            self.host.advance_until(Some(req.at))?;
+            if self.tracer.events_enabled() {
+                self.tracer.instant(
+                    "cluster",
+                    "place",
+                    TID_CONTROL,
+                    req.at,
+                    vec![("func", req.func.into()), ("policy", seg.policy.into())],
+                );
             }
             self.host.handle_arrival(req)?;
         }
-        self.advance(seg, seg.until, chunks)?;
-        if let Some(cuts) = &self.cuts {
-            cuts.flush(&self.tracer, chunks);
-        }
+        self.host.advance_until(seg.until)?;
         if let (Some(func), Some(at)) = (seg.probe, seg.until) {
             views.push(HostView {
                 host: self.index,
@@ -414,34 +352,9 @@ impl<'a> ShardHost<'a> {
         Ok(())
     }
 
-    fn advance(
-        &mut self,
-        seg: &Segment,
-        until: Option<SimTime>,
-        chunks: &mut Vec<Chunk>,
-    ) -> Result<(), StrategyError> {
-        match &mut self.cuts {
-            None => self.host.advance_until(until, None),
-            Some(cuts) => {
-                let tracer = &self.tracer;
-                let mut tag = |tc| cuts.enter(tracer, seg.barrier_at(tc), chunks);
-                self.host.advance_until(until, Some(&mut tag))
-            }
-        }
-    }
-
-    /// Injects a fault at barrier `barrier`, returning the functions
-    /// of crash-killed requests to retry (always empty for a drain).
-    fn fault(
-        &mut self,
-        kind: FaultKind,
-        at: SimTime,
-        barrier: usize,
-    ) -> Result<Vec<usize>, StrategyError> {
-        // The segment's end flushed the buffer: only the epoch moves.
-        if let Some(cuts) = &mut self.cuts {
-            cuts.epoch = barrier + 1;
-        }
+    /// Injects a fault at `at`, returning the functions of
+    /// crash-killed requests to retry (always empty for a drain).
+    fn fault(&mut self, kind: FaultKind, at: SimTime) -> Result<Vec<usize>, StrategyError> {
         match kind {
             FaultKind::Crash => self.host.crash(at),
             FaultKind::Drain => self.host.drain(at).map(|()| Vec::new()),
@@ -485,23 +398,19 @@ trait Shard {
 
     /// Runs every host through `seg` (see [`ShardHost::run`]). Pushes
     /// one [`HostView`] per host, in ascending host order, when the
-    /// segment carries a probe, and every host's trace chunks in any
-    /// order.
+    /// segment carries a probe.
     fn segment(
         &mut self,
         seg: &Arc<Segment>,
         views: &mut Vec<HostView>,
-        chunks: &mut Vec<Chunk>,
     ) -> Result<(), StrategyError>;
 
-    /// Injects a fault into `host` at barrier `barrier` (see
-    /// [`ShardHost::fault`]).
+    /// Injects a fault into `host` (see [`ShardHost::fault`]).
     fn fault(
         &mut self,
         host: usize,
         kind: FaultKind,
         at: SimTime,
-        barrier: usize,
     ) -> Result<Vec<usize>, StrategyError>;
 
     /// Tears every host down and returns the outcomes in ascending
@@ -551,16 +460,12 @@ impl Shard for InlineShard<'_> {
         &mut self,
         seg: &Arc<Segment>,
         views: &mut Vec<HostView>,
-        chunks: &mut Vec<Chunk>,
     ) -> Result<(), StrategyError> {
         if seg.until.is_some() {
-            return self
-                .live
-                .iter_mut()
-                .try_for_each(|h| h.run(seg, views, chunks));
+            return self.live.iter_mut().try_for_each(|h| h.run(seg, views));
         }
         for mut host in self.live.drain(..) {
-            host.run(seg, views, chunks)?;
+            host.run(seg, views)?;
             self.done.push(host.finish()?);
         }
         Ok(())
@@ -571,13 +476,12 @@ impl Shard for InlineShard<'_> {
         host: usize,
         kind: FaultKind,
         at: SimTime,
-        barrier: usize,
     ) -> Result<Vec<usize>, StrategyError> {
         self.live
             .iter_mut()
             .find(|h| h.index == host)
             .expect("fault routed to the host's owner")
-            .fault(kind, at, barrier)
+            .fault(kind, at)
     }
 
     fn finish(&mut self) -> Result<Vec<HostOutcome>, StrategyError> {
@@ -595,7 +499,6 @@ enum Cmd {
         host: usize,
         kind: FaultKind,
         at: SimTime,
-        barrier: usize,
     },
     Finish,
 }
@@ -605,9 +508,9 @@ enum Reply {
     /// Build handshake: the worker's hosts are ready (all sharing
     /// `t0`), or construction failed.
     Ready(Result<SimTime, StrategyError>),
-    /// The worker's hosts' views (ascending host order) and trace
-    /// chunks for one segment.
-    Segment(Result<(Vec<HostView>, Vec<Chunk>), StrategyError>),
+    /// The worker's hosts' views for one segment, in ascending host
+    /// order.
+    Segment(Result<Vec<HostView>, StrategyError>),
     /// Outcome of a fault round-trip: the functions to retry.
     Fault(Result<Vec<usize>, StrategyError>),
     /// One outcome per owned host, in ascending host order.
@@ -641,19 +544,14 @@ fn worker_main(
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
             Cmd::Segment(seg) => {
-                let (mut views, mut chunks) = (Vec::new(), Vec::new());
-                let ran = hosts.segment(&seg, &mut views, &mut chunks);
+                let mut views = Vec::new();
+                let ran = hosts.segment(&seg, &mut views);
                 // Released before the reply: the driver reuses the
                 // segment in place once every worker has answered.
                 drop(seg);
-                Reply::Segment(ran.map(|()| (views, chunks)))
+                Reply::Segment(ran.map(|()| views))
             }
-            Cmd::Fault {
-                host,
-                kind,
-                at,
-                barrier,
-            } => Reply::Fault(hosts.fault(host, kind, at, barrier)),
+            Cmd::Fault { host, kind, at } => Reply::Fault(hosts.fault(host, kind, at)),
             Cmd::Finish => {
                 let _ = tx.send(Reply::Finished(hosts.finish()));
                 return;
@@ -725,7 +623,6 @@ impl Shard for ThreadedShard {
         &mut self,
         seg: &Arc<Segment>,
         views: &mut Vec<HostView>,
-        chunks: &mut Vec<Chunk>,
     ) -> Result<(), StrategyError> {
         for tx in &self.cmds {
             tx.send(Cmd::Segment(Arc::clone(seg)))
@@ -734,10 +631,7 @@ impl Shard for ThreadedShard {
         let mut first_err = None;
         for rx in &self.replies {
             match rx.recv().expect("worker alive for the whole run") {
-                Reply::Segment(Ok((worker_views, worker_chunks))) => {
-                    views.extend(worker_views);
-                    chunks.extend(worker_chunks);
-                }
+                Reply::Segment(Ok(worker_views)) => views.extend(worker_views),
                 Reply::Segment(Err(e)) => {
                     first_err.get_or_insert(e);
                 }
@@ -753,16 +647,10 @@ impl Shard for ThreadedShard {
         host: usize,
         kind: FaultKind,
         at: SimTime,
-        barrier: usize,
     ) -> Result<Vec<usize>, StrategyError> {
         let w = host % self.cmds.len();
         self.cmds[w]
-            .send(Cmd::Fault {
-                host,
-                kind,
-                at,
-                barrier,
-            })
+            .send(Cmd::Fault { host, kind, at })
             .expect("worker alive for the whole run");
         match self.replies[w]
             .recv()
@@ -840,43 +728,10 @@ fn static_routes(
         .collect()
 }
 
-/// Feeds one segment's trace chunks into `tracer` in the order a
-/// per-arrival engine records them: chunks by (epoch, host), and the
-/// `cluster:place` instant of each arrival in `places` (`(arrival,
-/// host)`, ascending) right after its own epoch's chunks.
-fn merge_segment(
-    tracer: &Tracer,
-    label: &'static str,
-    seg: &Segment,
-    chunks: &mut Vec<Chunk>,
-    places: &mut Vec<(usize, usize)>,
-) {
-    chunks.sort_unstable_by_key(|&(epoch, host, _)| (epoch, host));
-    let place = |(i, host): (usize, usize)| {
-        let req = seg.schedule[i];
-        tracer.set_pid(host as u32 + 1);
-        tracer.instant(
-            "cluster",
-            "place",
-            TID_CONTROL,
-            req.at,
-            vec![("func", req.func.into()), ("policy", label.into())],
-        );
-    };
-    let mut places = places.drain(..).peekable();
-    for (epoch, _, events) in chunks.drain(..) {
-        while let Some(p) = places.next_if(|&(i, _)| i + seg.faults < epoch) {
-            place(p);
-        }
-        tracer.record_all(events);
-    }
-    places.for_each(place);
-}
-
 /// The driver shared by every thread count (DESIGN.md §11): routes
 /// arrivals, runs segments up to each routing change, places and
-/// faults at those barriers, merges trace buffers in barrier order,
-/// then tears down and assembles.
+/// faults at those points, then tears down and merges every host's
+/// outputs in host order.
 fn drive(
     cfg: &FleetConfig,
     workloads: &[Workload],
@@ -888,15 +743,14 @@ fn drive(
     let mut seg = Arc::new(Segment {
         schedule: draw_arrivals(cfg, t0),
         routes: vec![Vec::new(); cfg.hosts],
-        ahead: 0..0,
-        faults: 0,
         until: None,
         probe: None,
+        policy: policy.label(),
     });
     let first_arrival = seg.schedule.first().map_or(t0, |r| r.at);
 
-    // Fault events in (time, host) order; each is a barrier ahead of
-    // any arrival at the same instant.
+    // Fault events in (time, host) order; each goes ahead of any
+    // arrival at the same instant.
     let mut faults: VecDeque<(SimTime, usize, FaultKind)> = {
         let mut evs: Vec<(SimTime, usize, FaultKind)> = cfg
             .faults
@@ -913,14 +767,11 @@ fn drive(
     };
     let mut draining = vec![false; cfg.hosts];
     let mut routes = static_routes(policy, workloads, &draining)?;
-    let events = tracer.events_enabled();
     // The first arrival not yet routed, and the arrival placed at the
-    // last barrier, which its host handles in the next segment.
+    // last segment's end, which its host handles in the next segment.
     let mut next = 0;
     let mut placed: Option<(usize, usize)> = None;
     let mut views = Vec::with_capacity(cfg.hosts);
-    let mut chunks = Vec::new();
-    let mut places = Vec::new();
 
     loop {
         let s = Arc::get_mut(&mut seg).expect("shard workers release each segment");
@@ -933,22 +784,17 @@ fn drive(
         // first routing change: an arrival the policy must place from
         // views, the fault, or the end of the run.
         let tf = faults.front().map(|f| f.0);
-        let start = next;
         let unrouted = |i: usize| s.schedule.get(i).filter(|r| tf.is_none_or(|tf| r.at < tf));
         while let Some(h) = unrouted(next).and_then(|r| routes[r.func]) {
             s.routes[h].push(next as u32);
-            if events {
-                places.push((next, h));
-            }
             next += 1;
         }
         let probe = unrouted(next).copied();
-        s.ahead = start..next;
         s.until = probe.map(|r| r.at).or(tf);
         s.probe = probe.map(|r| r.func);
 
         views.clear();
-        shard.segment(&seg, &mut views, &mut chunks)?;
+        shard.segment(&seg, &mut views)?;
         if let Some(req) = probe {
             // Draining hosts take no new placements.
             views.retain(|v| !draining[v.host]);
@@ -957,15 +803,7 @@ fn drive(
                 return Err(misplaced(policy, target, views.len()));
             }
             placed = Some((next, target));
-            if events {
-                places.push((next, target));
-            }
             next += 1;
-        }
-        if events {
-            merge_segment(tracer, policy.label(), &seg, &mut chunks, &mut places);
-        }
-        if probe.is_some() {
             continue;
         }
         let Some((at, host, kind)) = faults.pop_front() else {
@@ -974,10 +812,9 @@ fn drive(
         // Every host has run its events with clocks at or before the
         // fault instant: an invocation finishing exactly then counts
         // as completed, the usual tie-break.
-        let killed = shard.fault(host, kind, at, next + seg.faults)?;
-        let s = Arc::get_mut(&mut seg).expect("shard workers release each segment");
-        s.faults += 1;
+        let killed = shard.fault(host, kind, at)?;
         if !killed.is_empty() {
+            let s = Arc::get_mut(&mut seg).expect("shard workers release each segment");
             // Retries join the schedule after every arrival at or
             // before their instant, earlier crashes' retries included.
             let at = at + retry_delay;
@@ -999,7 +836,6 @@ fn drive(
     // memory accounting verified closed) and merge the per-host
     // buffers into the caller's tracer in host order.
     let outcomes = shard.finish()?;
-    tracer.set_pid(1);
 
     let mut per_function: Vec<FuncStats> =
         workloads.iter().map(|w| FuncStats::new(w.name())).collect();
@@ -1243,11 +1079,10 @@ mod tests {
             &mut self,
             seg: &Arc<Segment>,
             views: &mut Vec<HostView>,
-            chunks: &mut Vec<Chunk>,
         ) -> Result<(), StrategyError> {
             self.segments += 1;
             self.routed += seg.routes.iter().map(Vec::len).sum::<usize>();
-            self.inner.segment(seg, views, chunks)
+            self.inner.segment(seg, views)
         }
 
         fn fault(
@@ -1255,9 +1090,8 @@ mod tests {
             host: usize,
             kind: FaultKind,
             at: SimTime,
-            barrier: usize,
         ) -> Result<Vec<usize>, StrategyError> {
-            self.inner.fault(host, kind, at, barrier)
+            self.inner.fault(host, kind, at)
         }
 
         fn finish(&mut self) -> Result<Vec<HostOutcome>, StrategyError> {

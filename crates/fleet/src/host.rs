@@ -217,6 +217,19 @@ pub(crate) fn draw_arrivals(cfg: &FleetConfig, t0: SimTime) -> Vec<Request> {
         .collect()
 }
 
+/// Starts `trace` on a restored or parked sandbox at `at`.
+fn invocation(
+    trace: &InvocationTrace,
+    vm: MicroVm,
+    resolver: Box<dyn UffdResolver>,
+    at: SimTime,
+) -> InvocationCursor {
+    InvocationCursor::builder(vm, trace.clone())
+        .starting_at(at)
+        .with_resolver(resolver)
+        .begin()
+}
+
 impl Host<'_> {
     pub(crate) fn teardown_parked(&mut self, parked: Vec<Parked>) -> Result<(), StrategyError> {
         for (mut vm, _resolver) in parked {
@@ -284,7 +297,7 @@ impl Host<'_> {
     /// snapshot is not yet on this host first pays the distribution
     /// model's transfer latency.
     pub(crate) fn dispatch(&mut self, req: Request, now: SimTime) -> Result<(), StrategyError> {
-        let entry = match self.pool.checkout(req.func, now) {
+        let (owner, restore, run) = match self.pool.checkout(req.func, now) {
             Some((vm, resolver)) => {
                 self.trace.incr("fleet.warm_hits");
                 if self.trace.events_enabled() {
@@ -297,23 +310,8 @@ impl Host<'_> {
                     );
                 }
                 let owner = vm.owner();
-                Active {
-                    restore: None,
-                    run: Some(
-                        InvocationCursor::builder(vm, self.traces[req.func].clone())
-                            .starting_at(now)
-                            .with_resolver(resolver)
-                            .begin(),
-                    ),
-                    func: req.func,
-                    arrival: req.at,
-                    dispatch: now,
-                    cold: false,
-                    retry: req.retry,
-                    owner,
-                    stages: None,
-                    restore_end: now,
-                }
+                let run = invocation(&self.traces[req.func], vm, resolver, now);
+                (owner, None, Some(run))
             }
             None => {
                 let owner = OwnerId::new(self.owner_seq);
@@ -338,70 +336,44 @@ impl Host<'_> {
                     );
                 }
                 let start = now + self.fetch_delay(req.func, now, tid);
-                match self.cfg.restore_mode {
-                    RestoreMode::Pipelined => {
-                        let mut cursor = self.strategies[req.func].begin_restore(
-                            start,
-                            &mut self.kernel,
-                            &self.funcs[req.func],
-                            owner,
-                        )?;
-                        cursor.set_trace_tid(tid);
-                        Active {
-                            restore: Some(cursor),
-                            run: None,
-                            func: req.func,
-                            arrival: req.at,
-                            dispatch: now,
-                            cold: true,
-                            retry: req.retry,
-                            owner,
-                            stages: None,
-                            restore_end: now,
-                        }
-                    }
-                    RestoreMode::Serialized => {
-                        // Drive the whole restore inline and hold the
-                        // guest until every stage — including prefetch
-                        // work a pipelined run would overlap with
-                        // execution — has drained: the full serialized
-                        // cold-start latency of the pre-staging design.
-                        let mut cursor = self.strategies[req.func].begin_restore(
-                            start,
-                            &mut self.kernel,
-                            &self.funcs[req.func],
-                            owner,
-                        )?;
-                        cursor.set_trace_tid(tid);
-                        while !cursor.is_done() {
-                            cursor.step(&mut self.kernel)?;
-                        }
-                        let drained = cursor.clock();
-                        let restored = cursor.finish();
-                        Active {
-                            restore: None,
-                            run: Some(
-                                InvocationCursor::builder(
-                                    restored.vm,
-                                    self.traces[req.func].clone(),
-                                )
-                                .starting_at(drained)
-                                .with_resolver(restored.resolver)
-                                .begin(),
-                            ),
-                            func: req.func,
-                            arrival: req.at,
-                            dispatch: now,
-                            cold: true,
-                            retry: req.retry,
-                            owner,
-                            stages: Some(restored.stages),
-                            restore_end: drained,
-                        }
-                    }
-                }
+                let mut cursor = self.strategies[req.func].begin_restore(
+                    start,
+                    &mut self.kernel,
+                    &self.funcs[req.func],
+                    owner,
+                )?;
+                cursor.set_trace_tid(tid);
+                (owner, Some(cursor), None)
             }
         };
+        let mut entry = Active {
+            cold: restore.is_some(),
+            restore,
+            run,
+            func: req.func,
+            arrival: req.at,
+            dispatch: now,
+            retry: req.retry,
+            owner,
+            stages: None,
+            restore_end: now,
+        };
+        let serialized = self.cfg.restore_mode == RestoreMode::Serialized;
+        if let Some(mut cursor) = entry.restore.take_if(|_| serialized) {
+            // Drive the whole restore inline and hold the guest until
+            // every stage — including prefetch work a pipelined run
+            // would overlap with execution — has drained: the full
+            // serialized cold-start latency of the pre-staging design.
+            while !cursor.is_done() {
+                cursor.step(&mut self.kernel)?;
+            }
+            let drained = cursor.clock();
+            let restored = cursor.finish();
+            let trace = &self.traces[req.func];
+            entry.run = Some(invocation(trace, restored.vm, restored.resolver, drained));
+            entry.stages = Some(restored.stages);
+            entry.restore_end = drained;
+        }
         self.active.push(entry);
         self.sample_memory();
         Ok(())
@@ -423,12 +395,7 @@ impl Host<'_> {
             r.step(&mut self.kernel)?;
             if a.run.is_none() {
                 if let Some((vm, resolver, ready)) = r.take_resumed() {
-                    a.run = Some(
-                        InvocationCursor::builder(vm, self.traces[a.func].clone())
-                            .starting_at(ready)
-                            .with_resolver(resolver)
-                            .begin(),
-                    );
+                    a.run = Some(invocation(&self.traces[a.func], vm, resolver, ready));
                 }
             }
             if r.is_done() {
@@ -705,22 +672,11 @@ impl Host<'_> {
     /// scan the earliest sandbox keeps stepping for as long as it
     /// stays ahead of the runner-up. A completion rescans:
     /// `finalize` reorders the slots and may dispatch a queued request.
-    ///
-    /// `on_event`, when set, sees each event's clock just before the
-    /// event executes — the hook the cluster engine tags buffered
-    /// trace events with. Event clocks never decrease across calls.
-    pub(crate) fn advance_until(
-        &mut self,
-        until: Option<SimTime>,
-        mut on_event: Option<&mut dyn FnMut(SimTime)>,
-    ) -> Result<(), StrategyError> {
+    pub(crate) fn advance_until(&mut self, until: Option<SimTime>) -> Result<(), StrategyError> {
         let due = |tc: SimTime| until.is_none_or(|ta| tc <= ta);
         while let Some(((tc, i), runner_up)) = self.next_two_events() {
             if !due(tc) {
                 break;
-            }
-            if let Some(f) = on_event.as_mut() {
-                f(tc);
             }
             if self.active[i].is_done() {
                 self.finalize(i)?;
@@ -731,9 +687,6 @@ impl Host<'_> {
                 let a = &self.active[i];
                 if a.is_done() || !due(a.clock()) || runner_up.is_some_and(|r| (a.clock(), i) > r) {
                     break;
-                }
-                if let Some(f) = on_event.as_mut() {
-                    f(a.clock());
                 }
             }
         }

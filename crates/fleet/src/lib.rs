@@ -165,15 +165,15 @@ pub(crate) fn fleet_impl(
     // Main loop: drain every in-flight sandbox event up to each
     // arrival (events scheduled exactly at the arrival instant
     // execute first), admit the arrival, and finally run the tail to
-    // quiescence — the single-host degenerate case of the cluster
-    // engine's epochs.
+    // quiescence — what each cluster host does with its own arrivals
+    // within a segment.
     let arrivals = draw_arrivals(cfg, t0);
     let first_arrival = arrivals.first().map(|r| r.at).unwrap_or(t0);
     for req in arrivals {
-        fleet.advance_until(Some(req.at), None)?;
+        fleet.advance_until(Some(req.at))?;
         fleet.handle_arrival(req)?;
     }
-    fleet.advance_until(None, None)?;
+    fleet.advance_until(None)?;
 
     // End of run: tear every parked sandbox down and verify the
     // host's memory accounting closed.

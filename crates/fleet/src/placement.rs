@@ -65,7 +65,7 @@ pub trait PlacementPolicy {
     /// choice depends on nothing else: no load, no cache state, no
     /// history. It must equal what [`PlacementPolicy::place`] returns
     /// over views of exactly those hosts. A `Some` lets the cluster
-    /// engine route arrivals before the run and keep barriers only
+    /// engine route arrivals before the run and end segments only
     /// where the live set changes (DESIGN.md §11); `None`, the
     /// default, places each arrival from fresh [`HostView`]s.
     fn static_route(&self, _func_name: &str, _live: &[usize]) -> Option<usize> {

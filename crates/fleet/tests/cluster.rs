@@ -4,8 +4,10 @@
 //! invocation-conservation bookkeeping the figures rely on.
 
 use snapbpf::{StrategyError, StrategyKind};
-use snapbpf_fleet::{ClusterResult, FleetConfig, PlacementKind, Runner, SnapshotDistribution};
-use snapbpf_sim::{chrome_trace_json, Tracer};
+use snapbpf_fleet::{
+    ClusterResult, FaultSchedule, FleetConfig, PlacementKind, Runner, SnapshotDistribution,
+};
+use snapbpf_sim::{chrome_trace_json, SimDuration, TraceEvent, TracePhase, Tracer};
 use snapbpf_testkit::{small_cluster_cfg, small_fleet_cfg, small_suite};
 use snapbpf_workloads::Workload;
 
@@ -167,6 +169,62 @@ fn traced_cluster_run_has_one_process_row_per_host() {
         r.placed(),
         "every routed arrival must leave a placement instant"
     );
+}
+
+/// The trace merge rule: each host's events form one block, blocks
+/// in host order, and every `cluster:place` instant sits right before
+/// the `fleet:arrival` it placed on the same host — under a load-aware
+/// policy and a crash whose killed requests retry elsewhere.
+#[test]
+fn traced_cluster_events_merge_in_host_order() {
+    let workloads = small_suite();
+    let ms = SimDuration::from_millis;
+    let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 3, 200.0)
+        .with_faults(FaultSchedule::none().crash(0, ms(40)).retrying(ms(2)));
+    cfg.placement = PlacementKind::LeastLoaded;
+    let tracer = Tracer::recording();
+    let r = Runner::new(&cfg)
+        .workloads(&workloads)
+        .tracer(&tracer)
+        .run()
+        .unwrap()
+        .into_cluster()
+        .unwrap();
+    assert!(r.aggregate.retried > 0, "the crash must retry killed work");
+    let events: Vec<TraceEvent> = tracer
+        .take_events()
+        .into_iter()
+        .filter(|e| e.phase != TracePhase::Metadata)
+        .collect();
+    assert!(
+        events.windows(2).all(|w| w[0].pid <= w[1].pid),
+        "events must merge in host order"
+    );
+    let is = |e: &TraceEvent, cat: &str, name: &str| e.cat == cat && e.name == name;
+    let func = |e: &TraceEvent| {
+        e.args
+            .iter()
+            .find(|(k, _)| *k == "func")
+            .map(|(_, v)| v.clone())
+    };
+    let mut places = 0;
+    for (i, place) in events.iter().enumerate() {
+        if !is(place, "cluster", "place") {
+            continue;
+        }
+        places += 1;
+        let arrival = events.get(i + 1).expect("a placement precedes its arrival");
+        assert!(
+            is(arrival, "fleet", "arrival"),
+            "place {i} not followed by its arrival"
+        );
+        assert_eq!(
+            (arrival.pid, arrival.ts, func(arrival)),
+            (place.pid, place.ts, func(place)),
+            "place {i} and its arrival disagree"
+        );
+    }
+    assert_eq!(places, r.placed(), "every routed arrival is placed once");
 }
 
 /// Conservation: every admitted invocation is served by exactly one

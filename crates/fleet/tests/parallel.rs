@@ -85,10 +85,10 @@ fn any_thread_count_matches_the_serial_run_exactly() {
     }
 }
 
-/// Epoch-merge interleaving stress: odd host and thread counts (so
-/// hosts wrap unevenly onto workers) across several arrival seeds.
-/// If the barrier merge consulted arrival order per worker instead of
-/// host order, some seed here would interleave two hosts' events
+/// Trace-merge stress: odd host and thread counts (so hosts wrap
+/// unevenly onto workers) across several arrival seeds. If the driver
+/// appended host buffers in worker or completion order instead of
+/// host order, some seed here would order two hosts' events
 /// differently and break byte equality.
 #[test]
 fn epoch_merge_is_seed_stable_under_odd_sharding() {
@@ -109,7 +109,7 @@ fn epoch_merge_is_seed_stable_under_odd_sharding() {
 /// drained from ring/stats maps — serialize to byte-identical JSON
 /// at any thread count, across placement policies and seeds. The
 /// series carry f64 sums, so this only holds because per-host
-/// registries merge in ascending host order at the epoch barrier,
+/// registries merge in ascending host order at the end of the run,
 /// never in thread-completion order.
 #[test]
 fn windowed_series_json_is_byte_identical_at_any_thread_count() {
@@ -138,12 +138,12 @@ fn windowed_series_json_is_byte_identical_at_any_thread_count() {
     }
 }
 
-/// The scenario battery's determinism pin: a crash epoch (host 0
-/// dies mid-run with retry on, host 2 drains later) still yields
+/// The scenario battery's determinism pin: a crash (host 0 dies
+/// mid-run with retry on, host 2 drains later) still yields
 /// byte-identical traces and field-identical results at any
-/// worker-thread count. Fault epochs insert a barrier mid-stream; if
-/// any worker raced past it, the abort/evict/re-place cascade would
-/// interleave differently and some placement here would diverge.
+/// worker-thread count. Each fault ends a segment; if any worker
+/// raced past it, the abort/evict/re-place cascade would run against
+/// different host state and some placement here would diverge.
 #[test]
 fn crash_epochs_match_the_serial_run_exactly() {
     let workloads = small_suite();
@@ -218,8 +218,8 @@ fn out_of_range_placement_is_a_config_error_not_a_panic() {
 }
 
 /// Hash placement without its static route: the cluster engine must
-/// stop every host at every arrival to place it, as a per-arrival
-/// barrier engine does. Same label, so traces compare byte for byte.
+/// end a segment at every arrival to place it from every host's
+/// view. Same label, so traces compare byte for byte.
 struct PerArrivalHash;
 
 impl PlacementPolicy for PerArrivalHash {

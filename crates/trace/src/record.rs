@@ -4,10 +4,11 @@
 //! admitted request, carrying the function index and the arrival's
 //! offset from the invocation-phase start. [`ArrivalCapture`] is a
 //! [`TraceSink`] that keeps exactly those two numbers per arrival
-//! and discards everything else, so recording adds O(arrivals)
+//! and discards everything else, so [`record_fleet`] adds O(arrivals)
 //! memory — not O(trace events) — and, because tracing never
 //! perturbs the simulation, the recorded run's [`FleetResult`] is
-//! identical to an untraced one.
+//! identical to an untraced one. [`record_cluster`] keeps the same
+//! points but not the same bound (see its docs).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -64,8 +65,9 @@ impl ArrivalCapture {
         (capture, tracer)
     }
 
-    /// Removes and returns the captured points (in capture order —
-    /// the run's global arrival order).
+    /// Removes and returns the captured points, in capture order: a
+    /// fleet run's arrival order, or a cluster run's arrivals grouped
+    /// by host.
     pub fn take(&self) -> Vec<TracePoint> {
         std::mem::take(&mut self.points.borrow_mut())
     }
@@ -121,6 +123,11 @@ pub fn record_fleet(
 /// schedule into a [`Profile`] (one point per routed request; hosts
 /// share the invocation-phase time origin, so offsets are globally
 /// comparable).
+///
+/// Memory is O(trace events), not O(arrivals): each host of the run
+/// buffers its whole event stream in a private recording tracer until
+/// it finishes, and only then do the events reach the capture sink,
+/// which keeps the arrival points.
 ///
 /// # Errors
 ///
