@@ -6,7 +6,8 @@
 //!
 //! Prints each figure as an aligned table (absolute values plus the
 //! paper's normalized presentation) and writes JSON + text files
-//! under `--out` (default `results/`).
+//! under `--out` (default `results/`). `--metrics-catalog` instead
+//! prints the declared metric catalog as a Markdown table and exits.
 //!
 //! The binary also hosts the trace workflow as a subcommand group:
 //!
@@ -93,6 +94,7 @@ struct Args {
     hosts: Option<usize>,
     threads: usize,
     verifier_log: bool,
+    metrics_catalog: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -107,6 +109,7 @@ fn parse_args() -> Result<Args, String> {
         hosts: None,
         threads: 1,
         verifier_log: false,
+        metrics_catalog: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -130,6 +133,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--verifier-log" => args.verifier_log = true,
+            "--metrics-catalog" => args.metrics_catalog = true,
             "--only" => args.only = Some(value("--only")?),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--telemetry-out" => {
@@ -159,7 +163,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "usage: figures [--scale S] [--instances N] [--out DIR] [--only ID] \
                      [--device sata-ssd|nvme|hdd] [--trace-out FILE] [--telemetry-out FILE] \
-                     [--hosts N] [--threads N] [--verifier-log]\n\
+                     [--hosts N] [--threads N] [--verifier-log] [--metrics-catalog]\n\
                      IDs: {}\n\
                      or: figures trace <record|analyze|replay> (see `figures trace --help`)",
                     KNOWN_IDS.join(" ")
@@ -726,6 +730,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.metrics_catalog {
+        print!("{}", snapbpf_sim::catalog_table());
+        return ExitCode::SUCCESS;
+    }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

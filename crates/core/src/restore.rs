@@ -34,7 +34,7 @@
 use std::fmt;
 
 use snapbpf_kernel::HostKernel;
-use snapbpf_sim::{SimDuration, SimTime};
+use snapbpf_sim::{Metric, SimDuration, SimTime};
 use snapbpf_vmm::{MicroVm, UffdResolver};
 
 use crate::strategy::{RestoredVm, StrategyError};
@@ -72,6 +72,16 @@ impl RestoreStage {
             RestoreStage::PrefetchIssue => "prefetch-issue",
             RestoreStage::OverlaySetup => "overlay-setup",
             RestoreStage::Resume => "resume",
+        }
+    }
+
+    /// The histogram of this stage's durations.
+    pub(crate) fn metric(&self) -> Metric {
+        match self {
+            RestoreStage::MetadataLoad => Metric::CoreRestoreMetadataLoadNs,
+            RestoreStage::PrefetchIssue => Metric::CoreRestorePrefetchIssueNs,
+            RestoreStage::OverlaySetup => Metric::CoreRestoreOverlaySetupNs,
+            RestoreStage::Resume => Metric::CoreRestoreResumeNs,
         }
     }
 
@@ -295,10 +305,7 @@ impl RestoreCursor {
         if !trace.is_enabled() {
             return;
         }
-        trace.observe_duration(
-            &format!("core.restore.stage.{}_ns", stage.label()),
-            done.saturating_since(entry),
-        );
+        trace.observe_duration(stage.metric(), done.saturating_since(entry));
         if trace.events_enabled() {
             trace.span(
                 "restore",

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use snapbpf_sim::Tracer;
+use snapbpf_sim::{Metric, Tracer};
 
 use crate::interp::{Interpreter, KfuncHost, RunError, RunOutcome};
 use crate::map::MapSet;
@@ -240,12 +240,12 @@ impl KprobeRegistry {
                 Ok(ref o) => {
                     attached.runs += 1;
                     attached.insns += o.insns_executed;
-                    self.trace.incr("ebpf.prog.invocations");
-                    self.trace.add("ebpf.prog.insns", o.insns_executed);
+                    self.trace.incr(Metric::EbpfProgInvocations);
+                    self.trace.add(Metric::EbpfProgInsns, o.insns_executed);
                     self.trace
-                        .observe("ebpf.prog.insns_per_invocation", o.insns_executed);
+                        .observe(Metric::EbpfProgInsnsPerInvocation, o.insns_executed);
                 }
-                Err(_) => self.trace.incr("ebpf.prog.errors"),
+                Err(_) => self.trace.incr(Metric::EbpfProgErrors),
             }
             results.push(FireResult {
                 probe: ProbeId(idx as u32),

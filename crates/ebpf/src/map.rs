@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use snapbpf_sim::Tracer;
+use snapbpf_sim::{Metric, Tracer};
 
 /// Number of simulated CPUs a [`MapKind::PerCpuArray`] map carries
 /// slots for. Fixed (and small) so per-CPU storage stays cheap; the
@@ -287,7 +287,7 @@ impl MapSet {
     /// Returns [`MapError::BadDefinition`] for zero-size values,
     /// zero-capacity maps, or array keys that are not 4 bytes.
     pub fn create(&mut self, def: MapDef) -> Result<MapId, MapError> {
-        self.trace.incr("ebpf.map.creates");
+        self.trace.incr(Metric::EbpfMapCreates);
         if def.max_entries == 0 {
             return Err(MapError::BadDefinition("max_entries must be positive"));
         }
@@ -373,7 +373,7 @@ impl MapSet {
     /// Key-size mismatches and unknown maps are errors; an
     /// out-of-bounds array index is `Ok(None)`.
     pub fn lookup(&self, id: MapId, key: &[u8]) -> Result<Option<Vec<u8>>, MapError> {
-        self.trace.incr("ebpf.map.lookups");
+        self.trace.incr(Metric::EbpfMapLookups);
         let inst = self.instance(id)?;
         match &inst.storage {
             MapStorage::Array { values } => {
@@ -422,7 +422,7 @@ impl MapSet {
     /// Size mismatches, unknown maps and out-of-bounds array indices
     /// are errors.
     pub fn update(&mut self, id: MapId, key: &[u8], value: &[u8]) -> Result<(), MapError> {
-        self.trace.incr("ebpf.map.updates");
+        self.trace.incr(Metric::EbpfMapUpdates);
         let inst = self.instance_mut(id)?;
         if value.len() != inst.def.value_size as usize {
             return Err(MapError::BadValueSize {
@@ -478,7 +478,7 @@ impl MapSet {
     /// increments the drop counter, as the kernel does);
     /// [`MapError::WrongKind`] for non-ring maps.
     pub fn ring_push(&mut self, id: MapId, record: &[u8]) -> Result<(), MapError> {
-        self.trace.incr("ebpf.map.ring_pushes");
+        self.trace.incr(Metric::EbpfMapRingPushes);
         let inst = self.instance_mut(id)?;
         match &mut inst.storage {
             MapStorage::Ring {
@@ -517,7 +517,7 @@ impl MapSet {
     ///
     /// [`MapError::WrongKind`] for non-ring maps.
     pub fn ring_pop(&mut self, id: MapId) -> Result<Option<Vec<u8>>, MapError> {
-        self.trace.incr("ebpf.map.ring_pops");
+        self.trace.incr(Metric::EbpfMapRingPops);
         let inst = self.instance_mut(id)?;
         match &mut inst.storage {
             MapStorage::Ring {

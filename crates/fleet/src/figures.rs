@@ -3,7 +3,9 @@
 //! under an open-loop request stream (see `EXPERIMENTS.md`).
 
 use snapbpf::{DeviceKind, FigureData, RestoreStage, StrategyError, StrategyKind};
-use snapbpf_sim::{chrome_trace_json, Histogram, Json, MetricsRegistry, SimDuration, Tracer};
+use snapbpf_sim::{
+    chrome_trace_json, Histogram, Json, Metric, MetricKind, MetricsRegistry, SimDuration, Tracer,
+};
 use snapbpf_workloads::Workload;
 
 use crate::scenario::{conserves_invocations, Scenario, ScenarioParams};
@@ -331,22 +333,23 @@ pub fn fleet_breakdown(cfg: &FleetFigureConfig) -> Result<FigureData, StrategyEr
 /// and `_` spelled `-`; the one histogram records its mean under a
 /// `-mean` suffix.
 fn set_ebpf_meta(fig: &mut FigureData, m: &MetricsRegistry) {
-    // (metric, is a histogram), in meta order.
-    const METRICS: [(&str, bool); 10] = [
-        ("ebpf.verifier.programs", false),
-        ("ebpf.verifier.insns_processed", false),
-        ("ebpf.verifier.states_pruned", false),
-        ("ebpf.prog.invocations", false),
-        ("ebpf.prog.insns_per_invocation", true),
-        ("ebpf.opt.programs", false),
-        ("ebpf.opt.insns_before", false),
-        ("ebpf.opt.insns_after", false),
-        ("ebpf.opt.cache_hits", false),
-        ("ebpf.opt.reverify_rejections", false),
+    // In meta order; a histogram contributes its mean.
+    const METRICS: [Metric; 10] = [
+        Metric::EbpfVerifierPrograms,
+        Metric::EbpfVerifierInsnsProcessed,
+        Metric::EbpfVerifierStatesPruned,
+        Metric::EbpfProgInvocations,
+        Metric::EbpfProgInsnsPerInvocation,
+        Metric::EbpfOptPrograms,
+        Metric::EbpfOptInsnsBefore,
+        Metric::EbpfOptInsnsAfter,
+        Metric::EbpfOptCacheHits,
+        Metric::EbpfOptReverifyRejections,
     ];
-    for (name, histogram) in METRICS {
+    for metric in METRICS {
+        let name = metric.name();
         let key = name.replace(['.', '_'], "-");
-        if histogram {
+        if metric.info().kind == MetricKind::Histogram {
             let mean = m.histogram(name).map_or(0.0, Histogram::mean);
             fig.set_meta(&format!("{key}-mean"), mean);
         } else {

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use snapbpf::{FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError};
 use snapbpf_kernel::{HostKernel, KernelConfig};
 use snapbpf_mem::OwnerId;
-use snapbpf_sim::{sandbox_tid, SimDuration, SimTime, SplitMix64, Tracer, TID_CONTROL};
+use snapbpf_sim::{sandbox_tid, Metric, SimDuration, SimTime, SplitMix64, Tracer, TID_CONTROL};
 use snapbpf_storage::{Disk, IoTracer};
 use snapbpf_vmm::{InvocationCursor, MicroVm, Snapshot, UffdResolver};
 use snapbpf_workloads::{InvocationTrace, Workload};
@@ -273,9 +273,9 @@ impl Host<'_> {
         let delay = self.cfg.distribution.transfer_time(bytes);
         if delay > SimDuration::ZERO {
             self.snapshot_fetches += 1;
-            self.trace.incr("cluster.snapshot_fetches");
+            self.trace.incr(Metric::ClusterSnapshotFetches);
             self.trace
-                .observe_duration("cluster.snapshot_fetch_ns", delay);
+                .observe_duration(Metric::ClusterSnapshotFetchNs, delay);
             if self.trace.events_enabled() {
                 self.trace.span(
                     "cluster",
@@ -299,7 +299,7 @@ impl Host<'_> {
     pub(crate) fn dispatch(&mut self, req: Request, now: SimTime) -> Result<(), StrategyError> {
         let (owner, restore, run) = match self.pool.checkout(req.func, now) {
             Some((vm, resolver)) => {
-                self.trace.incr("fleet.warm_hits");
+                self.trace.incr(Metric::FleetWarmHits);
                 if self.trace.events_enabled() {
                     self.trace.instant(
                         "fleet",
@@ -317,7 +317,7 @@ impl Host<'_> {
                 let owner = OwnerId::new(self.owner_seq);
                 self.owner_seq += 1;
                 let tid = sandbox_tid(owner.as_u32());
-                self.trace.incr("fleet.cold_starts");
+                self.trace.incr(Metric::FleetColdStarts);
                 if self.trace.events_enabled() {
                     self.trace.name_thread(
                         tid,
@@ -412,7 +412,7 @@ impl Host<'_> {
 
     /// Notes one shed request on the scheduler track.
     fn note_shed(&mut self, at: SimTime, func: usize) {
-        self.trace.incr("fleet.shed");
+        self.trace.incr(Metric::FleetShed);
         if self.trace.events_enabled() {
             self.trace.instant(
                 "fleet",
@@ -428,7 +428,7 @@ impl Host<'_> {
     pub(crate) fn handle_arrival(&mut self, req: Request) -> Result<(), StrategyError> {
         self.placed += 1;
         self.per_func[req.func].arrivals += 1;
-        self.trace.incr("fleet.arrivals");
+        self.trace.incr(Metric::FleetArrivals);
         if self.trace.events_enabled() {
             // The (func, offset-from-t0) pair is exactly what a
             // profile recorder needs to rebuild the schedule.
@@ -448,13 +448,13 @@ impl Host<'_> {
         }
         let expired = self.pool.expire(req.at);
         self.trace
-            .add("fleet.pool_expirations", expired.len() as u64);
+            .add(Metric::FleetPoolExpirations, expired.len() as u64);
         self.teardown_parked(expired)?;
         if self.active.len() < self.cfg.max_concurrency {
             self.dispatch(req, req.at)?;
         } else if self.pending.len() < self.cfg.queue_depth {
             self.pending.push_back(req);
-            self.trace.incr("fleet.enqueued");
+            self.trace.incr(Metric::FleetEnqueued);
             if self.trace.events_enabled() {
                 self.trace.instant(
                     "fleet",
@@ -501,21 +501,25 @@ impl Host<'_> {
         // starts, the restore latency (bin p99 = cold-start p99).
         let fname = &self.per_func[done.func].name;
         self.trace.series_record(
-            "fleet.warm_hit",
+            Metric::FleetWarmHit,
             fname,
             end,
             if done.cold { 0.0 } else { 1.0 },
         );
         if done.cold {
-            self.trace
-                .series_record("fleet.cold_start_ns", fname, end, restore.as_nanos() as f64);
+            self.trace.series_record(
+                Metric::FleetColdStartNs,
+                fname,
+                end,
+                restore.as_nanos() as f64,
+            );
         }
         self.last_completion = self.last_completion.max(end);
         self.sample_memory();
 
         let expired = self.pool.expire(t_ev);
         self.trace
-            .add("fleet.pool_expirations", expired.len() as u64);
+            .add(Metric::FleetPoolExpirations, expired.len() as u64);
         self.teardown_parked(expired)?;
         if self.draining {
             // A draining host never parks: the sandbox tears down the
@@ -524,7 +528,8 @@ impl Host<'_> {
         } else {
             let evicted = self.pool.checkin(done.func, (vm, resolver), t_ev);
             self.pool_hwm = self.pool_hwm.max(self.pool.len() as u64);
-            self.trace.add("fleet.pool_evictions", evicted.len() as u64);
+            self.trace
+                .add(Metric::FleetPoolEvictions, evicted.len() as u64);
             if !evicted.is_empty() && self.trace.events_enabled() {
                 self.trace.instant(
                     "fleet",
@@ -589,10 +594,11 @@ impl Host<'_> {
                 failed += 1;
             }
         }
-        self.trace.add("fleet.failed", failed);
-        self.trace.add("fleet.retried", retries.len() as u64);
+        self.trace.add(Metric::FleetFailed, failed);
+        self.trace.add(Metric::FleetRetried, retries.len() as u64);
         let parked = self.pool.evict_all();
-        self.trace.add("fleet.pool_evictions", parked.len() as u64);
+        self.trace
+            .add(Metric::FleetPoolEvictions, parked.len() as u64);
         self.teardown_parked(parked)?;
         self.kernel.drop_all_caches()?;
         let present = matches!(self.cfg.distribution, SnapshotDistribution::Local);
@@ -621,7 +627,8 @@ impl Host<'_> {
     pub(crate) fn drain(&mut self, at: SimTime) -> Result<(), StrategyError> {
         self.draining = true;
         let parked = self.pool.evict_all();
-        self.trace.add("fleet.pool_evictions", parked.len() as u64);
+        self.trace
+            .add(Metric::FleetPoolEvictions, parked.len() as u64);
         if self.trace.events_enabled() {
             self.trace.instant(
                 "fleet",

@@ -181,7 +181,7 @@ pub struct FleetResult {
     pub pool_expirations: u64,
     /// Snapshot of the run's metrics registry: every layer's counters
     /// (page-cache hits, dedup savings, eBPF invocations, scheduler
-    /// decisions, …), gauges, and histograms.
+    /// decisions, …) and histograms.
     pub metrics: MetricsRegistry,
     /// Windowed per-function time series (virtual-time-binned): the
     /// scheduler's hit-ratio and cold-start-latency samples plus the

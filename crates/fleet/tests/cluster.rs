@@ -179,7 +179,10 @@ fn traced_cluster_run_has_one_process_row_per_host() {
 fn traced_cluster_events_merge_in_host_order() {
     let workloads = small_suite();
     let ms = SimDuration::from_millis;
-    let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 3, 200.0)
+    // Enough load that least-loaded placement spreads it: an idle
+    // cluster ties every decision to host 0.
+    let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 3, 1000.0)
+        .at_scale(0.1)
         .with_faults(FaultSchedule::none().crash(0, ms(40)).retrying(ms(2)));
     cfg.placement = PlacementKind::LeastLoaded;
     let tracer = Tracer::recording();
@@ -191,6 +194,12 @@ fn traced_cluster_events_merge_in_host_order() {
         .into_cluster()
         .unwrap();
     assert!(r.aggregate.retried > 0, "the crash must retry killed work");
+    let split: Vec<u64> = r.hosts.iter().map(|h| h.aggregate.arrivals).collect();
+    let total: u64 = split.iter().sum();
+    assert!(
+        split.iter().filter(|&&n| 5 * n >= total).count() >= 2,
+        "arrivals per host {split:?}: at least two hosts must each get a fifth"
+    );
     let events: Vec<TraceEvent> = tracer
         .take_events()
         .into_iter()

@@ -85,19 +85,36 @@ fn any_thread_count_matches_the_serial_run_exactly() {
     }
 }
 
+/// At least two hosts each got a fifth of the arrivals: the load
+/// kept more than one host busy, so least-loaded placement really
+/// spread it (an idle cluster ties every decision to host 0).
+fn assert_spread(r: &ClusterResult, what: &str) {
+    let total: u64 = r.hosts.iter().map(|h| h.aggregate.arrivals).sum();
+    let split: Vec<u64> = r.hosts.iter().map(|h| h.aggregate.arrivals).collect();
+    let busy = split.iter().filter(|&&n| 5 * n >= total).count();
+    assert!(
+        busy >= 2,
+        "{what}: arrivals per host {split:?} did not spread"
+    );
+}
+
 /// Trace-merge stress: odd host and thread counts (so hosts wrap
 /// unevenly onto workers) across several arrival seeds. If the driver
 /// appended host buffers in worker or completion order instead of
 /// host order, some seed here would order two hosts' events
-/// differently and break byte equality.
+/// differently and break byte equality. The load keeps several hosts
+/// busy, so every host's buffer holds events.
 #[test]
 fn epoch_merge_is_seed_stable_under_odd_sharding() {
     let workloads = small_suite();
     for seed in [3u64, 11, 1234] {
-        let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 5, 200.0).with_seed(seed);
+        let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 5, 1000.0)
+            .at_scale(0.1)
+            .with_seed(seed);
         cfg.placement = PlacementKind::LeastLoaded;
         cfg.distribution = SnapshotDistribution::remote_10g();
         let (serial, serial_trace) = traced_run(&cfg, &workloads, 1);
+        assert_spread(&serial, &format!("seed {seed}"));
         let (parallel, parallel_trace) = traced_run(&cfg, &workloads, 3);
         assert_eq!(serial, parallel, "seed {seed}: results diverged");
         assert_eq!(serial_trace, parallel_trace, "seed {seed}: traces diverged");
@@ -143,20 +160,29 @@ fn windowed_series_json_is_byte_identical_at_any_thread_count() {
 /// byte-identical traces and field-identical results at any
 /// worker-thread count. Each fault ends a segment; if any worker
 /// raced past it, the abort/evict/re-place cascade would run against
-/// different host state and some placement here would diverge.
+/// different host state and some placement here would diverge. The
+/// crash lands while host 0 holds work under every placement, so the
+/// cascade really runs.
 #[test]
 fn crash_epochs_match_the_serial_run_exactly() {
     let workloads = small_suite();
     for placement in PlacementKind::ALL {
-        let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 4, 200.0).with_faults(
-            FaultSchedule::none()
-                .crash(0, SimDuration::from_millis(150))
-                .drain(2, SimDuration::from_millis(300))
-                .retrying(SimDuration::from_millis(2)),
-        );
+        let mut cfg = small_cluster_cfg(StrategyKind::SnapBpf, 4, 1000.0)
+            .at_scale(0.1)
+            .with_faults(
+                FaultSchedule::none()
+                    .crash(0, SimDuration::from_millis(40))
+                    .drain(2, SimDuration::from_millis(300))
+                    .retrying(SimDuration::from_millis(2)),
+            );
         cfg.placement = placement;
         cfg.distribution = SnapshotDistribution::remote_10g();
         let (serial, serial_trace) = traced_run(&cfg, &workloads, 1);
+        assert!(
+            serial.aggregate.retried > 0,
+            "{}: the crash must kill work on host 0",
+            placement.label()
+        );
         assert_eq!(
             serial.aggregate.arrivals,
             serial.aggregate.completions

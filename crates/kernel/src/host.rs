@@ -31,7 +31,7 @@ use snapbpf_ebpf::{
 use snapbpf_mem::{
     AnonRegistry, CacheError, MemorySnapshot, OwnerId, PageCache, PageKey, PageState,
 };
-use snapbpf_sim::{SimDuration, SimTime, Tracer, TID_KERNEL};
+use snapbpf_sim::{Metric, SimDuration, SimTime, Tracer, TID_KERNEL};
 use snapbpf_storage::{Disk, DiskError, FileId, IoPath};
 
 use crate::config::KernelConfig;
@@ -340,33 +340,34 @@ impl HostKernel {
             Err(_) => snapbpf_ebpf::VerifierStats::default(),
         };
         self.trace
-            .add("ebpf.verifier.insns_processed", stats.insns_processed);
+            .add(Metric::EbpfVerifierInsnsProcessed, stats.insns_processed);
         self.trace
-            .add("ebpf.verifier.states_pruned", stats.states_pruned);
-        self.trace.add("ebpf.verifier.dead_insns", stats.dead_insns);
+            .add(Metric::EbpfVerifierStatesPruned, stats.states_pruned);
+        self.trace
+            .add(Metric::EbpfVerifierDeadInsns, stats.dead_insns);
         self.trace.observe(
-            "ebpf.verifier.peak_branch_depth",
+            Metric::EbpfVerifierPeakBranchDepth,
             stats.peak_branch_depth as u64,
         );
         let loaded = match result {
             Ok(loaded) => loaded,
             Err(e) => {
-                self.trace.incr("ebpf.verifier.rejections");
+                self.trace.incr(Metric::EbpfVerifierRejections);
                 return Err(e.into());
             }
         };
-        self.trace.incr("ebpf.verifier.programs");
-        self.trace.incr("ebpf.opt.programs");
+        self.trace.incr(Metric::EbpfVerifierPrograms);
+        self.trace.incr(Metric::EbpfOptPrograms);
         if loaded.cache_hit {
-            self.trace.incr("ebpf.verifier.cache_hits");
-            self.trace.incr("ebpf.opt.cache_hits");
+            self.trace.incr(Metric::EbpfVerifierCacheHits);
+            self.trace.incr(Metric::EbpfOptCacheHits);
         }
         self.trace
-            .add("ebpf.opt.insns_before", loaded.opt.insns_before);
+            .add(Metric::EbpfOptInsnsBefore, loaded.opt.insns_before);
         self.trace
-            .add("ebpf.opt.insns_after", loaded.opt.insns_after);
+            .add(Metric::EbpfOptInsnsAfter, loaded.opt.insns_after);
         if loaded.reverify_rejected {
-            self.trace.incr("ebpf.opt.reverify_rejections");
+            self.trace.incr(Metric::EbpfOptReverifyRejections);
         }
         Ok(self.probes.attach(hook, loaded.attached))
     }
@@ -529,7 +530,7 @@ impl HostKernel {
         let evicted = self.cache.evict_lru(len - budget).len() as u64;
         self.used_pages -= evicted;
         if evicted > 0 {
-            self.trace.add("mem.cache.pressure_evictions", evicted);
+            self.trace.add(Metric::MemCachePressureEvictions, evicted);
         }
     }
 
@@ -562,7 +563,7 @@ impl HostKernel {
         }
         for p in disable {
             let _ = self.probes.disable(p);
-            self.trace.incr("ebpf.prog.self_disables");
+            self.trace.incr(Metric::EbpfProgSelfDisables);
             if self.trace.events_enabled() {
                 self.trace.instant(
                     "ebpf",
@@ -627,8 +628,8 @@ impl HostKernel {
         let mut safety = 1_000_000u32;
         while let Some(req) = self.prefetch_queue.pop_front() {
             safety = safety.checked_sub(1).expect("prefetch cascade diverged");
-            self.trace.incr("ebpf.prefetch.ranges");
-            self.trace.add("ebpf.prefetch.pages", req.count);
+            self.trace.incr(Metric::EbpfPrefetchRanges);
+            self.trace.add(Metric::EbpfPrefetchPages, req.count);
             if self.trace.events_enabled() {
                 self.trace.instant(
                     "ebpf",
@@ -818,7 +819,7 @@ impl HostKernel {
     /// a cache page to anonymous memory).
     pub(crate) fn note_cow_break(&mut self) {
         self.cow_pages += 1;
-        self.trace.incr("mem.cow_breaks");
+        self.trace.incr(Metric::MemCowBreaks);
     }
 
     /// Mutable access to the page cache (KVM map/unmap bookkeeping).

@@ -11,14 +11,14 @@
 //!
 //! Overflow is explicit, never silent: a ring reservation that
 //! failed with `-ENOSPC` shows up in the `ebpf.ring.drops` counter
-//! (from the ring's own drop count), in the stats map's ENOSPC slot,
-//! and — when the program got a later reservation through — as an
-//! in-band [`TelemetryRecord::RingDrop`] record.
+//! (from the ring's own drop count) and in the stats map's ENOSPC
+//! slot. An in-band [`TelemetryRecord::RingDrop`] record, which no
+//! shipped program writes, adds nothing to either.
 
 use snapbpf_ebpf::{
     MapError, MapId, MapSet, TelemetryRecord, STAT_SLOT_ENOSPC, STAT_SLOT_ISSUED, STAT_SLOT_PAGES,
 };
-use snapbpf_sim::{SimTime, Tracer};
+use snapbpf_sim::{Metric, SimTime, Tracer};
 
 /// What one [`TelemetryDrain::drain`] pass consumed, mostly for
 /// tests and smoke checks.
@@ -93,7 +93,7 @@ impl TelemetryDrain {
                 }
                 Err(_) => {
                     summary.decode_errors += 1;
-                    tracer.incr("ebpf.telemetry.decode_errors");
+                    tracer.incr(Metric::EbpfTelemetryDecodeErrors);
                 }
             }
         }
@@ -107,14 +107,14 @@ impl TelemetryDrain {
         self.seen_issued = issued;
         self.seen_pages = pages;
         self.seen_enospc = enospc;
-        tracer.add("ebpf.telemetry.issued", summary.issued);
-        tracer.add("ebpf.telemetry.pages", summary.pages);
-        tracer.add("ebpf.telemetry.enospc", new_enospc);
+        tracer.add(Metric::EbpfTelemetryIssued, summary.issued);
+        tracer.add(Metric::EbpfTelemetryPages, summary.pages);
+        tracer.add(Metric::EbpfTelemetryEnospc, new_enospc);
 
         let ring_dropped = maps.ring_dropped(self.ring)?;
         summary.drops = ring_dropped.wrapping_sub(self.seen_ring_dropped);
         self.seen_ring_dropped = ring_dropped;
-        tracer.add("ebpf.ring.drops", summary.drops);
+        tracer.add(Metric::EbpfRingDrops, summary.drops);
 
         Ok(summary)
     }
@@ -123,7 +123,7 @@ impl TelemetryDrain {
         match rec {
             TelemetryRecord::PrefetchIssued { now_ns, pages, .. } => {
                 tracer.series_record(
-                    "ebpf.prefetch.pages",
+                    Metric::EbpfPrefetchPages,
                     &self.function,
                     SimTime::from_nanos(now_ns),
                     pages as f64,
@@ -134,28 +134,23 @@ impl TelemetryDrain {
                 groups,
                 pages,
             } => {
-                tracer.incr("ebpf.telemetry.completions");
+                tracer.incr(Metric::EbpfTelemetryCompletions);
                 tracer.series_record(
-                    "ebpf.prefetch.groups",
+                    Metric::EbpfPrefetchGroups,
                     &self.function,
                     SimTime::from_nanos(now_ns),
                     groups as f64,
                 );
                 tracer.series_record(
-                    "ebpf.prefetch.total_pages",
+                    Metric::EbpfPrefetchTotalPages,
                     &self.function,
                     SimTime::from_nanos(now_ns),
                     pages as f64,
                 );
             }
-            TelemetryRecord::RingDrop { now_ns, dropped } => {
-                tracer.series_record(
-                    "ebpf.ring.drops",
-                    &self.function,
-                    SimTime::from_nanos(now_ns),
-                    dropped as f64,
-                );
-            }
+            // No shipped program reports drops in-band; the ring's
+            // own drop counter feeds `ebpf.ring.drops` in `drain`.
+            TelemetryRecord::RingDrop { .. } => {}
         }
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use snapbpf_sim::{SimTime, Tracer, WordState, PAGE_SIZE, TID_KERNEL};
+use snapbpf_sim::{Metric, SimTime, Tracer, WordState, PAGE_SIZE, TID_KERNEL};
 use snapbpf_storage::FileId;
 
 /// Key of a page-cache entry: a page of a file.
@@ -234,7 +234,7 @@ impl PageCache {
                 self.detach(idx);
                 self.push_front(idx);
                 self.hits += 1;
-                self.trace.incr("mem.cache.hits");
+                self.trace.incr(Metric::MemCacheHits);
                 let n = &self.nodes[idx];
                 Some(PageView {
                     state: n.state,
@@ -243,7 +243,7 @@ impl PageCache {
             }
             None => {
                 self.misses += 1;
-                self.trace.incr("mem.cache.misses");
+                self.trace.incr(Metric::MemCacheMisses);
                 None
             }
         }
@@ -293,7 +293,7 @@ impl PageCache {
             PageState::Resident => self.resident += 1,
             PageState::InFlight { .. } => self.in_flight += 1,
         }
-        self.trace.incr("mem.cache.inserts");
+        self.trace.incr(Metric::MemCacheInserts);
         Ok(())
     }
 
@@ -323,8 +323,8 @@ impl PageCache {
         if self.nodes[idx].mapcount > 0 {
             // Another sandbox already maps this page: the shared
             // cache just deduplicated one page of memory (§3.1).
-            self.trace.incr("mem.cache.dedup_hits");
-            self.trace.add("mem.cache.dedup_bytes", PAGE_SIZE);
+            self.trace.incr(Metric::MemCacheDedupHits);
+            self.trace.add(Metric::MemCacheDedupBytes, PAGE_SIZE);
         }
         self.nodes[idx].mapcount += 1;
         Ok(())
@@ -386,7 +386,8 @@ impl PageCache {
         }
         if !victims.is_empty() {
             self.evictions += victims.len() as u64;
-            self.trace.add("mem.cache.evictions", victims.len() as u64);
+            self.trace
+                .add(Metric::MemCacheEvictions, victims.len() as u64);
             if self.trace.events_enabled() {
                 self.trace.instant_now(
                     "mem",

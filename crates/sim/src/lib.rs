@@ -2,7 +2,8 @@
 //!
 //! The foundation every other crate in the SnapBPF reproduction sits
 //! on: virtual time, seeded pseudo-random numbers, arrival processes,
-//! statistics, and the tracer with its metrics registry. There is no
+//! statistics, the declared metric catalog, and the tracer with its
+//! metrics registry. There is no
 //! event queue here: each engine advances by picking the earliest
 //! `(clock, slot)` pair with a linear scan over its own VMs or
 //! sandboxes, so ties go to the lower slot.
@@ -35,6 +36,7 @@
 
 mod arrival;
 mod hash;
+mod metric;
 mod rng;
 mod series;
 mod stats;
@@ -46,6 +48,7 @@ pub use arrival::{
     TraceArrival, TracePoint,
 };
 pub use hash::{WordHasher, WordState};
+pub use metric::{catalog_table, Metric, MetricInfo, MetricKind, CATALOG};
 pub use rng::SplitMix64;
 pub use series::{SeriesBin, SeriesRegistry, SERIES_WINDOW_NS};
 pub use snapbpf_json::Json;

@@ -1,6 +1,6 @@
 //! Windowed per-function time series.
 //!
-//! Point metrics (counters, gauges, histograms in
+//! Point metrics (counters and histograms in
 //! [`crate::trace::MetricsRegistry`]) answer "how much over the whole
 //! run"; a [`SeriesRegistry`] answers "how did it evolve" by binning
 //! samples into fixed virtual-time windows keyed by

@@ -4,8 +4,8 @@
 //! Every layer of the simulation (storage, page cache, eBPF runtime,
 //! VMM, restore pipeline, fleet scheduler) reports *spans* and
 //! *instant events* stamped with **virtual** time — never the wall
-//! clock — through a shared [`Tracer`] handle, and bumps counters /
-//! gauges / histograms in a [`MetricsRegistry`]. Recorded events
+//! clock — through a shared [`Tracer`] handle, and bumps the counters
+//! and histograms of declared [`Metric`]s in a [`MetricsRegistry`]. Recorded events
 //! serialize to Chrome trace-event JSON ([`chrome_trace_json`]) that
 //! loads directly in Perfetto or `chrome://tracing`.
 //!
@@ -22,7 +22,7 @@
 //! # Examples
 //!
 //! ```
-//! use snapbpf_sim::{chrome_trace_json, SimTime, Tracer, TID_DISK};
+//! use snapbpf_sim::{chrome_trace_json, Metric, SimTime, Tracer, TID_DISK};
 //!
 //! let tracer = Tracer::recording();
 //! tracer.span(
@@ -33,7 +33,7 @@
 //!     SimTime::from_nanos(5_000),
 //!     vec![("blocks", 8u64.into())],
 //! );
-//! tracer.incr("storage.read.requests");
+//! tracer.incr(Metric::StorageReadRequests);
 //! let events = tracer.take_events();
 //! assert_eq!(events.len(), 1);
 //! let json = chrome_trace_json(&events, Some(&tracer.metrics_snapshot()));
@@ -47,6 +47,7 @@ use std::rc::Rc;
 
 use snapbpf_json::Json;
 
+use crate::metric::{Metric, MetricKind, CATALOG};
 use crate::series::SeriesRegistry;
 use crate::stats::{Histogram, Quantile};
 use crate::time::{SimDuration, SimTime};
@@ -269,29 +270,41 @@ impl TraceSink for RecordingSink {
     }
 }
 
-/// A namespaced registry of counters, gauges, and histograms.
+/// The run's counters and histograms, in dense slots indexed by
+/// [`Metric`] id.
 ///
-/// Names are dotted paths (`"mem.cache.hits"`,
-/// `"storage.read.latency_ns"`); iteration order is always name
-/// order, so snapshots serialize deterministically.
+/// Writes name a declared [`Metric`], so a bump is one index and no
+/// string work. Each counter slot carries a touched flag: a counter
+/// exists once anything, even a zero, was added to it, and only
+/// touched counters (and observed histograms) are read back. Reads
+/// go by name through the catalog, and iterate in id order, which is
+/// name order, so snapshots serialize deterministically.
 ///
 /// # Examples
 ///
 /// ```
-/// use snapbpf_sim::MetricsRegistry;
+/// use snapbpf_sim::{Metric, MetricsRegistry};
 ///
 /// let mut m = MetricsRegistry::new();
-/// m.add("mem.cache.hits", 3);
-/// m.incr("mem.cache.hits");
-/// m.observe("storage.read.latency_ns", 125_000);
+/// m.add(Metric::MemCacheHits, 3);
+/// m.incr(Metric::MemCacheHits);
+/// m.observe(Metric::StorageReadLatencyNs, 125_000);
 /// assert_eq!(m.counter("mem.cache.hits"), 4);
 /// assert_eq!(m.histogram("storage.read.latency_ns").unwrap().count(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Vec<Option<u64>>,
+    histograms: Vec<Option<Histogram>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: vec![None; CATALOG.len()],
+            histograms: vec![None; CATALOG.len()],
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -300,115 +313,101 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `n` to the named counter, creating it at zero first.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += n;
-        } else {
-            self.counters.insert(name.to_owned(), n);
-        }
+    /// Adds `n` to the counter, touching it even when `n` is zero.
+    pub fn add(&mut self, metric: Metric, n: u64) {
+        debug_assert!(
+            metric.info().kind.is_counter(),
+            "{metric:?} is not a counter"
+        );
+        let slot = &mut self.counters[metric.index()];
+        *slot = Some(slot.map_or(n, |v| v + n));
     }
 
-    /// Adds one to the named counter.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
+    /// Adds one to the counter.
+    pub fn incr(&mut self, metric: Metric) {
+        self.add(metric, 1);
     }
 
-    /// Sets the named gauge to `v` (last write wins).
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = v;
-        } else {
-            self.gauges.insert(name.to_owned(), v);
-        }
+    /// Records `v` into the histogram.
+    pub fn observe(&mut self, metric: Metric, v: u64) {
+        debug_assert_eq!(metric.info().kind, MetricKind::Histogram, "{metric:?}");
+        self.histograms[metric.index()]
+            .get_or_insert_with(Histogram::new)
+            .record(v);
     }
 
-    /// Records `v` into the named histogram.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(v);
-        } else {
-            let mut h = Histogram::new();
-            h.record(v);
-            self.histograms.insert(name.to_owned(), h);
-        }
+    /// Records a duration (as nanoseconds) into the histogram.
+    pub fn observe_duration(&mut self, metric: Metric, d: SimDuration) {
+        self.observe(metric, d.as_nanos());
     }
 
-    /// Records a duration (as nanoseconds) into the named histogram.
-    pub fn observe_duration(&mut self, name: &str, d: SimDuration) {
-        self.observe(name, d.as_nanos());
-    }
-
-    /// Current value of the named counter (zero if never touched).
+    /// Current value of the named counter (zero if never touched or
+    /// not declared).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of the named gauge, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+        Metric::from_name(name)
+            .and_then(|m| self.counters[m.index()])
+            .unwrap_or(0)
     }
 
     /// The named histogram, if anything was observed into it.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        Metric::from_name(name).and_then(|m| self.histograms[m.index()].as_ref())
     }
 
-    /// Iterates counters in name order.
+    /// Iterates touched counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        CATALOG
+            .iter()
+            .zip(&self.counters)
+            .filter_map(|(m, v)| v.map(|v| (m.name, v)))
     }
 
-    /// Iterates gauges in name order.
+    /// Iterates gauges in name order. No metric is a gauge, so this
+    /// is always empty; it keeps the serialized shape.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
+        std::iter::empty()
     }
 
-    /// Iterates histograms in name order.
+    /// Iterates observed histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        CATALOG
+            .iter()
+            .zip(&self.histograms)
+            .filter_map(|(m, h)| h.as_ref().map(|h| (m.name, h)))
     }
 
     /// `true` when nothing has ever been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters().next().is_none() && self.histograms().next().is_none()
     }
 
-    /// Folds another registry into this one: counters add, gauges
-    /// take the other's value, histograms merge.
+    /// Folds another registry into this one slot by slot: counters
+    /// add, histograms merge.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.add(k, *v);
+        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
+            if let Some(n) = theirs {
+                *mine = Some(mine.map_or(*n, |v| v + n));
+            }
         }
-        for (k, v) in &other.gauges {
-            self.set_gauge(k, *v);
-        }
-        for (k, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
+        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
+            match (mine, theirs) {
+                (Some(mine), Some(h)) => mine.merge(h),
+                (mine @ None, Some(h)) => *mine = Some(h.clone()),
+                (_, None) => {}
             }
         }
     }
 
-    /// Serializes the registry to a JSON object: counters and gauges
-    /// as plain numbers, histograms as `{count, mean, min, max, p50,
-    /// p90, p99, p99.9}` summaries.
+    /// Serializes the registry to a JSON object: counters as plain
+    /// numbers, an empty gauges object, and histograms as `{count,
+    /// mean, min, max, p50, p90, p99, p99.9}` summaries.
     pub fn to_json(&self) -> Json {
         let counters: Vec<(String, Json)> = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::from(v)))
-            .collect();
-        let gauges: Vec<(String, Json)> = self
-            .gauges
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::Number(v)))
+            .counters()
+            .map(|(k, v)| (k.to_owned(), Json::from(v)))
             .collect();
         let histograms: Vec<(String, Json)> = self
-            .histograms
-            .iter()
+            .histograms()
             .map(|(k, h)| {
                 let mut fields: Vec<(String, Json)> = vec![
                     ("count".into(), Json::from(h.count())),
@@ -419,12 +418,12 @@ impl MetricsRegistry {
                 for q in Quantile::ALL {
                     fields.push((q.label().into(), Json::from(h.quantile(q).unwrap_or(0))));
                 }
-                (k.clone(), Json::Object(fields))
+                (k.to_owned(), Json::Object(fields))
             })
             .collect();
         Json::Object(vec![
             ("counters".into(), Json::Object(counters)),
-            ("gauges".into(), Json::Object(gauges)),
+            ("gauges".into(), Json::Object(Vec::new())),
             ("histograms".into(), Json::Object(histograms)),
         ])
     }
@@ -668,35 +667,28 @@ impl Tracer {
         self.instant(cat, name, tid, at, args);
     }
 
-    /// Adds `n` to the named metrics counter.
-    pub fn add(&self, name: &str, n: u64) {
+    /// Adds `n` to the metrics counter.
+    pub fn add(&self, metric: Metric, n: u64) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().metrics.add(name, n);
+            inner.borrow_mut().metrics.add(metric, n);
         }
     }
 
-    /// Adds one to the named metrics counter.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
+    /// Adds one to the metrics counter.
+    pub fn incr(&self, metric: Metric) {
+        self.add(metric, 1);
     }
 
-    /// Sets the named gauge.
-    pub fn set_gauge(&self, name: &str, v: f64) {
+    /// Records `v` into the histogram.
+    pub fn observe(&self, metric: Metric, v: u64) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().metrics.set_gauge(name, v);
+            inner.borrow_mut().metrics.observe(metric, v);
         }
     }
 
-    /// Records `v` into the named histogram.
-    pub fn observe(&self, name: &str, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().metrics.observe(name, v);
-        }
-    }
-
-    /// Records a duration into the named histogram.
-    pub fn observe_duration(&self, name: &str, d: SimDuration) {
-        self.observe(name, d.as_nanos());
+    /// Records a duration into the histogram.
+    pub fn observe_duration(&self, metric: Metric, d: SimDuration) {
+        self.observe(metric, d.as_nanos());
     }
 
     /// Current value of the named counter (0 when disabled).
@@ -716,12 +708,13 @@ impl Tracer {
     /// Records one windowed time-series sample at virtual time `at`
     /// (see [`SeriesRegistry::record`]). Dropped when disabled;
     /// collected for metrics-only handles too, like counters.
-    pub fn series_record(&self, metric: &str, function: &str, at: SimTime, value: f64) {
+    pub fn series_record(&self, metric: Metric, function: &str, at: SimTime, value: f64) {
+        debug_assert!(metric.info().kind.is_series(), "{metric:?} is not a series");
         if let Some(inner) = &self.inner {
             inner
                 .borrow_mut()
                 .series
-                .record(metric, function, at, value);
+                .record(metric.name(), function, at, value);
         }
     }
 
@@ -874,12 +867,12 @@ mod tests {
         let tr = Tracer::disabled();
         assert!(!tr.is_enabled());
         assert!(!tr.events_enabled());
-        tr.incr("x");
+        tr.incr(Metric::FleetArrivals);
         tr.span("c", "n", 0, t(0), t(10), Vec::new());
         tr.instant("c", "n", 0, t(5), Vec::new());
         tr.advance_clock(t(99));
         assert_eq!(tr.now(), SimTime::ZERO);
-        assert_eq!(tr.counter("x"), 0);
+        assert_eq!(tr.counter("fleet.arrivals"), 0);
         assert!(tr.take_events().is_empty());
         assert!(tr.metrics_snapshot().is_empty());
     }
@@ -889,12 +882,13 @@ mod tests {
         let tr = Tracer::noop();
         assert!(tr.is_enabled());
         assert!(!tr.events_enabled());
-        tr.incr("a.b");
-        tr.add("a.b", 2);
-        tr.observe("h", 10);
+        tr.incr(Metric::MemCacheHits);
+        tr.add(Metric::MemCacheHits, 2);
+        tr.observe(Metric::StorageQueueDepth, 10);
         tr.span("c", "n", 0, t(0), t(10), Vec::new());
-        assert_eq!(tr.counter("a.b"), 3);
-        assert_eq!(tr.metrics_snapshot().histogram("h").unwrap().count(), 1);
+        assert_eq!(tr.counter("mem.cache.hits"), 3);
+        let m = tr.metrics_snapshot();
+        assert_eq!(m.histogram("storage.queue.depth").unwrap().count(), 1);
         assert!(tr.take_events().is_empty());
     }
 
@@ -923,9 +917,9 @@ mod tests {
     fn clones_share_state() {
         let tr = Tracer::recording();
         let other = tr.clone();
-        other.incr("shared");
+        other.incr(Metric::FleetShed);
         other.instant("c", "e", 0, t(1), Vec::new());
-        assert_eq!(tr.counter("shared"), 1);
+        assert_eq!(tr.counter("fleet.shed"), 1);
         assert_eq!(tr.take_events().len(), 1);
     }
 
@@ -966,7 +960,7 @@ mod tests {
             t(26_000),
             Vec::new(),
         );
-        tr.incr("fleet.cold_starts");
+        tr.incr(Metric::FleetColdStarts);
         let json = chrome_trace_json(&tr.take_events(), Some(&tr.metrics_snapshot()));
         let text = json.pretty();
         let back = Json::parse(&text).expect("round-trips");
@@ -1023,15 +1017,16 @@ mod tests {
         host.set_pid(2);
         host.name_process("host 1");
         host.name_thread(5, "track");
-        host.incr("a.b");
-        host.observe("h", 7);
+        host.incr(Metric::MemCacheMisses);
+        host.observe(Metric::StorageQueueDepth, 7);
         let caller = Tracer::recording();
         let (procs, threads) = host.take_names();
         caller.merge_names(procs, threads);
         caller.merge_metrics(&host.metrics_snapshot());
-        caller.incr("a.b");
-        assert_eq!(caller.counter("a.b"), 2);
-        assert_eq!(caller.metrics_snapshot().histogram("h").unwrap().count(), 1);
+        caller.incr(Metric::MemCacheMisses);
+        assert_eq!(caller.counter("mem.cache.misses"), 2);
+        let m = caller.metrics_snapshot();
+        assert_eq!(m.histogram("storage.queue.depth").unwrap().count(), 1);
         let events = caller.take_events();
         assert_eq!(events.len(), 2, "both name rows surface as metadata");
         assert!(events.iter().all(|e| e.phase == TracePhase::Metadata));
@@ -1045,38 +1040,58 @@ mod tests {
     fn series_flow_through_tracers_like_metrics() {
         // Disabled handles drop series samples silently.
         let off = Tracer::disabled();
-        off.series_record("cold_ns", "image", t(1), 5.0);
+        off.series_record(Metric::FleetColdStartNs, "image", t(1), 5.0);
         assert!(off.series_snapshot().is_empty());
 
         // Metrics-only handles collect them, and a caller merges
         // per-host snapshots exactly like metrics registries.
         let host = Tracer::noop();
-        host.series_record("cold_ns", "image", t(1), 5.0);
-        host.series_record("cold_ns", "image", t(2), 7.0);
+        host.series_record(Metric::FleetColdStartNs, "image", t(1), 5.0);
+        host.series_record(Metric::FleetColdStartNs, "image", t(2), 7.0);
         let caller = Tracer::recording();
-        caller.series_record("cold_ns", "json", t(3), 11.0);
+        caller.series_record(Metric::FleetColdStartNs, "json", t(3), 11.0);
         caller.merge_series(&host.series_snapshot());
         let merged = caller.series_snapshot();
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged.get("cold_ns", "image").unwrap()[&0].count(), 2);
-        assert_eq!(merged.get("cold_ns", "json").unwrap()[&0].sum(), 11.0);
+        let bins = |f| merged.get("fleet.cold_start_ns", f).unwrap();
+        assert_eq!(bins("image")[&0].count(), 2);
+        assert_eq!(bins("json")[&0].sum(), 11.0);
     }
 
     #[test]
     fn registry_merge_and_json() {
         let mut a = MetricsRegistry::new();
-        a.add("c", 1);
-        a.set_gauge("g", 0.5);
-        a.observe(" h", 4);
+        a.add(Metric::FleetArrivals, 1);
+        a.observe(Metric::StorageQueueDepth, 4);
         let mut b = MetricsRegistry::new();
-        b.add("c", 2);
-        b.set_gauge("g", 0.7);
-        b.observe(" h", 8);
+        b.add(Metric::FleetArrivals, 2);
+        b.add(Metric::FleetShed, 0);
+        b.observe(Metric::StorageQueueDepth, 8);
+        b.observe(Metric::VmmUffdWaitNs, 9);
         a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(0.7));
-        assert_eq!(a.histogram(" h").unwrap().count(), 2);
+        assert_eq!(a.counter("fleet.arrivals"), 3);
+        assert_eq!(a.histogram("storage.queue.depth").unwrap().count(), 2);
+        assert_eq!(a.histogram("vmm.uffd.wait_ns").unwrap().count(), 1);
+        let names: Vec<&str> = a.counters().map(|(k, _)| k).collect();
+        assert_eq!(
+            names,
+            ["fleet.arrivals", "fleet.shed"],
+            "a zero-valued add still creates the counter"
+        );
+        assert_eq!(a.gauges().count(), 0);
         let text = a.to_json().pretty();
         assert!(text.contains("\"p99.9\""));
+        assert!(text.contains("\"gauges\": {}"), "{text}");
+    }
+
+    #[test]
+    fn reads_by_unknown_or_untouched_names_are_empty() {
+        let mut m = MetricsRegistry::new();
+        assert!(m.is_empty());
+        m.incr(Metric::MemCacheHits);
+        assert_eq!(m.counter("mem.cache.misses"), 0);
+        assert_eq!(m.counter("no.such.metric"), 0);
+        assert!(m.histogram("no.such.metric").is_none());
+        assert!(!m.is_empty());
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use snapbpf_sim::{SimTime, Tracer, TID_DISK};
+use snapbpf_sim::{Metric, SimTime, Tracer, TID_DISK};
 
 use crate::addr::{BlockAddr, Extent};
 use crate::device::{BlockDevice, IoCompletion, IoKind, IoPath, IoRequest};
@@ -316,7 +316,7 @@ impl Disk {
 
     /// Reports one submitted request to the structured trace layer:
     /// a submit→complete span on the disk track with the queue depth
-    /// observed at submit time, plus request/byte/latency metrics.
+    /// observed at submit time, plus read request/byte/latency metrics.
     fn note_trace(&mut self, now: SimTime, file: FileId, req: IoRequest, done: IoCompletion) {
         if !self.trace.is_enabled() {
             return;
@@ -325,25 +325,21 @@ impl Disk {
         self.outstanding.retain(|&d| d > now_ns);
         let depth = self.outstanding.len() as u64;
         self.outstanding.push(done.done_at.as_nanos());
-        let (name, requests, bytes, latency) = match req.kind {
-            IoKind::Read => (
-                "disk-read",
-                "storage.read.requests",
-                "storage.read.bytes",
-                "storage.read.latency_ns",
-            ),
-            IoKind::Write => (
-                "disk-write",
-                "storage.write.requests",
-                "storage.write.bytes",
-                "storage.write.latency_ns",
-            ),
+        let name = match req.kind {
+            IoKind::Read => {
+                self.trace.incr(Metric::StorageReadRequests);
+                self.trace.add(Metric::StorageReadBytes, req.bytes());
+                self.trace.observe_duration(
+                    Metric::StorageReadLatencyNs,
+                    done.done_at.saturating_since(now),
+                );
+                "disk-read"
+            }
+            // Snapshots and record-phase artifacts are written before
+            // any run starts tracing, so writes carry no metrics.
+            IoKind::Write => "disk-write",
         };
-        self.trace.incr(requests);
-        self.trace.add(bytes, req.bytes());
-        self.trace
-            .observe_duration(latency, done.done_at.saturating_since(now));
-        self.trace.observe("storage.queue.depth", depth);
+        self.trace.observe(Metric::StorageQueueDepth, depth);
         if self.trace.events_enabled() {
             let file_name = self
                 .files
@@ -556,7 +552,6 @@ mod tests {
         d.write_file_pages(SimTime::ZERO, f, 0, 4, IoPath::Direct)
             .unwrap();
         assert_eq!(tr.counter("storage.read.requests"), 1);
-        assert_eq!(tr.counter("storage.write.requests"), 1);
         assert_eq!(tr.counter("storage.read.bytes"), 8 * 4096);
         let events = tr.take_events();
         assert_eq!(events.len(), 2);

@@ -24,7 +24,7 @@
 //! without walking the steps.
 
 use snapbpf_kernel::{AccessKind, HostKernel, KernelError, VmMemStats};
-use snapbpf_sim::{sandbox_tid, SimDuration, SimTime};
+use snapbpf_sim::{sandbox_tid, Metric, SimDuration, SimTime};
 use snapbpf_workloads::{InvocationTrace, Step};
 
 use crate::microvm::MicroVm;
@@ -37,11 +37,11 @@ fn note_access(host: &HostKernel, kind: AccessKind) {
     }
     match kind {
         AccessKind::Hit => {}
-        AccessKind::PvAnon => trace.incr("vmm.guest.pv_anon_faults"),
-        AccessKind::Minor => trace.incr("vmm.guest.minor_faults"),
-        AccessKind::Major => trace.incr("vmm.guest.major_faults"),
-        AccessKind::CowBreak => trace.incr("vmm.guest.cow_breaks"),
-        AccessKind::Uffd => trace.incr("vmm.uffd.faults"),
+        AccessKind::PvAnon => trace.incr(Metric::VmmGuestPvAnonFaults),
+        AccessKind::Minor => trace.incr(Metric::VmmGuestMinorFaults),
+        AccessKind::Major => trace.incr(Metric::VmmGuestMajorFaults),
+        AccessKind::CowBreak => trace.incr(Metric::VmmGuestCowBreaks),
+        AccessKind::Uffd => trace.incr(Metric::VmmUffdFaults),
     }
 }
 
@@ -295,7 +295,7 @@ fn resolve_uffd(
         vm.kvm_mut()
             .uffd_install(fault_time, gpfn, data_ready, host)?;
         host.tracer()
-            .observe_duration("vmm.uffd.wait_ns", SimDuration::ZERO);
+            .observe_duration(Metric::VmmUffdWaitNs, SimDuration::ZERO);
         Ok(fault_time)
     } else {
         let round_trip = host.config().uffd_round_trip;
@@ -304,7 +304,7 @@ fn resolve_uffd(
                 .uffd_install(fault_time + round_trip, gpfn, data_ready, host)?;
         let done = installed.ready_at.max(fault_time + round_trip);
         let trace = host.tracer();
-        trace.observe_duration("vmm.uffd.wait_ns", done.saturating_since(fault_time));
+        trace.observe_duration(Metric::VmmUffdWaitNs, done.saturating_since(fault_time));
         if trace.events_enabled() {
             trace.span(
                 "vmm",
