@@ -11,10 +11,8 @@
 //! online PV PTE marking, and the uffd mechanism still prevents any
 //! cross-sandbox deduplication.
 
-use std::collections::HashSet;
-
 use snapbpf_kernel::{CowPolicy, HostKernel};
-use snapbpf_mem::OwnerId;
+use snapbpf_mem::{OwnerId, PageSet};
 use snapbpf_sim::SimTime;
 use snapbpf_storage::{FileId, IoPath};
 use snapbpf_vmm::{run_invocation, MicroVm, Snapshot, UffdResolver};
@@ -36,7 +34,7 @@ pub(crate) fn allocator_free_region(snapshot_pages: u64) -> std::ops::Range<u64>
 pub struct Faast {
     ws_order: Vec<u64>,
     ws_file: Option<FileId>,
-    filtered: HashSet<u64>,
+    filtered: PageSet,
 }
 
 impl Faast {
@@ -47,7 +45,7 @@ impl Faast {
 
     /// Pages excluded from the working set by the metadata scan.
     pub fn filtered_pages(&self) -> u64 {
-        self.filtered.len() as u64
+        self.filtered.len()
     }
 
     /// The serialized working-set size in pages.
@@ -60,7 +58,7 @@ impl Faast {
 /// to zero-fill) and logs everything else via direct snapshot reads.
 struct FilteringRecorder {
     snapshot: FileId,
-    filtered: HashSet<u64>,
+    filtered: PageSet,
     log: Vec<u64>,
 }
 
@@ -71,7 +69,7 @@ impl UffdResolver for FilteringRecorder {
         gpfn: u64,
         host: &mut HostKernel,
     ) -> Result<SimTime, snapbpf_kernel::KernelError> {
-        if self.filtered.contains(&gpfn) {
+        if self.filtered.contains(gpfn) {
             return Ok(now);
         }
         let done = host
@@ -187,7 +185,7 @@ mod tests {
         assert!(faast.filtered_pages() > 0);
         // The filter contains every ephemeral page.
         for &p in trace.ephemeral_page_list() {
-            assert!(faast.filtered.contains(&p));
+            assert!(faast.filtered.contains(p));
         }
     }
 

@@ -15,11 +15,10 @@
 //!   quantifies.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use snapbpf_kernel::{CowPolicy, HostKernel, KernelError};
-use snapbpf_mem::OwnerId;
+use snapbpf_mem::{OwnerId, PageSet};
 use snapbpf_sim::SimTime;
 use snapbpf_storage::{FileId, IoPath};
 use snapbpf_vmm::{run_invocation, MicroVm, Snapshot, UffdResolver};
@@ -63,11 +62,12 @@ impl UffdResolver for RecordingResolver {
 /// pages take the demand-read path, exactly like the real system.
 pub(crate) struct PrefetchedResolver {
     pub(crate) snapshot: FileId,
-    /// gpfn -> time its bytes are installed by the prefetch thread.
-    pub(crate) available: Rc<RefCell<HashMap<u64, SimTime>>>,
+    /// Indexed by gpfn: the time the prefetch thread installs the
+    /// page's bytes, `None` for pages outside the working set.
+    pub(crate) available: Rc<RefCell<Vec<Option<SimTime>>>>,
     /// gpfns served with zero-fill without any I/O (Faast's
     /// allocation filter; empty for REAP).
-    pub(crate) zero_filled: HashSet<u64>,
+    pub(crate) zero_filled: PageSet,
 }
 
 impl UffdResolver for PrefetchedResolver {
@@ -77,10 +77,11 @@ impl UffdResolver for PrefetchedResolver {
         gpfn: u64,
         host: &mut HostKernel,
     ) -> Result<SimTime, KernelError> {
-        if self.zero_filled.contains(&gpfn) {
+        if self.zero_filled.contains(gpfn) {
             return Ok(now);
         }
-        if let Some(&t) = self.available.borrow().get(&gpfn) {
+        let installed = self.available.borrow().get(gpfn as usize).copied();
+        if let Some(Some(t)) = installed {
             return Ok(t.max(now));
         }
         let done = host
@@ -110,9 +111,9 @@ pub(crate) struct UffdRestoreOps {
     ws_file: FileId,
     ws_order: Vec<u64>,
     snapshot: Snapshot,
-    zero_filled: HashSet<u64>,
+    zero_filled: PageSet,
     owner: OwnerId,
-    available: Rc<RefCell<HashMap<u64, SimTime>>>,
+    available: Rc<RefCell<Vec<Option<SimTime>>>>,
     vm: Option<MicroVm>,
 }
 
@@ -121,7 +122,7 @@ impl UffdRestoreOps {
         ws_file: FileId,
         ws_order: Vec<u64>,
         snapshot: Snapshot,
-        zero_filled: HashSet<u64>,
+        zero_filled: PageSet,
         owner: OwnerId,
     ) -> Self {
         UffdRestoreOps {
@@ -130,7 +131,7 @@ impl UffdRestoreOps {
             snapshot,
             zero_filled,
             owner,
-            available: Rc::new(RefCell::new(HashMap::new())),
+            available: Rc::new(RefCell::new(Vec::new())),
             vm: None,
         }
     }
@@ -156,6 +157,7 @@ impl RestoreOps for UffdRestoreOps {
                 let install_cost = host.config().page_copy + host.config().anon_zero_fill;
                 let mut installer = now;
                 let mut available = self.available.borrow_mut();
+                available.resize(self.snapshot.memory_pages() as usize, None);
                 // All chunks are issued at `now`; batching the
                 // submissions delivers the completions in one call.
                 let mut chunks = Vec::new();
@@ -171,7 +173,7 @@ impl RestoreOps for UffdRestoreOps {
                 for (&(first, n), done) in chunks.iter().zip(&completions) {
                     for i in first..first + n {
                         installer = installer.max(done.done_at) + install_cost;
-                        available.insert(self.ws_order[i as usize], installer);
+                        available[self.ws_order[i as usize] as usize] = Some(installer);
                     }
                 }
                 // The stage's work completes when the last install
@@ -311,7 +313,7 @@ impl Strategy for Reap {
                 ws_file,
                 self.ws_order.clone(),
                 func.snapshot.clone(),
-                HashSet::new(),
+                PageSet::new(),
                 owner,
             )),
         ))

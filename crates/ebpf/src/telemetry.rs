@@ -55,7 +55,6 @@ pub const STAT_SLOTS: u32 = 3;
 
 const KIND_PREFETCH_ISSUED: u64 = 1;
 const KIND_PREFETCH_COMPLETED: u64 = 2;
-const KIND_RING_DROP: u64 = 3;
 
 /// One kernel→user telemetry record.
 ///
@@ -97,16 +96,6 @@ pub enum TelemetryRecord {
         /// Total pages across those groups.
         pages: u64,
     },
-    /// A previous ring reservation failed with `-ENOSPC`; emitted on
-    /// the next successful reservation so drops are visible in-band
-    /// too (the authoritative count lives in the stats map and the
-    /// ring's own drop counter).
-    RingDrop {
-        /// Virtual time the program observed.
-        now_ns: u64,
-        /// Drops observed by the program so far.
-        dropped: u64,
-    },
 }
 
 /// Why a byte slice failed to decode as a [`TelemetryRecord`].
@@ -142,7 +131,6 @@ impl TelemetryRecord {
         match self {
             TelemetryRecord::PrefetchIssued { .. } => KIND_PREFETCH_ISSUED,
             TelemetryRecord::PrefetchCompleted { .. } => KIND_PREFETCH_COMPLETED,
-            TelemetryRecord::RingDrop { .. } => KIND_RING_DROP,
         }
     }
 
@@ -160,9 +148,6 @@ impl TelemetryRecord {
                 groups,
                 pages,
             } => [KIND_PREFETCH_COMPLETED, now_ns, groups, pages, 0],
-            TelemetryRecord::RingDrop { now_ns, dropped } => {
-                [KIND_RING_DROP, now_ns, dropped, 0, 0]
-            }
         };
         let mut out = [0u8; TELEMETRY_RECORD_BYTES];
         for (i, w) in words.iter().enumerate() {
@@ -195,10 +180,6 @@ impl TelemetryRecord {
                 groups: word(2),
                 pages: word(3),
             }),
-            KIND_RING_DROP => Ok(TelemetryRecord::RingDrop {
-                now_ns: word(1),
-                dropped: word(2),
-            }),
             k => Err(TelemetryDecodeError::UnknownKind(k)),
         }
     }
@@ -221,10 +202,6 @@ mod tests {
                 now_ns: u64::MAX,
                 groups: 7,
                 pages: 1 << 40,
-            },
-            TelemetryRecord::RingDrop {
-                now_ns: 0,
-                dropped: 9,
             },
         ];
         for rec in records {
@@ -259,5 +236,11 @@ mod tests {
         );
         let e = TelemetryRecord::decode(&bytes).unwrap_err();
         assert!(e.to_string().contains("99"));
+        // Kind 3 was an in-band drop record that no program wrote.
+        bytes[0] = 3;
+        assert_eq!(
+            TelemetryRecord::decode(&bytes),
+            Err(TelemetryDecodeError::UnknownKind(3))
+        );
     }
 }

@@ -21,7 +21,7 @@
 //!   hook — how the prefetch program "disables itself" after the
 //!   last group.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use snapbpf_ebpf::{
@@ -205,9 +205,9 @@ pub struct HostKernel {
     interp: Interpreter,
     kfunc_sigs: Vec<KfuncSig>,
     prefetch_queue: VecDeque<PrefetchRequest>,
-    /// Per-file demand-readahead ramp state: (next expected page,
-    /// current window).
-    ra_state: HashMap<FileId, (u64, u64)>,
+    /// Per-file demand-readahead ramp state, indexed by
+    /// [`FileId::as_u32`]: (next expected page, current window).
+    ra_state: Vec<Option<(u64, u64)>>,
     hook_fires: u64,
     cow_pages: u64,
     ebpf_cpu: SimDuration,
@@ -245,7 +245,7 @@ impl HostKernel {
                 args: 3,
             }],
             prefetch_queue: VecDeque::new(),
-            ra_state: HashMap::new(),
+            ra_state: Vec::new(),
             hook_fires: 0,
             cow_pages: 0,
             ebpf_cpu: SimDuration::ZERO,
@@ -430,18 +430,6 @@ impl HostKernel {
 
     // ---- Page cache paths ----
 
-    /// Lazily completes in-flight reads whose I/O has finished by
-    /// `now`.
-    fn refresh(&mut self, now: SimTime, key: PageKey) {
-        if let Some(view) = self.cache.get(key) {
-            if let PageState::InFlight { ready_at } = view.state {
-                if ready_at <= now {
-                    self.cache.mark_resident(key).expect("entry exists");
-                }
-            }
-        }
-    }
-
     /// Takes one free host page. When none is free, first reclaims
     /// up to 4,096 least-recently-used unmapped page-cache pages.
     fn take_page(&mut self) -> Result<(), KernelError> {
@@ -476,9 +464,7 @@ impl HostKernel {
         // One pass: find maximal uncached runs.
         while page <= end {
             let cached = if page < end {
-                let key = PageKey::new(file, page);
-                self.refresh(now, key);
-                self.cache.get(key).is_some()
+                self.cache.refresh(now, PageKey::new(file, page)).is_some()
             } else {
                 true // sentinel: close any open run at the end
             };
@@ -664,14 +650,9 @@ impl HostKernel {
     ) -> Result<ReadOutcome, KernelError> {
         self.trace.advance_clock(now);
         let key = PageKey::new(file, page);
-        self.refresh(now, key);
-        if let Some(view) = self.cache.lookup(key) {
-            let ready_at = match view.state {
-                PageState::Resident => now,
-                PageState::InFlight { ready_at } => ready_at.max(now),
-            };
+        if let Some(view) = self.cache.lookup(now, key) {
             return Ok(ReadOutcome {
-                ready_at,
+                ready_at: view.available_at().max(now),
                 cpu: SimDuration::ZERO,
                 hit: true,
             });
@@ -682,11 +663,15 @@ impl HostKernel {
         let window = if self.config.readahead_enabled {
             let max = self.config.readahead_pages.max(1);
             let init = self.config.readahead_initial.clamp(1, max);
-            let window = match self.ra_state.get(&file) {
-                Some(&(expected, prev)) if page == expected => (prev * 2).min(max),
+            let f = file.as_u32() as usize;
+            if f >= self.ra_state.len() {
+                self.ra_state.resize(f + 1, None);
+            }
+            let window = match self.ra_state[f] {
+                Some((expected, prev)) if page == expected => (prev * 2).min(max),
                 _ => init,
             };
-            self.ra_state.insert(file, (page + window, window));
+            self.ra_state[f] = Some((page + window, window));
             window
         } else {
             1
@@ -753,10 +738,10 @@ impl HostKernel {
     pub fn mincore(&mut self, now: SimTime, file: FileId, start: u64, count: u64) -> Vec<bool> {
         (start..start + count)
             .map(|p| {
-                let key = PageKey::new(file, p);
-                self.refresh(now, key);
                 matches!(
-                    self.cache.get(key).map(|v| v.state),
+                    self.cache
+                        .refresh(now, PageKey::new(file, p))
+                        .map(|v| v.state),
                     Some(PageState::Resident)
                 )
             })
@@ -782,8 +767,8 @@ impl HostKernel {
         Ok(n)
     }
 
-    /// Drops every cached page of `file` (used between experiment
-    /// repetitions to cool the cache).
+    /// Drops every unmapped cached page of `file` (used between
+    /// experiment repetitions to cool the cache).
     ///
     /// # Errors
     ///

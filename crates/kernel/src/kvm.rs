@@ -15,11 +15,10 @@
 //!   destroys deduplication — and the paper's patch (opportunistic
 //!   write mapping).
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use snapbpf_mem::{OwnerId, PageKey};
-use snapbpf_sim::{SimDuration, SimTime, WordState};
+use snapbpf_mem::{OwnerId, PageKey, PageSet};
+use snapbpf_sim::{SimDuration, SimTime};
 use snapbpf_storage::FileId;
 
 use crate::host::{HostKernel, KernelError};
@@ -41,15 +40,14 @@ pub enum CowPolicy {
     Opportunistic,
 }
 
-/// How a guest page is currently mapped in the nested page tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GuestMapping {
-    /// Shared, read-only mapping of a page-cache page.
-    Cache { key: PageKey },
-    /// Private anonymous page (PV allocation, CoW copy, or uffd
-    /// install).
-    Anon,
-}
+/// Nested page-table entry of an unmapped guest page.
+const PTE_NONE: u32 = 0;
+/// Entry of a private anonymous page (PV allocation, CoW copy, or
+/// uffd install).
+const PTE_ANON: u32 = 1;
+/// Entries from here up map a shared, read-only page-cache page: the
+/// entry is the page's cache slot plus `PTE_CACHE`.
+const PTE_CACHE: u32 = 2;
 
 /// Classification of a guest memory access, for statistics and for
 /// driving the engine (a [`AccessKind::Uffd`] result requires the
@@ -157,10 +155,15 @@ pub struct KvmVm {
     snapshot_file: FileId,
     pages: u64,
     cow_policy: CowPolicy,
-    mappings: HashMap<u64, GuestMapping, WordState>,
+    /// The nested page table, indexed by gpfn: `PTE_NONE`,
+    /// `PTE_ANON`, or `PTE_CACHE` plus the cache slot of a shared
+    /// page. Sized to the guest's pages; grows if a gpfn lies beyond.
+    mappings: Vec<u32>,
+    /// The gpfns with a non-`PTE_NONE` entry, in first-map order.
+    mapped: Vec<u64>,
     uffd: Option<(u64, u64)>, // registered [start, end) gpfn range
     overlays: Vec<Overlay>,
-    anon_filter: HashSet<u64, WordState>,
+    anon_filter: PageSet,
     stats: VmMemStats,
     /// When enabled, first-touch guest page numbers in fault order —
     /// the VMM-level access profiling FaaSnap's record phase uses.
@@ -179,10 +182,11 @@ impl KvmVm {
             snapshot_file,
             pages,
             cow_policy,
-            mappings: HashMap::default(),
+            mappings: vec![PTE_NONE; usize::try_from(pages).expect("guest pages fit in memory")],
+            mapped: Vec::new(),
             uffd: None,
             overlays: Vec::new(),
-            anon_filter: HashSet::default(),
+            anon_filter: PageSet::new(),
             stats: VmMemStats::default(),
             access_log: None,
             teardowns: 0,
@@ -273,16 +277,38 @@ impl KvmVm {
         self.uffd.is_some_and(|(s, e)| gpfn >= s && gpfn < e)
     }
 
+    /// The page-table entry of `gpfn`.
+    fn pte(&self, gpfn: u64) -> u32 {
+        usize::try_from(gpfn)
+            .ok()
+            .and_then(|i| self.mappings.get(i))
+            .copied()
+            .unwrap_or(PTE_NONE)
+    }
+
+    /// Sets the page-table entry of `gpfn` to a mapped value, noting
+    /// a first mapping in `mapped`.
+    fn set_pte(&mut self, gpfn: u64, pte: u32) {
+        let i = usize::try_from(gpfn).expect("gpfn fits the address space");
+        if i >= self.mappings.len() {
+            self.mappings.resize(i + 1, PTE_NONE);
+        }
+        if self.mappings[i] == PTE_NONE {
+            self.mapped.push(gpfn);
+        }
+        self.mappings[i] = pte;
+    }
+
     /// Retires a guest access that needs no VM exit: any access to
     /// an anonymous page, or a read of a shared page-cache page.
     /// Returns `true` and counts the hit exactly as
     /// [`KvmVm::access`] would; returns `false` and changes nothing
     /// when the access must exit to the host.
     pub fn try_hit(&mut self, gpfn_raw: u64, write: bool) -> bool {
-        let hit = match self.mappings.get(&(gpfn_raw & !PV_MIRROR_BIT)) {
-            Some(GuestMapping::Cache { .. }) => !write,
-            Some(GuestMapping::Anon) => true,
-            None => false,
+        let hit = match self.pte(gpfn_raw & !PV_MIRROR_BIT) {
+            PTE_NONE => false,
+            PTE_ANON => true,
+            _ => !write,
         };
         self.stats.hits += u64::from(hit);
         hit
@@ -311,15 +337,16 @@ impl KvmVm {
         let gpfn = gpfn_raw & !PV_MIRROR_BIT;
 
         // Fast path: already mapped.
-        match self.mappings.get(&gpfn) {
-            Some(&GuestMapping::Cache { key }) if write => {
+        match self.pte(gpfn) {
+            PTE_NONE => {}
+            pte if write && pte >= PTE_CACHE => {
                 // Write to a shared read-only page: CoW break.
                 let c = host.config();
                 let cpu = c.nested_fault_exit + c.anon_zero_fill + c.page_copy;
                 host.alloc_anon_page(self.owner)?;
-                host.cache_mut().unmap_page(key)?;
+                host.cache_mut().unmap_page(pte - PTE_CACHE)?;
                 host.note_cow_break();
-                self.mappings.insert(gpfn, GuestMapping::Anon);
+                self.set_pte(gpfn, PTE_ANON);
                 self.stats.cow_breaks += 1;
                 return Ok(AccessOutcome {
                     ready_at: now + cpu,
@@ -327,7 +354,7 @@ impl KvmVm {
                     kind: AccessKind::CowBreak,
                 });
             }
-            Some(_) => {
+            _ => {
                 self.stats.hits += 1;
                 return Ok(AccessOutcome {
                     ready_at: now,
@@ -335,7 +362,6 @@ impl KvmVm {
                     kind: AccessKind::Hit,
                 });
             }
-            None => {}
         }
 
         // Nested page fault.
@@ -348,7 +374,7 @@ impl KvmVm {
         // anonymously, map both views (paper §3.2 steps ④–⑥).
         if mirrored {
             cpu += host.alloc_anon_page(self.owner)?;
-            self.mappings.insert(gpfn, GuestMapping::Anon);
+            self.set_pte(gpfn, PTE_ANON);
             self.stats.pv_anon_faults += 1;
             return Ok(AccessOutcome {
                 ready_at: now + cpu,
@@ -358,9 +384,9 @@ impl KvmVm {
         }
 
         // Pre-computed allocation filter (prior art's offline scan).
-        if self.anon_filter.contains(&gpfn) {
+        if self.anon_filter.contains(gpfn) {
             cpu += host.alloc_anon_page(self.owner)?;
-            self.mappings.insert(gpfn, GuestMapping::Anon);
+            self.set_pte(gpfn, PTE_ANON);
             self.stats.filtered_anon_faults += 1;
             return Ok(AccessOutcome {
                 ready_at: now + cpu,
@@ -400,7 +426,7 @@ impl KvmVm {
             let copy_cpu = host.alloc_anon_page(self.owner)? + host.config().page_copy;
             cpu += copy_cpu;
             host.note_cow_break();
-            self.mappings.insert(gpfn, GuestMapping::Anon);
+            self.set_pte(gpfn, PTE_ANON);
             self.stats.cow_breaks += 1;
             Ok(AccessOutcome {
                 ready_at: data_ready + copy_cpu,
@@ -408,9 +434,11 @@ impl KvmVm {
                 kind: AccessKind::CowBreak,
             })
         } else {
-            let key = PageKey::new(file, file_page);
-            host.cache_mut().map_page(key)?;
-            self.mappings.insert(gpfn, GuestMapping::Cache { key });
+            let slot = host.cache_mut().map_page(PageKey::new(file, file_page))?;
+            let pte = slot
+                .checked_add(PTE_CACHE)
+                .expect("cache slot fits a page-table entry");
+            self.set_pte(gpfn, pte);
             Ok(AccessOutcome {
                 ready_at: data_ready,
                 cpu,
@@ -436,7 +464,7 @@ impl KvmVm {
         host: &mut HostKernel,
     ) -> Result<AccessOutcome, KernelError> {
         let cpu = host.alloc_anon_page(self.owner)? + host.config().page_copy;
-        self.mappings.insert(gpfn, GuestMapping::Anon);
+        self.set_pte(gpfn, PTE_ANON);
         Ok(AccessOutcome {
             ready_at: data_ready.max(now) + cpu,
             cpu,
@@ -446,12 +474,12 @@ impl KvmVm {
 
     /// `true` if `gpfn` is currently mapped.
     pub fn is_mapped(&self, gpfn: u64) -> bool {
-        self.mappings.contains_key(&(gpfn & !PV_MIRROR_BIT))
+        self.pte(gpfn & !PV_MIRROR_BIT) != PTE_NONE
     }
 
     /// Number of guest pages currently mapped.
     pub fn mapped_pages(&self) -> u64 {
-        self.mappings.len() as u64
+        self.mapped.len() as u64
     }
 
     /// Tears the VM down: unmaps shared cache pages, releases all
@@ -462,13 +490,59 @@ impl KvmVm {
     /// Bookkeeping errors indicate model corruption.
     pub fn teardown(&mut self, host: &mut HostKernel) -> Result<(), KernelError> {
         self.teardowns += 1;
-        for (_, mapping) in self.mappings.drain() {
-            if let GuestMapping::Cache { key } = mapping {
-                host.cache_mut().unmap_page(key)?;
+        for gpfn in self.mapped.drain(..) {
+            let pte = std::mem::replace(&mut self.mappings[gpfn as usize], PTE_NONE);
+            if pte >= PTE_CACHE {
+                host.cache_mut().unmap_page(pte - PTE_CACHE)?;
             }
         }
         host.release_owner(self.owner);
         Ok(())
+    }
+
+    /// Audits the page table against `host`'s page cache, panicking
+    /// with a message on the first mismatch:
+    ///
+    /// * `mapped` lists each gpfn with a non-empty entry exactly once;
+    /// * each shared entry's slot caches the page `gpfn` is backed by
+    ///   (snapshot or overlay) with a mapcount of at least one.
+    ///
+    /// It is a test aid: it walks the whole table, so nothing on a
+    /// hot path calls it.
+    pub fn check(&self, host: &HostKernel) {
+        let mut listed = vec![false; self.mappings.len()];
+        for &gpfn in &self.mapped {
+            let i = gpfn as usize;
+            assert!(
+                i < self.mappings.len() && self.mappings[i] != PTE_NONE,
+                "mapped lists gpfn {gpfn}, which has no entry"
+            );
+            assert!(!listed[i], "mapped lists gpfn {gpfn} twice");
+            listed[i] = true;
+        }
+        for (gpfn, &pte) in self.mappings.iter().enumerate() {
+            assert_eq!(
+                pte != PTE_NONE,
+                listed[gpfn],
+                "gpfn {gpfn} has entry {pte} but mapped disagrees"
+            );
+            if pte < PTE_CACHE {
+                continue;
+            }
+            let slot = pte - PTE_CACHE;
+            let (file, page) = self.backing_of(gpfn as u64);
+            match host.cache().slot_page(slot) {
+                Some((key, view)) => {
+                    assert_eq!(
+                        key,
+                        PageKey::new(file, page),
+                        "gpfn {gpfn} maps slot {slot}, which caches another page"
+                    );
+                    assert!(view.mapcount >= 1, "gpfn {gpfn} maps unmapped slot {slot}");
+                }
+                None => panic!("gpfn {gpfn} maps slot {slot}, which caches nothing"),
+            }
+        }
     }
 }
 

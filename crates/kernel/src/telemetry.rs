@@ -12,8 +12,7 @@
 //! Overflow is explicit, never silent: a ring reservation that
 //! failed with `-ENOSPC` shows up in the `ebpf.ring.drops` counter
 //! (from the ring's own drop count) and in the stats map's ENOSPC
-//! slot. An in-band [`TelemetryRecord::RingDrop`] record, which no
-//! shipped program writes, adds nothing to either.
+//! slot.
 
 use snapbpf_ebpf::{
     MapError, MapId, MapSet, TelemetryRecord, STAT_SLOT_ENOSPC, STAT_SLOT_ISSUED, STAT_SLOT_PAGES,
@@ -148,9 +147,6 @@ impl TelemetryDrain {
                     pages as f64,
                 );
             }
-            // No shipped program reports drops in-band; the ring's
-            // own drop counter feeds `ebpf.ring.drops` in `drain`.
-            TelemetryRecord::RingDrop { .. } => {}
         }
     }
 }

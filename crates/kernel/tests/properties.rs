@@ -228,6 +228,8 @@ proptest! {
                 let cache = host.cache();
                 prop_assert_eq!(cache.len(), cache.file_page_count(f));
                 prop_assert_eq!(cache.len(), cache.pages_of_file(f).count() as u64);
+                cache.check();
+                vm.check(&host);
             }
 
             // Every explicitly requested, never-dropped page is cached
@@ -246,6 +248,9 @@ proptest! {
 
             vm.teardown(&mut host).unwrap();
             prop_assert_eq!(host.accounting_discrepancy(), 0);
+            host.cache().check();
+            vm.check(&host);
+            prop_assert_eq!(vm.mapped_pages(), 0);
         }
     }
 

@@ -11,6 +11,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use snapbpf_sim::WordState;
+
 /// Identifies an owner of anonymous memory (in practice: a microVM
 /// sandbox / VMM process).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,7 +57,10 @@ impl fmt::Display for OwnerId {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AnonRegistry {
-    pages: HashMap<OwnerId, u64>,
+    /// Pages per owner. Owner ids are sparse (a record sandbox is
+    /// `u32::MAX`), so this is hashed rather than dense; the map is
+    /// never iterated, so its order cannot reach an output.
+    pages: HashMap<OwnerId, u64, WordState>,
     total: u64,
 }
 

@@ -8,7 +8,9 @@
 //! * [`AnonRegistry`] — per-owner anonymous memory; where
 //!   userfaultfd-based approaches (REAP/Faast) put their private,
 //!   non-shareable working sets,
-//! * [`MemorySnapshot`] — the accounting split Figure 3c reports.
+//! * [`MemorySnapshot`] — the accounting split Figure 3c reports,
+//! * [`PageSet`] — a dense set of page numbers for guest-page
+//!   filters.
 //!
 //! Host memory is counted in pages, as Figure 3c counts it: the host
 //! kernel adds up page-cache and anonymous pages against its
@@ -46,7 +48,9 @@
 mod account;
 mod anon;
 mod cache;
+mod pageset;
 
 pub use account::MemorySnapshot;
 pub use anon::{AnonRegistry, OwnerId};
 pub use cache::{CacheError, PageCache, PageKey, PageState, PageView};
+pub use pageset::PageSet;

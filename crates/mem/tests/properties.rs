@@ -2,7 +2,8 @@
 //! invariants under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use snapbpf_mem::{PageCache, PageKey, PageState};
+use snapbpf_mem::{CacheError, PageCache, PageKey, PageState};
+use snapbpf_sim::SimTime;
 use snapbpf_storage::{Disk, SsdModel};
 
 #[derive(Debug, Clone)]
@@ -37,6 +38,8 @@ proptest! {
         let file = disk.create_file("f", 64).unwrap();
         let mut cache = PageCache::new();
         let mut model: std::collections::HashMap<u64, u32> = Default::default();
+        // Slot `map_page` returned for each cached page mapped so far.
+        let mut slots: std::collections::HashMap<u64, u32> = Default::default();
 
         for op in ops {
             let key = |p: u64| PageKey::new(file, p);
@@ -46,30 +49,53 @@ proptest! {
                     if let std::collections::hash_map::Entry::Vacant(e) = model.entry(p) {
                         prop_assert!(r.is_ok());
                         e.insert(0);
+                        slots.remove(&p);
                     } else {
                         prop_assert!(r.is_err());
                     }
                 }
                 CacheOp::Lookup(p) => {
-                    prop_assert_eq!(cache.lookup(key(p)).is_some(), model.contains_key(&p));
+                    prop_assert_eq!(
+                        cache.lookup(SimTime::ZERO, key(p)).is_some(),
+                        model.contains_key(&p)
+                    );
                 }
                 CacheOp::Map(p) => {
                     let r = cache.map_page(key(p));
                     match model.get_mut(&p) {
-                        Some(mc) => { prop_assert!(r.is_ok()); *mc += 1; }
+                        Some(mc) => {
+                            let slot = r.unwrap();
+                            prop_assert_eq!(*slots.entry(p).or_insert(slot), slot);
+                            *mc += 1;
+                        }
                         None => prop_assert!(r.is_err()),
                     }
                 }
                 CacheOp::Unmap(p) => {
-                    let r = cache.unmap_page(key(p));
-                    match model.get_mut(&p) {
-                        Some(mc) if *mc > 0 => { prop_assert!(r.is_ok()); *mc -= 1; }
-                        _ => prop_assert!(r.is_err()),
+                    // Only a page mapped since its insertion has a slot
+                    // to unmap by.
+                    if let Some(&slot) = slots.get(&p) {
+                        let r = cache.unmap_page(slot);
+                        let mc = model.get_mut(&p).unwrap();
+                        if *mc > 0 {
+                            prop_assert!(r.is_ok());
+                            *mc -= 1;
+                        } else {
+                            prop_assert_eq!(r, Err(CacheError::NotMapped(key(p))));
+                        }
                     }
                 }
                 CacheOp::Remove(p) => {
                     let r = cache.remove(key(p));
-                    prop_assert_eq!(r.is_ok(), model.remove(&p).is_some());
+                    match model.get(&p) {
+                        Some(0) => {
+                            prop_assert!(r.is_ok());
+                            model.remove(&p);
+                            slots.remove(&p);
+                        }
+                        Some(_) => prop_assert_eq!(r, Err(CacheError::Mapped(key(p)))),
+                        None => prop_assert_eq!(r, Err(CacheError::NotCached(key(p)))),
+                    }
                 }
                 CacheOp::Evict(n) => {
                     let evicted = cache.evict_lru(n);
@@ -78,10 +104,12 @@ proptest! {
                         // Only unmapped pages may be evicted.
                         let mc = model.remove(&k.page);
                         prop_assert_eq!(mc, Some(0));
+                        slots.remove(&k.page);
                     }
                 }
             }
             prop_assert_eq!(cache.len(), model.len() as u64);
+            cache.check();
         }
     }
 
@@ -104,5 +132,6 @@ proptest! {
         got.sort_unstable();
         prop_assert_eq!(got, expected);
         prop_assert_eq!(cache.len() as usize, all.intersection(&mapped).count());
+        cache.check();
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The eBPF verifier keys its prune and path sets by 504-byte
 //! abstract states, the program-load cache keys programs by their
-//! full structural shape, KVM's guest page tables are probed by
-//! guest page number on every guest access, and the page cache by
-//! `(file, page)` on every fault and insert. `std`'s default SipHash
-//! costs more than the lookups it serves on all of them. This hasher
+//! full structural shape, and the anonymous-memory registry is
+//! bumped per owner on every anonymous fault. (Guest page tables and
+//! the page-cache index are dense arrays and hash nothing.) `std`'s
+//! default SipHash costs more than the lookups it serves on all of
+//! them. This hasher
 //! folds each 64-bit word into the state with one rotate, xor and
 //! multiply (the FxHash step) and finishes with a rotation, so the
 //! high bits the tables probe with depend on every input word. It is

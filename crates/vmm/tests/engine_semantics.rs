@@ -20,6 +20,14 @@ fn setup(name: &str, scale: f64) -> (HostKernel, Snapshot, snapbpf_workloads::In
     (host, snap, w.trace())
 }
 
+/// Audits the host's page cache and each VM's page table against it.
+fn audit(host: &HostKernel, vms: &[&MicroVm]) {
+    host.cache().check();
+    for vm in vms {
+        vm.kvm().check(host);
+    }
+}
+
 /// A resolver whose pages become available at a fixed future time —
 /// lets us pin down the racing-vs-pre-installed split.
 struct DelayedResolver {
@@ -70,6 +78,8 @@ fn racing_uffd_faults_pay_the_round_trip() {
         r2.e2e_latency,
         r2.uffd_resolved
     );
+    audit(&host, &[&vm]);
+    audit(&host2, &[&vm2]);
 }
 
 #[test]
@@ -91,6 +101,7 @@ fn pv_and_uffd_interact_correctly() {
     );
     // uffd handled only the working set.
     assert_eq!(r.uffd_resolved as usize, trace.ws_page_list().len());
+    audit(&host, &[&vm]);
 }
 
 #[test]
@@ -124,6 +135,7 @@ fn concurrent_scheduler_is_fair_and_exact() {
         results[n as usize - 1].stats.major_faults <= results[0].stats.major_faults,
         "last VM should fault no more than the first"
     );
+    audit(&host, &vms.iter().collect::<Vec<_>>());
 }
 
 #[test]
@@ -150,6 +162,7 @@ fn concurrent_with_different_traces_per_vm() {
     assert!(host.cache().len() as usize > t0.ws_page_list().len());
     // And the variants genuinely differ.
     assert_ne!(t0.ws_page_list(), t1.ws_page_list());
+    audit(&host, &[&vm_a, &vm_b]);
 }
 
 #[test]
@@ -164,6 +177,7 @@ fn invocation_against_warm_shared_cache_has_no_major_faults() {
     let r = run_invocation(out.ready_at, &mut vm, &trace, &mut host, &mut NoUffd).unwrap();
     assert_eq!(r.stats.major_faults, 0);
     assert!(r.stats.minor_faults > 0);
+    audit(&host, &[&vm]);
 }
 
 #[test]
@@ -191,6 +205,7 @@ fn concurrent_clock_ties_go_to_the_lower_slot() {
         "vm 0 must win the tie and fault every shared page in"
     );
     assert_eq!(first.minor_faults + first.major_faults, second.minor_faults);
+    audit(&host, &[&vm_a, &vm_b]);
 }
 
 /// Replays `trace` on `vm` one step at a time straight through KVM,
@@ -282,6 +297,7 @@ fn a_completed_trace_replays_without_exits() {
             assert!(host.cache().evictions() > 0, "{name}: the budget must bite");
             let exits = per_step_exits(results[0].end_time, &mut vm, &trace, &mut host);
             assert_eq!(exits, 0, "{name}");
+            audit(&host, &[&vm, &neighbour]);
         }
     }
 }
