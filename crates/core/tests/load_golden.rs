@@ -28,6 +28,13 @@ const KFUNCS: &[KfuncSig] = &[KfuncSig {
 /// Group counts the prefetch builder is pinned at.
 const GROUP_COUNTS: [u32; 4] = [1, 8, 64, 256];
 
+/// Group counts of the load-statistics sweep, from one group to past
+/// the sizes any figure builds.
+const SWEEP_COUNTS: [u32; 6] = [1, 2, 5, 18, 64, 300];
+
+/// The sweep size whose full verifier log is pinned.
+const LOGGED_COUNT: u32 = 2;
+
 fn assert_golden(name: &str, actual: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -84,9 +91,22 @@ fn render_load(out: &mut String, label: &str, program: &Program, maps: &MapSet) 
     out.push('\n');
 }
 
-/// The shipped builders at every pinned size.
-fn render_builders(out: &mut String) {
-    let snap = snapshot_file();
+/// The telemetry prefetch program at `n` groups, with its map set.
+fn telemetry_program(snap: FileId, n: u32) -> (Program, MapSet) {
+    let mut maps = MapSet::new();
+    let groups = maps.create(groups_map_def(n)).expect("groups map");
+    let ring = maps
+        .create(snapbpf_ebpf::telemetry_ring_def())
+        .expect("ring map");
+    let stats = maps
+        .create(snapbpf_ebpf::telemetry_stats_def())
+        .expect("stats map");
+    let program = build_prefetch_program_telemetry(snap, groups, n, ring, stats);
+    (program, maps)
+}
+
+/// The capture program over a 4096-sample working-set map.
+fn render_capture(out: &mut String, snap: FileId) {
     let mut maps = MapSet::new();
     let wset = maps.create(wset_map_def(4096)).expect("wset map");
     render_load(
@@ -95,21 +115,15 @@ fn render_builders(out: &mut String) {
         &build_capture_program(snap, wset, 4096),
         &maps,
     );
+}
+
+/// The shipped builders at every pinned size.
+fn render_builders(out: &mut String) {
+    let snap = snapshot_file();
+    render_capture(out, snap);
     for n in GROUP_COUNTS {
-        let mut maps = MapSet::new();
-        let groups = maps.create(groups_map_def(n)).expect("groups map");
-        let ring = maps
-            .create(snapbpf_ebpf::telemetry_ring_def())
-            .expect("ring map");
-        let stats = maps
-            .create(snapbpf_ebpf::telemetry_stats_def())
-            .expect("stats map");
-        render_load(
-            out,
-            &format!("telemetry ({n} groups)"),
-            &build_prefetch_program_telemetry(snap, groups, n, ring, stats),
-            &maps,
-        );
+        let (program, maps) = telemetry_program(snap, n);
+        render_load(out, &format!("telemetry ({n} groups)"), &program, &maps);
     }
 }
 
@@ -191,4 +205,30 @@ fn program_load_matches_golden() {
     render_corpus(&mut out);
     render_host_loads(&mut out);
     assert_golden("program_load.txt", &out);
+}
+
+/// Every load statistic and optimized image over a sweep of prefetch
+/// program sizes, plus one full verifier log, so a change to how the
+/// verifier or the optimizer stores its work must keep every count,
+/// every image and every log line.
+#[test]
+fn program_load_sweep_matches_golden() {
+    let snap = snapshot_file();
+    let mut out = String::new();
+    render_capture(&mut out, snap);
+    for n in SWEEP_COUNTS {
+        let (program, maps) = telemetry_program(snap, n);
+        render_load(
+            &mut out,
+            &format!("telemetry ({n} groups)"),
+            &program,
+            &maps,
+        );
+    }
+    let (program, maps) = telemetry_program(snap, LOGGED_COUNT);
+    let (result, log) = Verifier::new(&maps, KFUNCS).verify_logged(&program);
+    result.expect("the shipped program verifies");
+    let _ = writeln!(out, "== verifier log: telemetry ({LOGGED_COUNT} groups)");
+    out.push_str(&log.render());
+    assert_golden("program_load_sweep.txt", &out);
 }
