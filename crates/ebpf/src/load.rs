@@ -173,26 +173,21 @@ impl LoadCache {
         let verifier = Verifier::new(maps, kfuncs);
         let verified = verifier.verify(program)?;
         let (optimized, stats) = PassManager::new().optimize(program, maps, kfuncs);
-        // The entry's image is built before the re-verify walk, so the
-        // walk's scratch memory is freed above every allocation that
-        // outlives the load and the allocator can hand it back (built
-        // after, it pinned about 1 MiB more peak RSS in fleet-warm).
-        let slotted = shape.map(|(key, order)| {
-            let image = remap(optimized.insns(), |map| {
-                let slot = order
-                    .iter()
-                    .position(|m| *m == map)
-                    .expect("the optimizer only keeps or drops the program's map references");
-                MapId::from_raw(slot as u32)
-            });
-            (key, image)
-        });
         let reverified = verifier.verify(&optimized).ok();
-        if let Some((key, image)) = slotted {
+        if let Some((key, order)) = shape {
+            let image = reverified.is_some().then(|| {
+                remap(optimized.insns(), |map| {
+                    let slot = order
+                        .iter()
+                        .position(|m| *m == map)
+                        .expect("the optimizer only keeps or drops the program's map references");
+                    MapId::from_raw(slot as u32)
+                })
+            });
             self.shapes.insert(
                 key,
                 ShapeEntry {
-                    image: reverified.is_some().then_some(image),
+                    image,
                     stats: stats.clone(),
                 },
             );

@@ -23,7 +23,7 @@ use crate::insn::{AccessSize, AluOp, HelperId, Insn, Operand, Reg, STACK_SIZE};
 use crate::map::MapSet;
 use crate::verify::{
     alu_range, clobber_caller_saved, neg_range, range_u32, refine_branch, AbsState, KfuncSig,
-    RegType, ScalarRange, VarOff,
+    RegType, ScalarRange, Succs, VarOff,
 };
 
 use super::cfg::{succs, target_of};
@@ -131,40 +131,68 @@ pub(crate) fn compute_facts(insns: &[Insn]) -> Facts {
     entry[0] = Some(AbsState::entry());
     let mut work = vec![0usize];
     while let Some(pc) = work.pop() {
-        let Some(st) = entry[pc] else { continue };
-        for (next, out) in step(insns, pc, &st) {
+        let Some(st) = &entry[pc] else { continue };
+        let succs = step(insns, pc, st);
+        for &(next, ref out) in succs.iter() {
             if next >= insns.len() {
                 continue;
             }
-            let merged = match entry[next] {
-                None => out,
+            match &mut entry[next] {
+                slot @ None => *slot = Some(*out),
                 Some(prev) => {
-                    let mut j = join_state(&prev, &out);
-                    if j == prev {
+                    if !join_into(prev, out, &mut bumps[next]) {
                         continue;
                     }
-                    bumps[next] += 1;
-                    if bumps[next] > WIDEN_AFTER {
-                        j = widen_state(&prev, &j);
-                        if j == prev {
-                            continue;
-                        }
-                    }
-                    j
                 }
-            };
-            entry[next] = Some(merged);
+            }
             work.push(next);
         }
     }
     Facts { entry }
 }
 
+/// Joins `out` into `prev`, the entry state of a pc that has changed
+/// `bumps` times, in place, and reports whether `prev` changed. Once
+/// it has changed more than [`WIDEN_AFTER`] times, every register the
+/// join moves goes straight to the top of its sub-lattice instead
+/// (widening, which guarantees termination on loops).
+fn join_into(prev: &mut AbsState, out: &AbsState, bumps: &mut u32) -> bool {
+    let mut moved = 0u16;
+    for (i, (p, o)) in prev.regs.iter().zip(&out.regs).enumerate() {
+        if p != o && join_reg(*p, *o) != *p {
+            moved |= 1 << i;
+        }
+    }
+    let stack_moved = prev
+        .stack_init
+        .iter()
+        .zip(&out.stack_init)
+        .any(|(p, o)| p & !o != 0);
+    if moved == 0 && !stack_moved {
+        return false;
+    }
+    *bumps += 1;
+    let widen = *bumps > WIDEN_AFTER;
+    for (i, (p, o)) in prev.regs.iter_mut().zip(&out.regs).enumerate() {
+        if moved & (1 << i) != 0 {
+            *p = match join_reg(*p, *o) {
+                RegType::Scalar(_) if widen => RegType::Scalar(ScalarRange::unknown()),
+                _ if widen => RegType::Uninit,
+                joined => joined,
+            };
+        }
+    }
+    for (p, o) in prev.stack_init.iter_mut().zip(&out.stack_init) {
+        *p &= o;
+    }
+    true
+}
+
 /// The abstract transfer function: out-states with their successor
 /// pcs. Mirrors the verifier's `step` but without error reporting —
 /// anything it cannot model precisely degrades to `Uninit`
 /// ("no information").
-fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Vec<(usize, AbsState)> {
+fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Succs {
     let operand_range = |st: &AbsState, operand: Operand| -> Option<ScalarRange> {
         match operand {
             Operand::Imm(v) => Some(ScalarRange::exact(v)),
@@ -174,7 +202,7 @@ fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Vec<(usize, AbsState)> {
             },
         }
     };
-    let fall = |st: AbsState| vec![(pc + 1, st)];
+    let fall = |st: AbsState| Succs::one(pc + 1, st);
     match insns[pc] {
         Insn::Alu64 { op, dst, src } | Insn::Alu32 { op, dst, src } => {
             let wide = matches!(insns[pc], Insn::Alu64 { .. });
@@ -235,8 +263,8 @@ fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Vec<(usize, AbsState)> {
         }
         Insn::Store { .. } | Insn::StoreImm { .. } => fall(*st),
         Insn::Jump { off } => match target_of(insns, pc, off) {
-            Some(t) => vec![(t, *st)],
-            None => Vec::new(),
+            Some(t) => Succs::one(t, *st),
+            None => Succs::default(),
         },
         Insn::JumpIf {
             cond,
@@ -245,7 +273,7 @@ fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Vec<(usize, AbsState)> {
             off,
         } => {
             let target = target_of(insns, pc, off);
-            let mut out = Vec::new();
+            let mut out = Succs::default();
             let d0 = st.regs[dst.index()];
             let edges: [(bool, Option<usize>); 2] = [(true, target), (false, Some(pc + 1))];
             for (taken, next) in edges {
@@ -301,7 +329,7 @@ fn step(insns: &[Insn], pc: usize, st: &AbsState) -> Vec<(usize, AbsState)> {
             out.regs[0] = RegType::Scalar(ScalarRange::unknown());
             fall(out)
         }
-        Insn::Exit => Vec::new(),
+        Insn::Exit => Succs::default(),
     }
 }
 
@@ -374,32 +402,6 @@ fn range_union(a: ScalarRange, b: ScalarRange) -> ScalarRange {
         umin: a.umin.min(b.umin),
         umax: a.umax.max(b.umax),
     }
-}
-
-fn join_state(a: &AbsState, b: &AbsState) -> AbsState {
-    let mut out = *a;
-    for i in 0..11 {
-        out.regs[i] = join_reg(a.regs[i], b.regs[i]);
-    }
-    for (o, bw) in out.stack_init.iter_mut().zip(b.stack_init.iter()) {
-        *o &= bw;
-    }
-    out
-}
-
-/// Widening: every register still changing after [`WIDEN_AFTER`]
-/// joins goes straight to the top of its sub-lattice.
-fn widen_state(prev: &AbsState, joined: &AbsState) -> AbsState {
-    let mut out = *joined;
-    for i in 0..11 {
-        if prev.regs[i] != joined.regs[i] {
-            out.regs[i] = match joined.regs[i] {
-                RegType::Scalar(_) => RegType::Scalar(ScalarRange::unknown()),
-                _ => RegType::Uninit,
-            };
-        }
-    }
-    out
 }
 
 /// A set of live registers and live stack bytes.
@@ -572,10 +574,23 @@ pub(crate) fn compute_liveness(
     let n = insns.len();
     let mut live_in = vec![LiveSet::default(); n];
     let mut live_out = vec![LiveSet::default(); n];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Predecessor lists in one vector: the predecessors of `pc` are
+    // `preds[first[pc]..first[pc + 1]]`, in ascending order.
+    let mut first = vec![0usize; n + 1];
     for pc in 0..n {
         for s in succs(insns, pc) {
-            preds[s].push(pc);
+            first[s + 1] += 1;
+        }
+    }
+    for pc in 0..n {
+        first[pc + 1] += first[pc];
+    }
+    let mut preds = vec![0usize; first[n]];
+    let mut filled = first[..n].to_vec();
+    for pc in 0..n {
+        for s in succs(insns, pc) {
+            preds[filled[s]] = pc;
+            filled[s] += 1;
         }
     }
     let mut work: Vec<usize> = (0..n).rev().collect();
@@ -589,9 +604,7 @@ pub(crate) fn compute_liveness(
         apply_backward(insns, pc, maps, kfuncs, facts, &mut live);
         if live != live_in[pc] {
             live_in[pc] = live;
-            for &p in &preds[pc] {
-                work.push(p);
-            }
+            work.extend_from_slice(&preds[first[pc]..first[pc + 1]]);
         }
     }
     Liveness { live_in, live_out }

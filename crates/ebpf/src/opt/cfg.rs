@@ -51,29 +51,18 @@ pub(crate) fn target_of(insns: &[Insn], pc: usize, off: i32) -> Option<usize> {
     }
 }
 
-/// Static successors of the instruction at `pc` (at most two).
-pub(crate) fn succs(insns: &[Insn], pc: usize) -> Vec<usize> {
+/// Static successors of the instruction at `pc`: at most two, the
+/// branch target first, held inline.
+pub(crate) fn succs(insns: &[Insn], pc: usize) -> impl Iterator<Item = usize> {
+    let next = (pc + 1 < insns.len()).then_some(pc + 1);
     match insns[pc] {
-        Insn::Exit => Vec::new(),
-        Insn::Jump { off } => target_of(insns, pc, off).into_iter().collect(),
-        Insn::JumpIf { off, .. } => {
-            let mut out = Vec::with_capacity(2);
-            if let Some(t) = target_of(insns, pc, off) {
-                out.push(t);
-            }
-            if pc + 1 < insns.len() {
-                out.push(pc + 1);
-            }
-            out
-        }
-        _ => {
-            if pc + 1 < insns.len() {
-                vec![pc + 1]
-            } else {
-                Vec::new()
-            }
-        }
+        Insn::Exit => [None, None],
+        Insn::Jump { off } => [target_of(insns, pc, off), None],
+        Insn::JumpIf { off, .. } => [target_of(insns, pc, off), next],
+        _ => [next, None],
     }
+    .into_iter()
+    .flatten()
 }
 
 /// `true` if `pc` is a basic-block leader: entry, a jump target, or

@@ -30,11 +30,10 @@
 //! state transitions, rejection reasons, and summary
 //! [`VerifierStats`].
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use snapbpf_sim::{WordHasher, WordState};
+use snapbpf_sim::WordHasher;
 
 use crate::insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, STACK_SIZE,
@@ -565,96 +564,184 @@ impl VerifiedProgram {
     }
 }
 
-/// A `(pc, state)` pair with its hash, computed once when the walk
-/// first reaches the pair and carried with it, so no set ever
-/// rehashes the 504-byte state. The hash only narrows a lookup to a
-/// chain of candidates; membership is decided by exact comparison.
-#[derive(Clone, Copy)]
-struct Visit {
+/// One explored `(pc, state)` pair, stored once in [`Explored`]'s
+/// arena.
+struct Node {
+    state: AbsState,
+    /// Hash of `(pc, state)`, computed once when the walk reaches the
+    /// pair, so no lookup rehashes the 504-byte state. It only narrows
+    /// a lookup to a chain of candidates; membership is decided by
+    /// exact comparison.
     hash: u64,
     pc: usize,
-    state: AbsState,
-}
-
-impl Visit {
-    fn new(pc: usize, state: AbsState) -> Self {
-        let mut h = WordHasher::default();
-        pc.hash(&mut h);
-        state.hash(&mut h);
-        Visit {
-            hash: h.finish(),
-            pc,
-            state,
-        }
-    }
-
-    fn same(&self, other: &Visit) -> bool {
-        self.pc == other.pc && self.state == other.state
-    }
+    /// The next older node in this one's bucket of the table that
+    /// holds it: the walk path while the node is on it, the fully
+    /// explored set once it retires.
+    older: u32,
 }
 
 /// End of an index chain.
 const NO_INDEX: u32 = u32::MAX;
 
-/// The fully explored visits. The visits live in one arena; the
-/// table maps each hash to the newest arena index with that hash, and
-/// `older` chains the rest, so the table itself stays a few bytes per
-/// entry however large the states are.
+/// Every state the walk explores, each stored once, the way the
+/// kernel's `is_state_visited` keeps explored states in
+/// per-instruction lists and refers to them by pointer. A state is
+/// appended to the arena when the walk explores it; the walk path,
+/// the exact-prune chains and the per-pc widening candidates hold
+/// `u32` indices into it, so retiring a state copies nothing.
+///
+/// The path and the fully explored set are chained hash tables whose
+/// links live in the nodes: each bucket holds its newest node and
+/// [`Node::older`] the next one, so a node moves from the path to the
+/// explored set by relinking. The path is a stack, so the node that
+/// retires is always the head of its path bucket.
 struct Explored {
-    visits: Vec<Visit>,
-    older: Vec<u32>,
-    newest: HashMap<u64, u32, WordState>,
+    nodes: Vec<Node>,
+    /// Per bucket, the newest fully explored node.
+    done: Vec<u32>,
+    /// Per bucket, the newest node on the walk path.
+    on_path: Vec<u32>,
+    /// Per pc, up to [`WIDE_CAND_LIMIT`] fully explored states wider
+    /// than a point, oldest first, for subsumption pruning.
+    wide: Vec<Vec<u32>>,
 }
 
 impl Explored {
-    fn with_capacity(n: usize) -> Self {
+    fn new(prog_len: usize) -> Self {
+        let buckets = (prog_len * 16).next_power_of_two();
         Explored {
-            visits: Vec::new(),
-            older: Vec::new(),
-            newest: HashMap::with_capacity_and_hasher(n, WordState::default()),
+            nodes: Vec::new(),
+            done: vec![NO_INDEX; buckets],
+            on_path: vec![NO_INDEX; buckets],
+            wide: vec![Vec::new(); prog_len],
         }
     }
 
-    fn contains(&self, v: &Visit) -> bool {
-        let mut i = self.newest.get(&v.hash).copied().unwrap_or(NO_INDEX);
+    fn hash(pc: usize, state: &AbsState) -> u64 {
+        let mut h = WordHasher::default();
+        pc.hash(&mut h);
+        state.hash(&mut h);
+        h.finish()
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.done.len() - 1)
+    }
+
+    /// Whether the chain starting at `head` holds `(pc, state)`.
+    fn chain_holds(&self, head: u32, hash: u64, pc: usize, state: &AbsState) -> bool {
+        let mut i = head;
         while i != NO_INDEX {
-            if self.visits[i as usize].same(v) {
+            let node = &self.nodes[i as usize];
+            if node.hash == hash && node.pc == pc && node.state == *state {
                 return true;
             }
-            i = self.older[i as usize];
+            i = node.older;
         }
         false
     }
 
-    /// Adds a visit the set does not hold yet.
-    fn insert(&mut self, v: Visit) {
-        let i = self.visits.len() as u32;
-        self.older
-            .push(self.newest.insert(v.hash, i).unwrap_or(NO_INDEX));
-        self.visits.push(v);
+    /// Whether `(pc, state)` was already fully explored.
+    fn is_done(&self, hash: u64, pc: usize, state: &AbsState) -> bool {
+        self.chain_holds(self.done[self.bucket(hash)], hash, pc, state)
+    }
+
+    /// Whether a fully explored state at `pc` subsumes `state`.
+    fn is_subsumed(&self, pc: usize, state: &AbsState) -> bool {
+        self.wide[pc]
+            .iter()
+            .any(|&i| self.nodes[i as usize].state.subsumes(state))
+    }
+
+    /// Whether `(pc, state)` is on the walk path.
+    fn is_on_path(&self, hash: u64, pc: usize, state: &AbsState) -> bool {
+        self.chain_holds(self.on_path[self.bucket(hash)], hash, pc, state)
+    }
+
+    /// Appends a newly explored state and puts it on the walk path.
+    fn enter(&mut self, hash: u64, pc: usize, state: AbsState) -> u32 {
+        if self.nodes.len() == self.done.len() {
+            self.grow();
+        }
+        let i = self.nodes.len() as u32;
+        let b = self.bucket(hash);
+        let older = std::mem::replace(&mut self.on_path[b], i);
+        self.nodes.push(Node {
+            state,
+            hash,
+            pc,
+            older,
+        });
+        i
+    }
+
+    /// Moves the newest node on the walk path, whose whole subtree
+    /// has verified, from the path to the fully explored set.
+    fn retire(&mut self, i: u32) {
+        let b = self.bucket(self.nodes[i as usize].hash);
+        let node = &mut self.nodes[i as usize];
+        debug_assert_eq!(
+            self.on_path[b], i,
+            "the retiring node heads its path bucket"
+        );
+        self.on_path[b] = node.older;
+        node.older = std::mem::replace(&mut self.done[b], i);
+        if node.state.widenable() && self.wide[node.pc].len() < WIDE_CAND_LIMIT {
+            self.wide[node.pc].push(i);
+        }
+    }
+
+    /// Doubles both tables and relinks every node: the explored ones
+    /// in any order, the path ones oldest first, so each path bucket
+    /// is still headed by its newest node.
+    fn grow(&mut self) {
+        let buckets = self.done.len() * 2;
+        let mut path = Vec::new();
+        for &head in &self.on_path {
+            let mut i = head;
+            while i != NO_INDEX {
+                path.push(i);
+                i = self.nodes[i as usize].older;
+            }
+        }
+        path.sort_unstable();
+        let done = std::mem::replace(&mut self.done, vec![NO_INDEX; buckets]);
+        self.on_path = vec![NO_INDEX; buckets];
+        for head in done {
+            let mut i = head;
+            while i != NO_INDEX {
+                let next = self.nodes[i as usize].older;
+                let b = self.bucket(self.nodes[i as usize].hash);
+                self.nodes[i as usize].older = std::mem::replace(&mut self.done[b], i);
+                i = next;
+            }
+        }
+        for i in path {
+            let b = self.bucket(self.nodes[i as usize].hash);
+            self.nodes[i as usize].older = std::mem::replace(&mut self.on_path[b], i);
+        }
     }
 }
 
-/// One node on the depth-first walk path: the state being explored
-/// at `pc`, how many of its successors still wait on the shared
-/// successor stack, and the next frame down the path whose visit has
-/// the same hash.
+/// One node on the depth-first walk path: the explored state, and how
+/// many of its successors still wait on the shared successor stack.
 struct Frame {
-    visit: Visit,
+    node: u32,
     depth: usize,
     branched: bool,
     pending: usize,
-    shadowed: u32,
 }
 
 /// The successors of one abstract step, in exploration order: none
 /// for `exit`, one for straight-line code, at most two for a
-/// conditional branch. Held inline, so a step allocates nothing.
+/// conditional branch. Held inline, so a step allocates nothing. The
+/// verifier's walk and the optimizer's range analysis both step
+/// through it.
 #[derive(Default)]
-struct Succs([Option<(usize, AbsState)>; 2]);
+pub(crate) struct Succs([Option<(usize, AbsState)>; 2]);
 
 impl Succs {
-    fn one(pc: usize, st: AbsState) -> Self {
+    pub(crate) fn one(pc: usize, st: AbsState) -> Self {
         Succs([Some((pc, st)), None])
     }
 
@@ -662,13 +749,17 @@ impl Succs {
         Succs([Some(first), Some(second)])
     }
 
-    fn push(&mut self, succ: (usize, AbsState)) {
+    pub(crate) fn push(&mut self, succ: (usize, AbsState)) {
         let slot = usize::from(self.0[0].is_some());
         self.0[slot] = Some(succ);
     }
 
     fn len(&self) -> usize {
         self.0.iter().flatten().count()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(usize, AbsState)> {
+        self.0.iter().flatten()
     }
 }
 
@@ -738,12 +829,7 @@ impl<'a> Verifier<'a> {
         // walk path are tracked separately — pruning against an
         // unfinished state would let a loop justify itself
         // circularly.
-        let mut explored = Explored::with_capacity(insns.len() * 4);
-        let mut wide: Vec<Vec<AbsState>> = vec![Vec::new(); insns.len()];
-        // The newest path frame for each hash on the path; older ones
-        // chain through `Frame::shadowed`.
-        let mut on_path: HashMap<u64, u32, WordState> =
-            HashMap::with_capacity_and_hasher(insns.len(), WordState::default());
+        let mut explored = Explored::new(insns.len());
         let mut visited = vec![false; insns.len()];
         let mut stats = VerifierStats::default();
 
@@ -775,14 +861,14 @@ impl<'a> Verifier<'a> {
                     return reject(e, stats, log);
                 }
 
-                let visit = Visit::new(pc, state);
-                if explored.contains(&visit) {
+                let hash = Explored::hash(pc, &state);
+                if explored.is_done(hash, pc, &state) {
                     stats.states_pruned += 1;
                     log.note(|| format!("{pc}: pruned (state already explored)"));
-                } else if wide[pc].iter().any(|w| w.subsumes(&state)) {
+                } else if explored.is_subsumed(pc, &state) {
                     stats.states_pruned += 1;
                     log.note(|| format!("{pc}: pruned (subsumed by wider explored state)"));
-                } else if path_contains(&path, &on_path, &visit) {
+                } else if explored.is_on_path(hash, pc, &state) {
                     let from = parent.unwrap_or(pc);
                     let e = VerifyError::new(
                         Some(from),
@@ -807,15 +893,11 @@ impl<'a> Verifier<'a> {
                     };
                     let pending = step.len();
                     succs.extend(step);
-                    let shadowed = on_path
-                        .insert(visit.hash, path.len() as u32)
-                        .unwrap_or(NO_INDEX);
                     path.push(Frame {
-                        visit,
+                        node: explored.enter(hash, pc, state),
                         depth,
                         branched: pending > 1,
                         pending,
-                        shadowed,
                     });
                 }
             }
@@ -833,24 +915,12 @@ impl<'a> Verifier<'a> {
                     break Some((
                         npc,
                         nst,
-                        Some(top.visit.pc),
+                        Some(explored.nodes[top.node as usize].pc),
                         top.depth + usize::from(top.branched),
                     ));
                 }
-                let Frame {
-                    visit: done,
-                    shadowed,
-                    ..
-                } = path.pop().expect("path non-empty");
-                if shadowed == NO_INDEX {
-                    on_path.remove(&done.hash);
-                } else {
-                    on_path.insert(done.hash, shadowed);
-                }
-                if done.state.widenable() && wide[done.pc].len() < WIDE_CAND_LIMIT {
-                    wide[done.pc].push(done.state);
-                }
-                explored.insert(done);
+                let done = path.pop().expect("path non-empty");
+                explored.retire(done.node);
             };
         }
 
@@ -1303,20 +1373,6 @@ impl<'a> Verifier<'a> {
         st.regs[0] = ret;
         Ok(())
     }
-}
-
-/// Whether `v` is on the walk path: the frames with its hash, newest
-/// first, compared exactly.
-fn path_contains(path: &[Frame], newest: &HashMap<u64, u32, WordState>, v: &Visit) -> bool {
-    let mut i = newest.get(&v.hash).copied().unwrap_or(NO_INDEX);
-    while i != NO_INDEX {
-        let frame = &path[i as usize];
-        if frame.visit.same(v) {
-            return true;
-        }
-        i = frame.shadowed;
-    }
-    false
 }
 
 /// Caller-saved registers become uninitialized after a call.
