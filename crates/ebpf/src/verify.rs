@@ -596,6 +596,7 @@ const NO_INDEX: u32 = u32::MAX;
 /// explored set by relinking. The path is a stack, so the node that
 /// retires is always the head of its path bucket.
 struct Explored {
+    /// The explored states, in the order the walk explored them.
     nodes: Vec<Node>,
     /// Per bucket, the newest fully explored node.
     done: Vec<u32>,
@@ -608,6 +609,8 @@ struct Explored {
 
 impl Explored {
     fn new(prog_len: usize) -> Self {
+        // A start of sixteen buckets per instruction; the tables
+        // double whenever the arena outgrows them.
         let buckets = (prog_len * 16).next_power_of_two();
         Explored {
             nodes: Vec::new(),

@@ -288,7 +288,9 @@ impl Disk {
     }
 
     /// Writes `pages` contiguous pages of `file` starting at
-    /// `first_page`.
+    /// `first_page`. Writes reach the I/O tracer but not the
+    /// structured trace: snapshots and record-phase artifacts are
+    /// written before any run starts tracing.
     ///
     /// # Errors
     ///
@@ -310,13 +312,12 @@ impl Disk {
         };
         let completion = self.device.submit(now, req);
         self.tracer.record(now, req, completion);
-        self.note_trace(now, file, req, completion);
         Ok(completion)
     }
 
-    /// Reports one submitted request to the structured trace layer:
-    /// a submit→complete span on the disk track with the queue depth
-    /// observed at submit time, plus read request/byte/latency metrics.
+    /// Reports one submitted read to the structured trace layer: a
+    /// submit→complete span on the disk track with the queue depth
+    /// observed at submit time, plus request/byte/latency metrics.
     fn note_trace(&mut self, now: SimTime, file: FileId, req: IoRequest, done: IoCompletion) {
         if !self.trace.is_enabled() {
             return;
@@ -325,20 +326,12 @@ impl Disk {
         self.outstanding.retain(|&d| d > now_ns);
         let depth = self.outstanding.len() as u64;
         self.outstanding.push(done.done_at.as_nanos());
-        let name = match req.kind {
-            IoKind::Read => {
-                self.trace.incr(Metric::StorageReadRequests);
-                self.trace.add(Metric::StorageReadBytes, req.bytes());
-                self.trace.observe_duration(
-                    Metric::StorageReadLatencyNs,
-                    done.done_at.saturating_since(now),
-                );
-                "disk-read"
-            }
-            // Snapshots and record-phase artifacts are written before
-            // any run starts tracing, so writes carry no metrics.
-            IoKind::Write => "disk-write",
-        };
+        self.trace.incr(Metric::StorageReadRequests);
+        self.trace.add(Metric::StorageReadBytes, req.bytes());
+        self.trace.observe_duration(
+            Metric::StorageReadLatencyNs,
+            done.done_at.saturating_since(now),
+        );
         self.trace.observe(Metric::StorageQueueDepth, depth);
         if self.trace.events_enabled() {
             let file_name = self
@@ -348,7 +341,7 @@ impl Disk {
                 .unwrap_or("?");
             self.trace.span(
                 "storage",
-                name,
+                "disk-read",
                 TID_DISK,
                 now,
                 done.done_at,
@@ -549,17 +542,20 @@ mod tests {
         d.set_trace(tr.clone());
         d.read_file_pages(SimTime::ZERO, f, 0, 8, IoPath::Buffered)
             .unwrap();
+        d.read_file_pages(SimTime::ZERO, f, 32, 4, IoPath::Direct)
+            .unwrap();
+        // Writes are not traced.
         d.write_file_pages(SimTime::ZERO, f, 0, 4, IoPath::Direct)
             .unwrap();
-        assert_eq!(tr.counter("storage.read.requests"), 1);
-        assert_eq!(tr.counter("storage.read.bytes"), 8 * 4096);
+        assert_eq!(tr.counter("storage.read.requests"), 2);
+        assert_eq!(tr.counter("storage.read.bytes"), 12 * 4096);
         let events = tr.take_events();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "disk-read");
+        assert!(events.iter().all(|e| e.name == "disk-read"));
         assert_eq!(events[0].tid, TID_DISK);
         assert!(events[0].dur.unwrap().as_nanos() > 0);
-        // The write was submitted while the read still occupied the
-        // device, so it observed queue depth 1.
+        // The second read was submitted while the first still
+        // occupied the device, so it observed queue depth 1.
         let depth = events[1]
             .args
             .iter()
