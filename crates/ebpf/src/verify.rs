@@ -766,15 +766,6 @@ impl Succs {
     }
 }
 
-impl IntoIterator for Succs {
-    type Item = (usize, AbsState);
-    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<(usize, AbsState)>, 2>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter().flatten()
-    }
-}
-
 /// The verifier. Holds the map set (for bounds/signature data) and
 /// the kfunc signatures.
 #[derive(Debug)]
@@ -895,7 +886,7 @@ impl<'a> Verifier<'a> {
                         Err(e) => return reject(e.with_regs(&state), stats, log),
                     };
                     let pending = step.len();
-                    succs.extend(step);
+                    succs.extend(step.iter().copied());
                     path.push(Frame {
                         node: explored.enter(hash, pc, state),
                         depth,
