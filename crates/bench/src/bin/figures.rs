@@ -9,6 +9,13 @@
 //! under `--out` (default `results/`). `--metrics-catalog` instead
 //! prints the declared metric catalog as a Markdown table and exits.
 //!
+//! Every figure is one entry of the [`FIGURES`] registry: its id and
+//! the generator that prints it and writes its files. A run walks the
+//! registry in order; `--only ID` keeps the one entry with that id
+//! (`--only fleet-scenarios` keeps the five F5 scenario entries), and
+//! `--help` and the unknown-id error list the registry's ids, so no id
+//! exists without a generator.
+//!
 //! The binary also hosts the trace workflow as a subcommand group:
 //!
 //! ```text
@@ -24,15 +31,17 @@
 //! any strategy (`--verify` runs the replay twice and fails unless
 //! both runs agree byte-for-byte).
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use snapbpf::figures::{
     ablation_coalesce, ablation_cow, ablation_device, ablation_grouping, ext_colocation,
     ext_concurrency_sweep, ext_cost_analysis, ext_input_variants, ext_memory_pressure,
     ext_record_cost, ext_warm_start, fig3a, fig3b, fig3c, fig4, overheads, table1, FigureConfig,
 };
-use snapbpf::{DeviceKind, FigureData, StrategyKind};
+use snapbpf::{lint_report, opt_report, verifier_log_report, DeviceKind, FigureData, StrategyKind};
 use snapbpf_bench::write_figure;
 use snapbpf_fleet::figures::{
     fleet_breakdown, fleet_keepalive, fleet_pipeline, fleet_scenario, fleet_shard, fleet_sweep,
@@ -45,43 +54,229 @@ use snapbpf_trace::{
 };
 use snapbpf_workloads::{FunctionMix, Workload};
 
-/// Every figure the runner knows, in presentation order — `--only`
-/// is validated against this list.
-const KNOWN_IDS: [&str; 33] = [
-    "table1",
-    "fig3a",
-    "fig3b",
-    "fig3c",
-    "fig4",
-    "overheads",
-    "ablation-coalesce",
-    "ablation-device",
-    "ablation-cow",
-    "ablation-grouping",
-    "ext-variants",
-    "ext-costs",
-    "ext-record-cost",
-    "ext-warm-start",
-    "ext-concurrency",
-    "ext-colocation",
-    "fleet-sweep",
-    "fleet-breakdown",
-    "fleet-keepalive",
-    "fleet-pipeline",
-    "fleet-trace",
-    "fleet-shard",
-    "fleet-azure",
-    "fleet-telemetry",
-    "fleet-scenarios",
-    "fleet-scenario-crash",
-    "fleet-scenario-drain",
-    "fleet-scenario-flash-crowd",
-    "fleet-scenario-hot-storm",
-    "fleet-scenario-noisy-neighbor",
-    "ext-memory-pressure",
-    "lint-report",
-    "opt-report",
+type Res = Result<(), Box<dyn std::error::Error>>;
+
+/// One figure: its `--only` id and the generator that prints it and
+/// writes its files. The generator gets its id back, so entries that
+/// share a generator (text reports, F5 scenarios) need no copy of it.
+struct Figure {
+    id: &'static str,
+    run: fn(&Ctx, &'static str) -> Res,
+}
+
+/// A registry entry (keeps one-expression entries on one line).
+const fn figure(id: &'static str, run: fn(&Ctx, &'static str) -> Res) -> Figure {
+    Figure { id, run }
+}
+
+/// Every figure, in run order.
+const FIGURES: [Figure; 32] = [
+    figure("lint-report", |c, id| c.report(id, &lint_report()?)),
+    figure("opt-report", |c, id| c.report(id, &opt_report()?)),
+    figure("table1", |c, id| c.report(id, &table1())),
+    figure("fig3a", |c, _| {
+        let fig = fig3a(&c.cfg)?;
+        c.emit(&fig)?;
+        c.emit_normalized(&fig, "REAP")
+    }),
+    figure("fig3b", |c, _| {
+        let fig = fig3b(&c.cfg)?;
+        c.emit(&fig)?;
+        c.emit_normalized(&fig, "Linux-NoRA")?;
+        print_max_ratio(&fig, "latency", "up to 8x on bert");
+        Ok(())
+    }),
+    figure("fig3c", |c, _| {
+        let fig = fig3c(&c.cfg)?;
+        c.emit(&fig)?;
+        print_max_ratio(&fig, "memory", "up to 6x on bfs/bert");
+        Ok(())
+    }),
+    figure("fig4", |c, _| c.emit(&fig4(&c.cfg)?)),
+    figure("overheads", |c, _| {
+        let fig = overheads(&c.cfg)?;
+        c.emit(&fig)?;
+        let ms = fig.series_values("offset-load-ms").unwrap_or(&[]);
+        let mean = ms.iter().sum::<f64>() / ms.len().max(1) as f64;
+        println!("mean offsets-load latency: {mean:.2} ms (paper: ~1-2 ms)\n");
+        Ok(())
+    }),
+    figure("ablation-coalesce", |c, _| {
+        let w = suite_function("chameleon");
+        c.emit(&ablation_coalesce(&w, c.args.scale, &[0, 8, 32, 128, 512])?)
+    }),
+    figure("ablation-device", |c, _| {
+        c.emit(&ablation_device(&suite_function("bert"), c.args.scale)?)
+    }),
+    figure("ablation-cow", |c, _| c.emit(&ablation_cow(&c.cfg)?)),
+    figure("ablation-grouping", |c, _| {
+        c.emit(&ablation_grouping(&c.cfg)?)
+    }),
+    // Input variation is most interesting on the large-WS functions;
+    // run the FaaSMem trio.
+    figure("ext-variants", |c, _| {
+        let trio = FigureConfig {
+            workloads: ["html", "bfs", "bert"].map(suite_function).to_vec(),
+            ..c.cfg.clone()
+        };
+        c.emit(&ext_input_variants(&trio)?)
+    }),
+    figure("ext-costs", |c, _| c.emit(&ext_cost_analysis(&c.cfg)?)),
+    figure("ext-record-cost", |c, _| c.emit(&ext_record_cost(&c.cfg)?)),
+    figure("ext-warm-start", |c, _| c.emit(&ext_warm_start(&c.cfg)?)),
+    figure("ext-concurrency", |c, _| {
+        let w = suite_function("bert");
+        let fig = ext_concurrency_sweep(&w, c.args.scale, &[1, 2, 5, 10, 20])?;
+        c.emit(&fig)
+    }),
+    figure("ext-colocation", |c, _| c.emit(&ext_colocation(&c.cfg)?)),
+    figure("fleet-sweep", |c, _| {
+        let fig = fleet_sweep(&c.fleet)?;
+        c.emit(&fig)?;
+        if let (Some(reap), Some(snap)) = (
+            fig.meta_value("sustained-rps-REAP"),
+            fig.meta_value("sustained-rps-SnapBPF"),
+        ) {
+            println!("sustained rate before p99 knee: REAP {reap} rps, SnapBPF {snap} rps\n");
+        }
+        Ok(())
+    }),
+    figure("fleet-breakdown", |c, _| {
+        c.emit(&fleet_breakdown(&c.fleet)?)
+    }),
+    figure("fleet-keepalive", |c, _| {
+        c.emit(&fleet_keepalive(&c.fleet)?)
+    }),
+    figure("fleet-pipeline", |c, _| c.emit(&fleet_pipeline(&c.fleet)?)),
+    figure("fleet-trace", |c, _| {
+        let (fig, trace) = fleet_trace(&c.fleet)?;
+        c.emit(&fig)?;
+        std::fs::create_dir_all(&c.args.out)?;
+        let default = || c.args.out.join("fleet-trace-events.json");
+        let path = c.args.trace_out.clone().unwrap_or_else(default);
+        std::fs::write(&path, trace.pretty())?;
+        println!(
+            "trace written to {} — open it at https://ui.perfetto.dev (Open trace file)\n",
+            path.display()
+        );
+        Ok(())
+    }),
+    figure("fleet-shard", |c, _| {
+        let fig = fleet_shard(&c.fleet)?;
+        c.emit(&fig)?;
+        for device in &c.fleet.shard.devices {
+            if let (Some(ll), Some(loc)) = (
+                fig.meta_value(&format!("lead-least-loaded-{}", device.label())),
+                fig.meta_value(&format!("lead-locality-{}", device.label())),
+            ) {
+                println!(
+                    "SnapBPF lead over REAP on {}: {ll:.2}x under least-loaded, \
+                     {loc:.2}x under locality placement",
+                    device.label()
+                );
+            }
+        }
+        println!();
+        Ok(())
+    }),
+    figure("fleet-azure", |c, _| {
+        let fig = fleet_azure(&c.azure)?;
+        c.emit(&fig)?;
+        for device in &c.azure.devices {
+            if let Some(gain) = fig.meta_value(&format!("gain-{}", device.label())) {
+                println!(
+                    "SnapBPF cold-start p99 gain over Linux-NoRA on {}: {gain:.2}x",
+                    device.label()
+                );
+            }
+        }
+        println!();
+        Ok(())
+    }),
+    figure("fleet-telemetry", |c, _| {
+        let fig = fleet_telemetry(&c.azure)?;
+        c.emit(&fig)?;
+        if let Some(path) = &c.args.telemetry_out {
+            std::fs::write(path, fig.to_json()?)?;
+            println!("windowed telemetry series written to {}", path.display());
+        }
+        for kind in F4_KINDS {
+            if let Some(drops) = fig.meta_value(&format!("ring-drops-{}", kind.label())) {
+                println!("{} telemetry ring drops: {drops}", kind.label());
+            }
+        }
+        println!();
+        Ok(())
+    }),
+    // The F5 scenario battery, in `Scenario::ALL` order.
+    figure("fleet-scenario-crash", scenario),
+    figure("fleet-scenario-drain", scenario),
+    figure("fleet-scenario-flash-crowd", scenario),
+    figure("fleet-scenario-hot-storm", scenario),
+    figure("fleet-scenario-noisy-neighbor", scenario),
+    figure("ext-memory-pressure", |c, _| {
+        let w = suite_function("bert");
+        // Cap: 2x one working set — fits the shared cache, not 10
+        // private copies.
+        let cap_pages = ((w.scaled(c.args.scale).spec().ws_pages() * 2) >> 10).max(2) << 10;
+        let fig = ext_memory_pressure(&w, c.args.scale, c.args.instances, cap_pages)?;
+        c.emit(&fig)
+    }),
 ];
+
+/// The `--only` id that selects every F5 scenario entry.
+const SCENARIO_GROUP: &str = "fleet-scenarios";
+
+/// Whether `--only` (or its absence) keeps the entry `id`.
+fn selects(only: Option<&str>, id: &str) -> bool {
+    only.is_none_or(|o| {
+        o == id || o == SCENARIO_GROUP && Scenario::ALL.iter().any(|s| s.figure_id() == id)
+    })
+}
+
+/// Every id `--only` accepts, space-separated.
+fn known_ids() -> String {
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    format!("{} {SCENARIO_GROUP}", ids.join(" "))
+}
+
+/// The F5 scenario generator: `id` names the scenario.
+fn scenario(c: &Ctx, id: &'static str) -> Res {
+    let scenario = Scenario::ALL.into_iter().find(|s| s.figure_id() == id);
+    let scenario = scenario.ok_or_else(|| format!("no scenario has figure id {id}"))?;
+    let fig = fleet_scenario(scenario, &c.fleet)?;
+    c.emit(&fig)?;
+    if let (Some(ks), Some(ps)) = (
+        fig.meta_value("survivor-strategy"),
+        fig.meta_value("survivor-placement"),
+    ) {
+        println!(
+            "{}: survivor {} under {} placement (completed ratio {:.3}, e2e p99 {:.4} s)\n",
+            scenario.label(),
+            SCENARIO_STRATEGIES[ks as usize].label(),
+            PlacementKind::ALL[ps as usize].label(),
+            fig.meta_value("survivor-completed-ratio").unwrap_or(0.0),
+            fig.meta_value("survivor-e2e-p99-s").unwrap_or(0.0),
+        );
+    }
+    Ok(())
+}
+
+fn suite_function(name: &str) -> Workload {
+    Workload::by_name(name).expect("suite function")
+}
+
+/// Prints the largest per-function REAP / SnapBPF ratio of `fig`.
+fn print_max_ratio(fig: &FigureData, what: &str, paper: &str) {
+    if let (Some(reap), Some(snap)) = (fig.series_values("REAP"), fig.series_values("SnapBPF")) {
+        let best = reap
+            .iter()
+            .zip(snap)
+            .map(|(r, s)| r / s)
+            .fold(f64::MIN, f64::max);
+        println!("max REAP/SnapBPF {what} ratio: {best:.1}x (paper: {paper})\n");
+    }
+}
 
 struct Args {
     scale: f64,
@@ -95,6 +290,11 @@ struct Args {
     threads: usize,
     verifier_log: bool,
     metrics_catalog: bool,
+}
+
+/// Parses the value of `flag`.
+fn parse_value<T: FromStr<Err: Display>>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|e| format!("bad {flag}: {e}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -116,17 +316,13 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--scale" => {
-                args.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
+                args.scale = parse_value("--scale", value("--scale")?)?;
                 if !(args.scale > 0.0 && args.scale <= 1.0) {
                     return Err("--scale must be in (0, 1]".into());
                 }
             }
             "--instances" => {
-                args.instances = value("--instances")?
-                    .parse()
-                    .map_err(|e| format!("bad --instances: {e}"))?;
+                args.instances = parse_value("--instances", value("--instances")?)?;
                 if args.instances == 0 {
                     return Err("--instances must be at least 1".into());
                 }
@@ -142,18 +338,8 @@ fn parse_args() -> Result<Args, String> {
             // The cluster size for fleet-shard. 0 is accepted here so
             // the cluster's own validation surfaces its clean config
             // error instead of the CLI inventing a second one.
-            "--hosts" => {
-                args.hosts = Some(
-                    value("--hosts")?
-                        .parse()
-                        .map_err(|e| format!("bad --hosts: {e}"))?,
-                )
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
+            "--hosts" => args.hosts = Some(parse_value("--hosts", value("--hosts")?)?),
+            "--threads" => args.threads = parse_value("--threads", value("--threads")?)?,
             "--device" => {
                 let name = value("--device")?;
                 args.device = DeviceKind::parse(&name)
@@ -166,17 +352,17 @@ fn parse_args() -> Result<Args, String> {
                      [--hosts N] [--threads N] [--verifier-log] [--metrics-catalog]\n\
                      IDs: {}\n\
                      or: figures trace <record|analyze|replay> (see `figures trace --help`)",
-                    KNOWN_IDS.join(" ")
+                    known_ids()
                 ))
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
     if let Some(only) = &args.only {
-        if !KNOWN_IDS.contains(&only.as_str()) {
+        if !FIGURES.iter().any(|f| selects(Some(only), f.id)) {
             return Err(format!(
                 "unknown figure `{only}` for --only; available: {}",
-                KNOWN_IDS.join(" ")
+                known_ids()
             ));
         }
     }
@@ -201,280 +387,80 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn wants(only: &Option<String>, id: &str) -> bool {
-    only.as_deref().is_none_or(|o| o == id)
+/// What the generators read: the flags, and the configs derived from
+/// them once per run.
+struct Ctx<'a> {
+    args: &'a Args,
+    cfg: FigureConfig,
+    fleet: FleetFigureConfig,
+    /// The Azure replay carries its own workload scale (the paper run
+    /// uses 0.05); `--scale` multiplies it so smoke runs can shrink
+    /// further.
+    azure: AzureFigureConfig,
 }
 
-fn emit(out: &Path, fig: &FigureData) {
-    println!("{}", fig.render());
-    if let Err(e) = write_figure(out, fig) {
-        eprintln!("warning: could not write {}: {e}", fig.id);
+impl<'a> Ctx<'a> {
+    fn new(args: &'a Args) -> Self {
+        let mut fleet = FleetFigureConfig::paper(args.scale);
+        fleet.device = args.device;
+        fleet.shard.hosts = args.hosts.unwrap_or(fleet.shard.hosts);
+        fleet.shard.threads = args.threads;
+        let mut azure = AzureFigureConfig::paper();
+        azure.scale = (azure.scale * args.scale).min(1.0);
+        Ctx {
+            args,
+            cfg: FigureConfig {
+                scale: args.scale,
+                instances: args.instances,
+                workloads: Workload::suite(),
+                device: args.device,
+            },
+            fleet,
+            azure,
+        }
+    }
+
+    /// Prints `fig` and writes its files; a failed write only warns.
+    fn emit(&self, fig: &FigureData) -> Res {
+        println!("{}", fig.render());
+        if let Err(e) = write_figure(&self.args.out, fig) {
+            eprintln!("warning: could not write {}: {e}", fig.id);
+        }
+        Ok(())
+    }
+
+    /// Emits `fig` normalized to the series `base`, as `<id>-normalized`.
+    fn emit_normalized(&self, fig: &FigureData, base: &str) -> Res {
+        let mut n = fig.normalized_to(base);
+        n.id = format!("{}-normalized", fig.id);
+        self.emit(&n)
+    }
+
+    /// Prints a text report and writes it to `<id>.txt`.
+    fn report(&self, id: &str, text: &str) -> Res {
+        println!("{text}");
+        std::fs::create_dir_all(&self.args.out)?;
+        std::fs::write(self.args.out.join(format!("{id}.txt")), text)?;
+        Ok(())
     }
 }
 
-fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = FigureConfig {
-        scale: args.scale,
-        instances: args.instances,
-        workloads: Workload::suite(),
-        device: args.device,
-    };
+fn run(args: &Args) -> Res {
+    let ctx = Ctx::new(args);
     println!(
         "SnapBPF reproduction — scale {} x, {} concurrent instances, {}\n",
         args.scale,
         args.instances,
         args.device.label()
     );
-
     if args.verifier_log {
-        let report = snapbpf::verifier_log_report()?;
-        println!("{report}");
-        std::fs::create_dir_all(&args.out)?;
+        ctx.report("verifier-log", &verifier_log_report()?)?;
         let path = args.out.join("verifier-log.txt");
-        std::fs::write(&path, &report)?;
         println!("verifier log written to {}\n", path.display());
     }
-    if wants(&args.only, "lint-report") {
-        let report = snapbpf::lint_report()?;
-        println!("{report}");
-        std::fs::create_dir_all(&args.out)?;
-        std::fs::write(args.out.join("lint-report.txt"), &report)?;
-    }
-    if wants(&args.only, "opt-report") {
-        let report = snapbpf::opt_report()?;
-        println!("{report}");
-        std::fs::create_dir_all(&args.out)?;
-        std::fs::write(args.out.join("opt-report.txt"), &report)?;
-    }
-    if wants(&args.only, "table1") {
-        let t = table1();
-        println!("{t}");
-        std::fs::create_dir_all(&args.out)?;
-        std::fs::write(args.out.join("table1.txt"), &t)?;
-    }
-    if wants(&args.only, "fig3a") {
-        let fig = fig3a(&cfg)?;
-        emit(&args.out, &fig);
-        emit(&args.out, &{
-            let mut n = fig.normalized_to("REAP");
-            n.id = "fig3a-normalized".into();
-            n
-        });
-    }
-    if wants(&args.only, "fig3b") {
-        let fig = fig3b(&cfg)?;
-        emit(&args.out, &fig);
-        emit(&args.out, &{
-            let mut n = fig.normalized_to("Linux-NoRA");
-            n.id = "fig3b-normalized".into();
-            n
-        });
-        if let (Some(reap), Some(snap)) = (fig.series_values("REAP"), fig.series_values("SnapBPF"))
-        {
-            let best = reap
-                .iter()
-                .zip(snap)
-                .map(|(r, s)| r / s)
-                .fold(f64::MIN, f64::max);
-            println!("max REAP/SnapBPF latency ratio: {best:.1}x (paper: up to 8x on bert)\n");
-        }
-    }
-    if wants(&args.only, "fig3c") {
-        let fig = fig3c(&cfg)?;
-        emit(&args.out, &fig);
-        if let (Some(reap), Some(snap)) = (fig.series_values("REAP"), fig.series_values("SnapBPF"))
-        {
-            let best = reap
-                .iter()
-                .zip(snap)
-                .map(|(r, s)| r / s)
-                .fold(f64::MIN, f64::max);
-            println!("max REAP/SnapBPF memory ratio: {best:.1}x (paper: up to 6x on bfs/bert)\n");
-        }
-    }
-    if wants(&args.only, "fig4") {
-        emit(&args.out, &fig4(&cfg)?);
-    }
-    if wants(&args.only, "overheads") {
-        let fig = overheads(&cfg)?;
-        emit(&args.out, &fig);
-        let ms = fig.series_values("offset-load-ms").unwrap_or(&[]);
-        let mean = ms.iter().sum::<f64>() / ms.len().max(1) as f64;
-        println!("mean offsets-load latency: {mean:.2} ms (paper: ~1-2 ms)\n");
-    }
-    if wants(&args.only, "ablation-coalesce") {
-        let w = Workload::by_name("chameleon").expect("suite function");
-        emit(
-            &args.out,
-            &ablation_coalesce(&w, args.scale, &[0, 8, 32, 128, 512])?,
-        );
-    }
-    if wants(&args.only, "ablation-device") {
-        let w = Workload::by_name("bert").expect("suite function");
-        emit(&args.out, &ablation_device(&w, args.scale)?);
-    }
-    if wants(&args.only, "ablation-cow") {
-        emit(&args.out, &ablation_cow(&cfg)?);
-    }
-    if wants(&args.only, "ablation-grouping") {
-        emit(&args.out, &ablation_grouping(&cfg)?);
-    }
-    if wants(&args.only, "ext-variants") {
-        // Input variation is most interesting on the large-WS
-        // functions; run the FaaSMem trio.
-        let trio = FigureConfig {
-            workloads: ["html", "bfs", "bert"]
-                .iter()
-                .map(|n| Workload::by_name(n).expect("suite function"))
-                .collect(),
-            ..cfg.clone()
-        };
-        emit(&args.out, &ext_input_variants(&trio)?);
-    }
-    if wants(&args.only, "ext-costs") {
-        emit(&args.out, &ext_cost_analysis(&cfg)?);
-    }
-    if wants(&args.only, "ext-record-cost") {
-        emit(&args.out, &ext_record_cost(&cfg)?);
-    }
-    if wants(&args.only, "ext-warm-start") {
-        emit(&args.out, &ext_warm_start(&cfg)?);
-    }
-    if wants(&args.only, "ext-concurrency") {
-        let w = Workload::by_name("bert").expect("suite function");
-        emit(
-            &args.out,
-            &ext_concurrency_sweep(&w, args.scale, &[1, 2, 5, 10, 20])?,
-        );
-    }
-    if wants(&args.only, "ext-colocation") {
-        emit(&args.out, &ext_colocation(&cfg)?);
-    }
-    let fleet_cfg = {
-        let mut f = FleetFigureConfig::paper(args.scale);
-        f.device = args.device;
-        if let Some(hosts) = args.hosts {
-            f.shard.hosts = hosts;
-        }
-        f.shard.threads = args.threads;
-        f
-    };
-    if wants(&args.only, "fleet-sweep") {
-        let fig = fleet_sweep(&fleet_cfg)?;
-        emit(&args.out, &fig);
-        if let (Some(reap), Some(snap)) = (
-            fig.meta_value("sustained-rps-REAP"),
-            fig.meta_value("sustained-rps-SnapBPF"),
-        ) {
-            println!("sustained rate before p99 knee: REAP {reap} rps, SnapBPF {snap} rps\n");
-        }
-    }
-    if wants(&args.only, "fleet-breakdown") {
-        emit(&args.out, &fleet_breakdown(&fleet_cfg)?);
-    }
-    if wants(&args.only, "fleet-keepalive") {
-        emit(&args.out, &fleet_keepalive(&fleet_cfg)?);
-    }
-    if wants(&args.only, "fleet-pipeline") {
-        emit(&args.out, &fleet_pipeline(&fleet_cfg)?);
-    }
-    if wants(&args.only, "fleet-trace") {
-        let (fig, trace) = fleet_trace(&fleet_cfg)?;
-        emit(&args.out, &fig);
-        std::fs::create_dir_all(&args.out)?;
-        let path = args
-            .trace_out
-            .clone()
-            .unwrap_or_else(|| args.out.join("fleet-trace-events.json"));
-        std::fs::write(&path, trace.pretty())?;
-        println!(
-            "trace written to {} — open it at https://ui.perfetto.dev (Open trace file)\n",
-            path.display()
-        );
-    }
-    if wants(&args.only, "fleet-shard") {
-        let fig = fleet_shard(&fleet_cfg)?;
-        emit(&args.out, &fig);
-        for device in &fleet_cfg.shard.devices {
-            if let (Some(ll), Some(loc)) = (
-                fig.meta_value(&format!("lead-least-loaded-{}", device.label())),
-                fig.meta_value(&format!("lead-locality-{}", device.label())),
-            ) {
-                println!(
-                    "SnapBPF lead over REAP on {}: {ll:.2}x under least-loaded, \
-                     {loc:.2}x under locality placement",
-                    device.label()
-                );
-            }
-        }
-        println!();
-    }
-    if wants(&args.only, "fleet-azure") {
-        // The Azure replay carries its own workload scale (the paper
-        // run uses 0.05); `--scale` multiplies it so smoke runs can
-        // shrink further.
-        let mut az = AzureFigureConfig::paper();
-        az.scale = (az.scale * args.scale).min(1.0);
-        let fig = fleet_azure(&az)?;
-        emit(&args.out, &fig);
-        for device in &az.devices {
-            if let Some(gain) = fig.meta_value(&format!("gain-{}", device.label())) {
-                println!(
-                    "SnapBPF cold-start p99 gain over Linux-NoRA on {}: {gain:.2}x",
-                    device.label()
-                );
-            }
-        }
-        println!();
-    }
-    if wants(&args.only, "fleet-telemetry") {
-        let mut az = AzureFigureConfig::paper();
-        az.scale = (az.scale * args.scale).min(1.0);
-        let fig = fleet_telemetry(&az)?;
-        emit(&args.out, &fig);
-        if let Some(path) = &args.telemetry_out {
-            std::fs::write(path, fig.to_json()?)?;
-            println!("windowed telemetry series written to {}", path.display());
-        }
-        for kind in F4_KINDS {
-            if let Some(drops) = fig.meta_value(&format!("ring-drops-{}", kind.label())) {
-                println!("{} telemetry ring drops: {drops}", kind.label());
-            }
-        }
-        println!();
-    }
-    // The F5 scenario battery: `--only fleet-scenarios` runs all
-    // five, `--only fleet-scenario-<name>` runs one.
-    for scenario in Scenario::ALL {
-        let id = scenario.figure_id();
-        if !(wants(&args.only, id) || args.only.as_deref() == Some("fleet-scenarios")) {
-            continue;
-        }
-        let fig = fleet_scenario(scenario, &fleet_cfg)?;
-        emit(&args.out, &fig);
-        if let (Some(ks), Some(ps)) = (
-            fig.meta_value("survivor-strategy"),
-            fig.meta_value("survivor-placement"),
-        ) {
-            println!(
-                "{}: survivor {} under {} placement (completed ratio {:.3}, e2e p99 {:.4} s)\n",
-                scenario.label(),
-                SCENARIO_STRATEGIES[ks as usize].label(),
-                PlacementKind::ALL[ps as usize].label(),
-                fig.meta_value("survivor-completed-ratio").unwrap_or(0.0),
-                fig.meta_value("survivor-e2e-p99-s").unwrap_or(0.0),
-            );
-        }
-    }
-    if wants(&args.only, "ext-memory-pressure") {
-        let w = Workload::by_name("bert").expect("suite function");
-        // Cap: 2x one working set — fits the shared cache, not 10
-        // private copies.
-        let cap_pages = ((w.scaled(args.scale).spec().ws_pages() * 2) >> 10).max(2) << 10;
-        emit(
-            &args.out,
-            &ext_memory_pressure(&w, args.scale, args.instances, cap_pages)?,
-        );
+    let only = args.only.as_deref();
+    for fig in FIGURES.iter().filter(|f| selects(only, f.id)) {
+        (fig.run)(&ctx, fig.id)?;
     }
     println!("results written to {}", args.out.display());
     Ok(())
@@ -489,19 +475,20 @@ const TRACE_USAGE: &str = "usage: figures trace <record|analyze|replay> ...\n\
 
 fn parse_strategy(name: &str) -> Result<StrategyKind, String> {
     StrategyKind::parse(name).ok_or_else(|| {
-        format!(
-            "bad --strategy {name}; known: {}",
-            StrategyKind::ALL
-                .iter()
-                .map(|k| k.label())
-                .collect::<Vec<_>>()
-                .join(" ")
-        )
+        let known = StrategyKind::ALL.map(|k| k.label()).join(" ");
+        format!("bad --strategy {name}; known: {known}")
     })
 }
 
+/// The value after a trace subcommand's flag `name`.
+fn next_value(it: &mut std::slice::Iter<String>, name: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("missing value for {name}"))
+}
+
 /// `figures trace record` — capture a fleet run into a profile file.
-fn trace_record(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn trace_record(argv: &[String]) -> Res {
     let mut out: Option<PathBuf> = None;
     let mut strategy = StrategyKind::SnapBpf;
     let mut rate = 60.0f64;
@@ -512,11 +499,7 @@ fn trace_record(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut weights: Option<Vec<f64>> = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut value = |name: &str| next_value(&mut it, name);
         match flag.as_str() {
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--strategy" => strategy = parse_strategy(&value("--strategy")?)?,
@@ -583,17 +566,13 @@ fn trace_record(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `figures trace analyze` — mix statistics of a profile file.
-fn trace_analyze(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn trace_analyze(argv: &[String]) -> Res {
     let mut input: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
     let mut json = false;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut value = |name: &str| next_value(&mut it, name);
         match flag.as_str() {
             "--in" => input = Some(PathBuf::from(value("--in")?)),
             "--out" => out = Some(PathBuf::from(value("--out")?)),
@@ -617,7 +596,7 @@ fn trace_analyze(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `figures trace replay` — feed a profile back through a strategy.
-fn trace_replay(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn trace_replay(argv: &[String]) -> Res {
     let mut input: Option<PathBuf> = None;
     let mut strategy = StrategyKind::SnapBpf;
     let mut loops = 1u32;
@@ -628,11 +607,7 @@ fn trace_replay(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut verify = false;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut value = |name: &str| next_value(&mut it, name);
         match flag.as_str() {
             "--in" => input = Some(PathBuf::from(value("--in")?)),
             "--strategy" => strategy = parse_strategy(&value("--strategy")?)?,
@@ -702,7 +677,7 @@ fn trace_replay(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn trace_main(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn trace_main(argv: &[String]) -> Res {
     match argv.first().map(String::as_str) {
         Some("record") => trace_record(&argv[1..]),
         Some("analyze") => trace_analyze(&argv[1..]),
@@ -740,5 +715,28 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_ids_are_unique_and_cover_every_scenario() {
+        let mut seen = std::collections::HashSet::new();
+        for fig in &FIGURES {
+            assert!(seen.insert(fig.id), "duplicate figure id {}", fig.id);
+        }
+        assert!(!seen.contains(SCENARIO_GROUP));
+        for scenario in Scenario::ALL {
+            assert!(seen.contains(scenario.figure_id()), "{scenario:?}");
+        }
+        let group: Vec<&str> = FIGURES
+            .iter()
+            .map(|f| f.id)
+            .filter(|id| selects(Some(SCENARIO_GROUP), id))
+            .collect();
+        assert_eq!(group, Scenario::ALL.map(Scenario::figure_id));
     }
 }

@@ -10,7 +10,7 @@
 use snapbpf_kernel::{HostKernel, KernelConfig, VmMemStats};
 use snapbpf_mem::{MemorySnapshot, OwnerId};
 use snapbpf_sim::{SimDuration, SimTime, Tracer};
-use snapbpf_storage::{BlockDevice, Disk, HddModel, IoTracer, SsdModel};
+use snapbpf_storage::{BlockDevice, Disk, HddModel, SsdModel};
 use snapbpf_vmm::{run_concurrent, MicroVm, Snapshot, UffdResolver};
 use snapbpf_workloads::Workload;
 
@@ -158,8 +158,6 @@ pub struct RunResult {
     pub memory: MemorySnapshot,
     /// Bytes read from storage during the invocation phase.
     pub invoke_read_bytes: u64,
-    /// Read requests issued during the invocation phase.
-    pub invoke_read_requests: u64,
     /// Offsets-map load cost (SnapBPF only; §4 overheads).
     pub offset_load_cost: SimDuration,
     /// Per-stage restore durations, element-wise maxima over the
@@ -240,8 +238,8 @@ pub fn run_one_with(
 
 /// Like [`run_one`] but with a structured tracer installed on the
 /// host for the invocation phase (after the cache drop, at the same
-/// point the I/O tracer resets), so traces and metrics cover exactly
-/// what the run measures.
+/// point the disk's read counters reset), so traces and metrics cover
+/// exactly what the run measures.
 ///
 /// # Errors
 ///
@@ -284,11 +282,11 @@ fn run_one_inner(
     let t_rec = strategy.record(t_snap, &mut host, &func)?;
     let record_duration = t_rec.saturating_since(t_snap);
 
-    // Cache-cold invocation phase, with a fresh I/O tracer so the
-    // measurements cover only the invocation.
+    // Cache-cold invocation phase, with the disk's read counters
+    // reset so the measurements cover only the invocation.
     host.drop_all_caches()?;
     let artifact_pages = artifact_pages_of(&host, func.workload.name());
-    host.disk_mut().set_tracer(IoTracer::new());
+    host.disk_mut().reset_read_counts();
     host.install_tracer(tracer);
 
     // Phase 2: restore `instances` sandboxes at the same instant.
@@ -327,8 +325,7 @@ fn run_one_inner(
 
     // Phase 4: measure, then tear down.
     let memory = host.memory_snapshot();
-    let invoke_read_bytes = host.disk().tracer().read_bytes();
-    let invoke_read_requests = host.disk().tracer().read_requests();
+    let invoke_read_bytes = host.disk().read_bytes();
     let stats = sum_stats(&results);
     for r in &mut restored {
         r.vm.kvm_mut().teardown(&mut host)?;
@@ -342,7 +339,6 @@ fn run_one_inner(
         e2e: results.iter().map(|r| r.e2e_latency).collect(),
         memory,
         invoke_read_bytes,
-        invoke_read_requests,
         offset_load_cost,
         restore_stages,
         stats,
@@ -404,7 +400,7 @@ pub fn run_colocated(
     }
 
     host.drop_all_caches()?;
-    host.disk_mut().set_tracer(IoTracer::new());
+    host.disk_mut().reset_read_counts();
 
     // Restore one sandbox per function at the same instant.
     let mut restored: Vec<RestoredVm> = funcs
@@ -425,7 +421,7 @@ pub fn run_colocated(
     let results = run_concurrent(&starts, &mut vms, &traces, &mut host, &mut resolvers)?;
 
     let memory = host.memory_snapshot();
-    let invoke_read_bytes = host.disk().tracer().read_bytes();
+    let invoke_read_bytes = host.disk().read_bytes();
     for r in &mut restored {
         r.vm.kvm_mut().teardown(&mut host)?;
     }

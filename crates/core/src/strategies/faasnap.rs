@@ -360,7 +360,7 @@ mod tests {
         let mut fs = Faasnap::new();
         let t0 = fs.record(SimTime::ZERO, &mut host, &func).unwrap();
         host.drop_all_caches().unwrap();
-        let tracer_before = host.disk().tracer().read_bytes();
+        let tracer_before = host.disk().read_bytes();
 
         let mut restored = fs.restore(t0, &mut host, &func, OwnerId::new(0)).unwrap();
         let trace = func.workload.trace();
@@ -374,7 +374,7 @@ mod tests {
         .unwrap();
         assert!(r.stats.filtered_anon_faults > 0);
         // Invoke-phase reads stay well below "WS + all allocations".
-        let read = host.disk().tracer().read_bytes() - tracer_before;
+        let read = host.disk().read_bytes() - tracer_before;
         let everything = (trace.ws_page_list().len() + trace.ephemeral_page_list().len()) as u64
             * snapbpf_sim::PAGE_SIZE;
         assert!(read < everything * 2);

@@ -213,7 +213,7 @@ mod tests {
             .restore(t0, &mut host, &func, OwnerId::new(0))
             .unwrap();
         let trace = func.workload.trace();
-        let before = host.disk().tracer().read_bytes();
+        let before = host.disk().read_bytes();
         let r = run_invocation(
             restored.ready_at,
             &mut restored.vm,
@@ -222,7 +222,7 @@ mod tests {
             restored.resolver.as_mut(),
         )
         .unwrap();
-        let read = host.disk().tracer().read_bytes() - before;
+        let read = host.disk().read_bytes() - before;
         // Reads cover only the serialized WS (chunks), not the
         // ephemeral allocations.
         let ws_bytes = faast.ws_pages() * snapbpf_sim::PAGE_SIZE;

@@ -669,7 +669,10 @@ fn write_le(slot: &mut [u8], value: u64) {
     slot.copy_from_slice(&bytes[..slot.len()]);
 }
 
-fn alu64(op: AluOp, a: u64, b: u64) -> u64 {
+/// The concrete semantics of a 64-bit ALU op; the verifier's range
+/// transfer and the optimizer's constant folding call it too, so a
+/// folded constant equals what the program computes at run time.
+pub(crate) fn alu64(op: AluOp, a: u64, b: u64) -> u64 {
     match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),
@@ -686,7 +689,9 @@ fn alu64(op: AluOp, a: u64, b: u64) -> u64 {
     }
 }
 
-fn alu32(op: AluOp, a: u32, b: u32) -> u32 {
+/// The concrete semantics of a 32-bit ALU op (the caller
+/// zero-extends the result into the 64-bit register).
+pub(crate) fn alu32(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),

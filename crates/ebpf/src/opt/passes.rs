@@ -23,8 +23,9 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::insn::{AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, STACK_SIZE};
+use crate::interp::{alu32, alu64};
 use crate::map::MapSet;
-use crate::verify::{eval_alu32, eval_alu64, refine_branch, RegType};
+use crate::verify::{refine_branch, RegType};
 
 use super::analysis::{exact_stack_span, stack_byte, stack_reads_of, Analyses, Facts, Liveness};
 use super::cfg::{contiguous_loops, delete_at, insert_at, leaders, static_reachable, target_of};
@@ -151,14 +152,14 @@ pub(crate) fn const_fold(insns: &mut [Insn], an: &mut Analyses, stats: &mut OptS
                     }
                 } else {
                     match (d, s) {
-                        (Some(a), Some(b)) => {
-                            let ev = if wide {
-                                eval_alu64(op, a, b)
+                        (Some(a), Some(b)) => Some(mov_imm(
+                            dst,
+                            if wide {
+                                alu64(op, a as u64, b as u64) as i64
                             } else {
-                                eval_alu32(op, a, b)
-                            };
-                            ev.map(|v| mov_imm(dst, v))
-                        }
+                                i64::from(alu32(op, a as u32, b as u32))
+                            },
+                        )),
                         (None, Some(b)) if from_reg => Some(if wide {
                             Insn::Alu64 {
                                 op,

@@ -38,6 +38,7 @@ use snapbpf_sim::WordHasher;
 use crate::insn::{
     AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_CTX_WORDS, STACK_SIZE,
 };
+use crate::interp::{alu32, alu64};
 use crate::map::{MapId, MapKind, MapSet};
 use crate::opt::cfg::static_reachable;
 use crate::program::Program;
@@ -1443,18 +1444,15 @@ pub(crate) fn neg_range(r: ScalarRange) -> ScalarRange {
 }
 
 /// The range transfer function for ALU ops. Constant operands fold
-/// exactly (via the interpreter-mirroring `eval_alu*`); otherwise
+/// exactly through the interpreter's own `alu64`/`alu32`; otherwise
 /// each op derives the tightest cheap interval and cross-deduces.
 pub(crate) fn alu_range(op: AluOp, wide: bool, a: ScalarRange, b: ScalarRange) -> ScalarRange {
     if let (Some(x), Some(y)) = (a.const_value(), b.const_value()) {
-        let v = if wide {
-            eval_alu64(op, x, y)
+        return ScalarRange::exact(if wide {
+            alu64(op, x as u64, y as u64) as i64
         } else {
-            eval_alu32(op, x, y)
-        };
-        if let Some(v) = v {
-            return ScalarRange::exact(v);
-        }
+            i64::from(alu32(op, x as u32, y as u32))
+        });
     }
     if !wide {
         // 32-bit results are zero-extended: always within u32.
@@ -1763,43 +1761,6 @@ fn format_regtype(r: &RegType) -> String {
         RegType::MapValue(m, v) if v.is_exact() => format!("{m}_value+{}", v.min),
         RegType::MapValue(m, v) => format!("{m}_value+[{}..{}]", v.min, v.max),
     }
-}
-
-pub(crate) fn eval_alu64(op: AluOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => (a as u64).checked_div(b as u64).unwrap_or(0) as i64,
-        AluOp::Mod => (a as u64).checked_rem(b as u64).map_or(0, |v| v as i64),
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Xor => a ^ b,
-        AluOp::Lsh => ((a as u64) << ((b as u64) & 63)) as i64,
-        AluOp::Rsh => ((a as u64) >> ((b as u64) & 63)) as i64,
-        AluOp::Arsh => a >> ((b as u64) & 63),
-        AluOp::Mov => b,
-    })
-}
-
-pub(crate) fn eval_alu32(op: AluOp, a: i64, b: i64) -> Option<i64> {
-    let a32 = a as u32;
-    let b32 = b as u32;
-    let v: u32 = match op {
-        AluOp::Add => a32.wrapping_add(b32),
-        AluOp::Sub => a32.wrapping_sub(b32),
-        AluOp::Mul => a32.wrapping_mul(b32),
-        AluOp::Div => a32.checked_div(b32).unwrap_or(0),
-        AluOp::Mod => a32.checked_rem(b32).unwrap_or(0),
-        AluOp::Or => a32 | b32,
-        AluOp::And => a32 & b32,
-        AluOp::Xor => a32 ^ b32,
-        AluOp::Lsh => a32.wrapping_shl(b32 & 31),
-        AluOp::Rsh => a32.wrapping_shr(b32 & 31),
-        AluOp::Arsh => ((a32 as i32) >> (b32 & 31)) as u32,
-        AluOp::Mov => b32,
-    };
-    Some(v as i64)
 }
 
 #[cfg(test)]

@@ -83,9 +83,6 @@ pub struct HostResult {
     /// Bytes read from this host's storage during the invocation
     /// phase.
     pub read_bytes: u64,
-    /// Bytes written to this host's storage during the invocation
-    /// phase.
-    pub write_bytes: u64,
     /// Pool LRU evictions (capacity pressure).
     pub pool_evictions: u64,
     /// Pool TTL expirations.
@@ -270,7 +267,6 @@ struct HostOutcome {
     mem_hwm_bytes: u64,
     last_completion: SimTime,
     read_bytes: u64,
-    write_bytes: u64,
     pool_evictions: u64,
     pool_expirations: u64,
     pool_hwm: u64,
@@ -369,8 +365,7 @@ impl<'a> ShardHost<'a> {
         Ok(HostOutcome {
             mem_hwm_bytes: host.mem_hwm_bytes,
             last_completion: host.last_completion,
-            read_bytes: host.kernel.disk().tracer().read_bytes(),
-            write_bytes: host.kernel.disk().tracer().write_bytes(),
+            read_bytes: host.kernel.disk().read_bytes(),
             pool_evictions: host.pool.evictions(),
             pool_expirations: host.pool.expirations(),
             pool_hwm: host.pool_hwm,
@@ -859,7 +854,6 @@ fn drive(
             aggregate: host_aggregate,
             mem_hwm_bytes: outcome.mem_hwm_bytes,
             read_bytes: outcome.read_bytes,
-            write_bytes: outcome.write_bytes,
             pool_evictions: outcome.pool_evictions,
             pool_expirations: outcome.pool_expirations,
             pool_hwm: outcome.pool_hwm,

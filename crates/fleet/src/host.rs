@@ -15,7 +15,7 @@ use snapbpf::{FunctionCtx, RestoreCursor, StageTimings, Strategy, StrategyError}
 use snapbpf_kernel::{HostKernel, KernelConfig};
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{sandbox_tid, Metric, SimDuration, SimTime, SplitMix64, Tracer, TID_CONTROL};
-use snapbpf_storage::{Disk, IoTracer};
+use snapbpf_storage::Disk;
 use snapbpf_vmm::{InvocationCursor, MicroVm, Snapshot, UffdResolver};
 use snapbpf_workloads::{InvocationTrace, Workload};
 
@@ -162,7 +162,7 @@ pub(crate) fn build_host<'a>(
     // The invocation phase starts cache-cold with fresh I/O
     // accounting; tracing begins at the same boundary.
     kernel.drop_all_caches()?;
-    kernel.disk_mut().set_tracer(IoTracer::new());
+    kernel.disk_mut().reset_read_counts();
     kernel.install_tracer(tracer);
     let t0 = t;
 

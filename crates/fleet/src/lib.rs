@@ -189,8 +189,7 @@ pub(crate) fn fleet_impl(
         per_function: fleet.per_func,
         aggregate,
         mem_hwm_bytes: fleet.mem_hwm_bytes,
-        read_bytes: fleet.kernel.disk().tracer().read_bytes(),
-        write_bytes: fleet.kernel.disk().tracer().write_bytes(),
+        read_bytes: fleet.kernel.disk().read_bytes(),
         span: fleet.last_completion.saturating_since(first_arrival),
         pool_evictions: fleet.pool.evictions(),
         pool_expirations: fleet.pool.expirations(),

@@ -171,8 +171,6 @@ pub struct FleetResult {
     pub mem_hwm_bytes: u64,
     /// Bytes read from storage during the invocation phase.
     pub read_bytes: u64,
-    /// Bytes written to storage during the invocation phase.
-    pub write_bytes: u64,
     /// Virtual time from the first arrival to the last completion.
     pub span: SimDuration,
     /// Pool LRU evictions (capacity pressure).
@@ -293,7 +291,6 @@ mod tests {
             aggregate: FuncStats::new("all"),
             mem_hwm_bytes: 0,
             read_bytes: 1 << 20,
-            write_bytes: 0,
             span: SimDuration::ZERO,
             pool_evictions: 0,
             pool_expirations: 0,

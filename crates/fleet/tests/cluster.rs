@@ -67,7 +67,6 @@ fn pinned_cluster_host_reproduces_the_fleet_exactly() {
         assert_eq!(host.per_function, fleet.per_function);
         assert_eq!(host.mem_hwm_bytes, fleet.mem_hwm_bytes);
         assert_eq!(host.read_bytes, fleet.read_bytes);
-        assert_eq!(host.write_bytes, fleet.write_bytes);
         assert_eq!(host.pool_evictions, fleet.pool_evictions);
         assert_eq!(host.pool_expirations, fleet.pool_expirations);
         assert_eq!(host.placed, fleet.aggregate.arrivals);

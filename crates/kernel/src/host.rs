@@ -986,10 +986,10 @@ mod tests {
         k.set_readahead(false);
         let f = k.disk_mut().create_file("snap", 128).unwrap();
         let first = k.read_file_page(SimTime::ZERO, f, 5).unwrap();
-        let before = k.disk().tracer().read_requests();
+        let before = k.disk().read_requests();
         // Range covering the cached page 5: two runs [0,5) and [6,16).
         k.ra_unbounded(first.ready_at, f, 0, 16).unwrap();
-        let after = k.disk().tracer().read_requests();
+        let after = k.disk().read_requests();
         assert_eq!(after - before, 2, "cached page must split the range");
         assert_eq!(k.cache().len(), 16);
     }

@@ -611,16 +611,12 @@ mod tests {
     fn pv_marked_fault_skips_snapshot_io() {
         let (mut host, snap) = setup(1024);
         let mut vm = KvmVm::new(OwnerId::new(0), snap, 1024, CowPolicy::Opportunistic);
-        let reads_before = host.disk().tracer().read_requests();
+        let reads_before = host.disk().read_requests();
         let out = vm
             .access(SimTime::ZERO, 500 | PV_MIRROR_BIT, true, &mut host)
             .unwrap();
         assert_eq!(out.kind, AccessKind::PvAnon);
-        assert_eq!(
-            host.disk().tracer().read_requests(),
-            reads_before,
-            "no snapshot I/O"
-        );
+        assert_eq!(host.disk().read_requests(), reads_before, "no snapshot I/O");
         assert!(out.ready_at.saturating_since(SimTime::ZERO) < SimDuration::from_micros(10));
         // The mirrored and original gpfn now resolve to the same page.
         assert!(vm.is_mapped(500));
@@ -637,10 +633,7 @@ mod tests {
         let mut vm = KvmVm::new(OwnerId::new(0), snap, 1024, CowPolicy::Opportunistic);
         let out = vm.access(SimTime::ZERO, 500, true, &mut host).unwrap();
         assert_eq!(out.kind, AccessKind::CowBreak);
-        assert!(
-            host.disk().tracer().read_requests() > 0,
-            "wasted snapshot I/O"
-        );
+        assert!(host.disk().read_requests() > 0, "wasted snapshot I/O");
         assert!(
             out.ready_at > SimTime::from_micros(50),
             "paid storage latency"

@@ -93,9 +93,9 @@ fn ra_unbounded_clips_at_eof_and_counts_once() {
     assert!(out.ready_at > SimTime::ZERO);
     assert_eq!(k.cache().len(), 10, "only pages 90..100 exist");
     // Repeating is a no-op (all cached).
-    let before = k.disk().tracer().read_requests();
+    let before = k.disk().read_requests();
     k.ra_unbounded(SimTime::from_millis(50), f, 90, 50).unwrap();
-    assert_eq!(k.disk().tracer().read_requests(), before);
+    assert_eq!(k.disk().read_requests(), before);
 }
 
 #[test]

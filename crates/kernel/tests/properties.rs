@@ -107,11 +107,7 @@ fn host_view(
         .flat_map(|&f| (0..FILE_PAGES).map(move |p| PageKey::new(f, p)))
         .map(|key| host.cache().get(key))
         .collect();
-    (
-        host.memory_snapshot(),
-        host.disk().tracer().read_requests(),
-        pages,
-    )
+    (host.memory_snapshot(), host.disk().read_requests(), pages)
 }
 
 proptest! {

@@ -5,8 +5,8 @@
 //! file — not raw block addresses. `Disk` allocates each file a
 //! contiguous extent (snapshot files are written once, sequentially,
 //! at snapshot-creation time, so contiguity matches reality) and
-//! routes page-granular reads and writes through the device model
-//! while tracing them.
+//! routes page-granular reads and writes through the device model,
+//! counting and tracing the reads.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,7 +15,6 @@ use snapbpf_sim::{Metric, SimTime, Tracer, TID_DISK};
 
 use crate::addr::{BlockAddr, Extent};
 use crate::device::{BlockDevice, IoCompletion, IoKind, IoPath, IoRequest};
-use crate::trace::IoTracer;
 
 /// Identifier of a file stored on a [`Disk`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,7 +80,8 @@ impl fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// A block device with a flat file layer and an attached tracer.
+/// A block device with a flat file layer, read counters and an
+/// optional structured trace.
 ///
 /// # Examples
 ///
@@ -94,7 +94,7 @@ impl std::error::Error for DiskError {}
 /// let snap = disk.create_file("snapshot", 1024)?;
 /// let done = disk.read_file_pages(SimTime::ZERO, snap, 0, 32, IoPath::Buffered)?;
 /// assert!(done.done_at > SimTime::ZERO);
-/// assert_eq!(disk.tracer().read_bytes(), 32 * 4096);
+/// assert_eq!(disk.read_bytes(), 32 * 4096);
 /// # Ok(())
 /// # }
 /// ```
@@ -104,7 +104,9 @@ pub struct Disk {
     files: Vec<FileMeta>,
     by_name: HashMap<String, FileId>,
     next_block: u64,
-    tracer: IoTracer,
+    // Reads since creation or the last `reset_read_counts`.
+    read_bytes: u64,
+    read_requests: u64,
     trace: Tracer,
     // Completion times (ns) of submitted-but-not-yet-done requests —
     // pruned lazily, so `len()` at submit time is the queue depth.
@@ -117,15 +119,16 @@ pub struct Disk {
 const FILE_GAP_BLOCKS: u64 = 64;
 
 impl Disk {
-    /// Creates a disk over the given device model with a fresh
-    /// [`IoTracer`].
+    /// Creates a disk over the given device model with zeroed read
+    /// counters.
     pub fn new(device: Box<dyn BlockDevice>) -> Self {
         Disk {
             device,
             files: Vec::new(),
             by_name: HashMap::new(),
             next_block: 0,
-            tracer: IoTracer::new(),
+            read_bytes: 0,
+            read_requests: 0,
             trace: Tracer::disabled(),
             outstanding: Vec::new(),
         }
@@ -232,7 +235,6 @@ impl Disk {
             path,
         };
         let completion = self.device.submit(now, req);
-        self.tracer.record(now, req, completion);
         self.note_trace(now, file, req, completion);
         Ok(completion)
     }
@@ -280,7 +282,6 @@ impl Disk {
                 path,
             };
             let completion = self.device.submit(now, req);
-            self.tracer.record(now, req, completion);
             self.note_trace(now, file, req, completion);
             completions.push(completion);
         }
@@ -288,9 +289,9 @@ impl Disk {
     }
 
     /// Writes `pages` contiguous pages of `file` starting at
-    /// `first_page`. Writes reach the I/O tracer but not the
-    /// structured trace: snapshots and record-phase artifacts are
-    /// written before any run starts tracing.
+    /// `first_page`. Writes are neither counted nor traced: snapshots
+    /// and record-phase artifacts are written before any run starts
+    /// measuring.
     ///
     /// # Errors
     ///
@@ -310,15 +311,16 @@ impl Disk {
             kind: IoKind::Write,
             path,
         };
-        let completion = self.device.submit(now, req);
-        self.tracer.record(now, req, completion);
-        Ok(completion)
+        Ok(self.device.submit(now, req))
     }
 
-    /// Reports one submitted read to the structured trace layer: a
-    /// submit→complete span on the disk track with the queue depth
-    /// observed at submit time, plus request/byte/latency metrics.
+    /// Counts one submitted read and reports it to the structured
+    /// trace layer: a submit→complete span on the disk track with the
+    /// queue depth observed at submit time, plus request/byte/latency
+    /// metrics.
     fn note_trace(&mut self, now: SimTime, file: FileId, req: IoRequest, done: IoCompletion) {
+        self.read_bytes += req.bytes();
+        self.read_requests += 1;
         if !self.trace.is_enabled() {
             return;
         }
@@ -328,10 +330,8 @@ impl Disk {
         self.outstanding.push(done.done_at.as_nanos());
         self.trace.incr(Metric::StorageReadRequests);
         self.trace.add(Metric::StorageReadBytes, req.bytes());
-        self.trace.observe_duration(
-            Metric::StorageReadLatencyNs,
-            done.done_at.saturating_since(now),
-        );
+        self.trace
+            .observe_duration(Metric::StorageReadLatencyNs, done.latency(now));
         self.trace.observe(Metric::StorageQueueDepth, depth);
         if self.trace.events_enabled() {
             let file_name = self
@@ -376,15 +376,22 @@ impl Disk {
         self.outstanding.clear();
     }
 
-    /// The attached tracer.
-    pub fn tracer(&self) -> &IoTracer {
-        &self.tracer
+    /// Bytes read since creation or the last
+    /// [`Disk::reset_read_counts`].
+    pub fn read_bytes(&self) -> u64 {
+        self.read_bytes
     }
 
-    /// Replaces the tracer (e.g. with a fresh one to count a single
-    /// phase) and returns the previous tracer.
-    pub fn set_tracer(&mut self, tracer: IoTracer) -> IoTracer {
-        std::mem::replace(&mut self.tracer, tracer)
+    /// Read requests submitted since creation or the last
+    /// [`Disk::reset_read_counts`].
+    pub fn read_requests(&self) -> u64 {
+        self.read_requests
+    }
+
+    /// Zeroes the read counters, so they cover one phase of a run.
+    pub fn reset_read_counts(&mut self) {
+        self.read_bytes = 0;
+        self.read_requests = 0;
     }
 }
 
@@ -439,9 +446,8 @@ mod tests {
             .unwrap();
         d.read_file_pages(SimTime::ZERO, f, 32, 8, IoPath::Direct)
             .unwrap();
-        assert_eq!(d.tracer().read_requests(), 2);
-        assert_eq!(d.tracer().read_bytes(), 16 * 4096);
-        assert_eq!(d.tracer().direct_requests(), 1);
+        assert_eq!(d.read_requests(), 2);
+        assert_eq!(d.read_bytes(), 16 * 4096);
     }
 
     #[test]
@@ -462,8 +468,8 @@ mod tests {
             })
             .collect();
         assert_eq!(batched, singles);
-        assert_eq!(a.tracer().read_requests(), b.tracer().read_requests());
-        assert_eq!(a.tracer().read_bytes(), b.tracer().read_bytes());
+        assert_eq!(a.read_requests(), b.read_requests());
+        assert_eq!(a.read_bytes(), b.read_bytes());
     }
 
     #[test]
@@ -475,7 +481,7 @@ mod tests {
             d.read_file_runs(SimTime::ZERO, f, &[(0, 4), (8, 4)], IoPath::Buffered),
             Err(DiskError::OutOfBounds { .. })
         ));
-        assert_eq!(d.tracer().read_requests(), 0);
+        assert_eq!(d.read_requests(), 0);
         assert!(matches!(
             d.read_file_runs(SimTime::ZERO, FileId(99), &[(0, 1)], IoPath::Buffered),
             Err(DiskError::NoSuchFile(_))
@@ -513,25 +519,19 @@ mod tests {
     }
 
     #[test]
-    fn writes_are_traced() {
-        let mut d = disk();
-        let f = d.create_file("ws", 16).unwrap();
-        d.write_file_pages(SimTime::ZERO, f, 0, 16, IoPath::Buffered)
-            .unwrap();
-        assert_eq!(d.tracer().write_requests(), 1);
-        assert_eq!(d.tracer().write_bytes(), 16 * 4096);
-    }
-
-    #[test]
-    fn set_tracer_swaps() {
+    fn reset_read_counts_starts_a_phase() {
         let mut d = disk();
         let f = d.create_file("snap", 4).unwrap();
-        d.set_tracer(IoTracer::new());
         d.read_file_pages(SimTime::ZERO, f, 0, 1, IoPath::Buffered)
             .unwrap();
-        let old = d.set_tracer(IoTracer::new());
-        assert_eq!(old.requests(), 1);
-        assert_eq!(d.tracer().requests(), 0);
+        d.reset_read_counts();
+        assert_eq!((d.read_requests(), d.read_bytes()), (0, 0));
+        d.write_file_pages(SimTime::ZERO, f, 0, 4, IoPath::Buffered)
+            .unwrap();
+        d.read_file_pages(SimTime::ZERO, f, 2, 2, IoPath::Buffered)
+            .unwrap();
+        // Writes are not counted.
+        assert_eq!((d.read_requests(), d.read_bytes()), (1, 2 * 4096));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Device models for the SnapBPF reproduction: a flash SSD with
 //! channel parallelism and an IOPS ceiling (the paper's Micron 5300
 //! SATA testbed device), a spindle HDD for the "why SSDs change the
-//! game" contrast, a flat file layer allocating contiguous extents,
-//! and an I/O tracer for amplification analysis.
+//! game" contrast, and a flat file layer allocating contiguous
+//! extents that counts the bytes and requests it reads.
 //!
 //! Devices are *analytically queued*: submitting a request returns
 //! its completion time immediately, computed from internal busy
@@ -27,7 +27,7 @@
 //!     let done = disk.read_file_pages(t, snapshot, range_start, 16, IoPath::Buffered)?;
 //!     t = done.done_at;
 //! }
-//! assert_eq!(disk.tracer().read_bytes(), 4 * 16 * 4096);
+//! assert_eq!(disk.read_bytes(), 4 * 16 * 4096);
 //! # Ok(())
 //! # }
 //! ```
@@ -40,11 +40,9 @@ mod device;
 mod disk;
 mod hdd;
 mod ssd;
-mod trace;
 
 pub use addr::{BlockAddr, Extent};
 pub use device::{BlockDevice, IoCompletion, IoKind, IoPath, IoRequest};
 pub use disk::{Disk, DiskError, FileId};
 pub use hdd::{HddConfig, HddModel};
 pub use ssd::{SsdConfig, SsdModel};
-pub use trace::IoTracer;

@@ -115,7 +115,7 @@ proptest! {
         let in_bounds = count > 0 && first + count <= file_pages;
         prop_assert_eq!(r.is_ok(), in_bounds);
         if in_bounds {
-            prop_assert_eq!(disk.tracer().read_bytes(), count * 4096);
+            prop_assert_eq!(disk.read_bytes(), count * 4096);
         }
     }
 }

@@ -578,13 +578,13 @@ mod tests {
         let (mut host, snap, trace) = setup("image", 0.05); // allocation-heavy
         let mut plain = MicroVm::restore(OwnerId::new(0), &snap, CowPolicy::Opportunistic, false);
         let r1 = run_invocation(SimTime::ZERO, &mut plain, &trace, &mut host, &mut NoUffd).unwrap();
-        let reads_plain = host.disk().tracer().read_bytes();
+        let reads_plain = host.disk().read_bytes();
 
         // Fresh host so the cache is cold again.
         let (mut host2, snap2, trace2) = setup("image", 0.05);
         let mut pv = MicroVm::restore(OwnerId::new(0), &snap2, CowPolicy::Opportunistic, true);
         let r2 = run_invocation(SimTime::ZERO, &mut pv, &trace2, &mut host2, &mut NoUffd).unwrap();
-        let reads_pv = host2.disk().tracer().read_bytes();
+        let reads_pv = host2.disk().read_bytes();
 
         assert!(r2.stats.pv_anon_faults > 0);
         assert!(

@@ -112,9 +112,11 @@ mod tests {
         let (snap, done) = Snapshot::create(SimTime::ZERO, "json", pages, &mut h).unwrap();
         assert_eq!(snap.memory_pages(), pages);
         assert!(done > SimTime::ZERO);
-        assert_eq!(h.disk().tracer().write_bytes(), pages * 4096);
-        // Mostly sequential writes.
-        assert!(h.disk().tracer().sequential_fraction() > 0.5);
+        // The whole memory lands in one contiguous extent.
+        let file = snap.memory_file();
+        assert_eq!(h.disk().file_pages(file).unwrap(), pages);
+        let extent = h.disk().file_extent(file).unwrap();
+        assert_eq!(extent.end().as_u64() - extent.start().as_u64(), pages);
         assert_eq!(h.disk().file_by_name("json.mem"), Some(snap.memory_file()));
         assert_eq!(snap.to_string(), "snapshot(json, 32 MiB)");
     }
