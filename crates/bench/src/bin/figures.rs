@@ -420,13 +420,11 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Prints `fig` and writes its files; a failed write only warns.
+    /// Prints `fig` and writes its files.
     fn emit(&self, fig: &FigureData) -> Res {
         println!("{}", fig.render());
-        if let Err(e) = write_figure(&self.args.out, fig) {
-            eprintln!("warning: could not write {}: {e}", fig.id);
-        }
-        Ok(())
+        write_figure(&self.args.out, fig)
+            .map_err(|e| format!("could not write {}: {e}", fig.id).into())
     }
 
     /// Emits `fig` normalized to the series `base`, as `<id>-normalized`.

@@ -266,6 +266,17 @@ pub fn build_prefetch_program_telemetry(
     b.build().expect("telemetry prefetch program assembles")
 }
 
+/// Points a program built by [`build_prefetch_program_telemetry`] at
+/// another restore's `groups`, `ring` and `stats` maps, in place: the
+/// loader's map relocation, so a restore reuses the recording's
+/// program instead of rebuilding it. The snapshot file and the group
+/// clamp stay those the program was built with.
+pub fn relocate_prefetch_program(program: &mut Program, groups: MapId, ring: MapId, stats: MapId) {
+    // The builder references the groups map first (the count lookup),
+    // then the ring, then the stats map (the first record's emit).
+    program.relocate(&[groups, ring, stats]);
+}
+
 /// Verifies every shipped program — capture and prefetch — with
 /// [`snapbpf_ebpf::Verifier::verify_logged`], returning the
 /// concatenated rendered logs. This backs the `figures` CLI's
@@ -411,6 +422,26 @@ mod tests {
             Disk::new(Box::new(SsdModel::micron_5300())),
             KernelConfig::default(),
         )
+    }
+
+    #[test]
+    fn a_relocated_prefetch_program_equals_a_fresh_build() {
+        let snap = kernel().disk_mut().create_file("snap", 64).unwrap();
+        let maps = |first: u32| [first, first + 1, first + 2].map(MapId::from_raw);
+        for max_groups in [1, 7, 300] {
+            let [g, r, s] = maps(0);
+            let mut program = build_prefetch_program_telemetry(snap, g, max_groups, r, s);
+            // Later restores' maps, including ids the program used in
+            // other roles.
+            for first in [3, 1, 40] {
+                let [g, r, s] = maps(first);
+                relocate_prefetch_program(&mut program, g, r, s);
+                assert_eq!(
+                    program,
+                    build_prefetch_program_telemetry(snap, g, max_groups, r, s)
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,18 @@
 //!   *prefetch* program to the same kprobe, and touch the first page
 //!   of the snapshot to kick it off: a single verified bounded-loop
 //!   invocation issues every range and disables itself (the 5.3
-//!   verifier's range analysis proves the loop safe).
+//!   verifier's range analysis proves the loop safe). The program is
+//!   built once per recording, at its first restore; later restores
+//!   relocate its map references onto their own maps, as a loader
+//!   relocates a compiled object.
 //!   Pages land directly in the shared page cache — no working-set
 //!   file, no userspace copies, natural cross-sandbox deduplication.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
+
+use snapbpf_ebpf::Program;
 use snapbpf_kernel::{CowPolicy, HostKernel, PAGE_CACHE_ADD_HOOK};
 use snapbpf_mem::OwnerId;
 use snapbpf_sim::{SimTime, PAGE_SIZE};
@@ -26,7 +34,7 @@ use snapbpf_vmm::{run_invocation, MicroVm, NoUffd, Snapshot};
 
 use crate::programs::{
     build_capture_program, build_prefetch_program_telemetry, groups_map_def, groups_map_image,
-    read_captured_samples, wset_map_def,
+    read_captured_samples, relocate_prefetch_program, wset_map_def,
 };
 use crate::restore::{RestoreCursor, RestoreOps, RestoreStage, StepOutcome};
 use crate::strategy::{Capabilities, FunctionCtx, Strategy, StrategyError};
@@ -42,9 +50,17 @@ pub struct SnapBpf {
     cow_policy: CowPolicy,
     group_contiguous: bool,
     sort_by_access: bool,
-    groups: Vec<WsGroup>,
+    groups: Arc<[WsGroup]>,
     offsets_file: Option<FileId>,
+    /// The recording's prefetch program.
+    prefetch: PrefetchSlot,
 }
+
+/// A recording's prefetch program: empty until the recording's first
+/// restore builds it, then relocated by every restore. Each `record`
+/// starts a new slot, so a restore still in flight from an earlier
+/// recording never hands its program to a later one.
+type PrefetchSlot = Rc<RefCell<Option<Program>>>;
 
 impl SnapBpf {
     /// Full SnapBPF: eBPF prefetch + PV PTE marking, patched KVM.
@@ -77,8 +93,9 @@ impl SnapBpf {
             cow_policy,
             group_contiguous: true,
             sort_by_access: true,
-            groups: Vec::new(),
+            groups: Arc::from([]),
             offsets_file: None,
+            prefetch: PrefetchSlot::default(),
         }
     }
 
@@ -164,10 +181,9 @@ impl Strategy for SnapBpf {
         // Userspace: read the samples, group + sort, store offsets.
         let samples = read_captured_samples(host.maps(), wset_map)
             .map_err(snapbpf_kernel::KernelError::Map)?;
-        self.groups = group_offsets(&samples);
+        let mut groups = group_offsets(&samples);
         if !self.group_contiguous {
-            self.groups = self
-                .groups
+            groups = groups
                 .iter()
                 .flat_map(|g| {
                     (g.start..g.end()).map(|p| WsGroup {
@@ -179,8 +195,10 @@ impl Strategy for SnapBpf {
                 .collect();
         }
         if !self.sort_by_access {
-            self.groups.sort_by_key(|g| g.start);
+            groups.sort_by_key(|g| g.start);
         }
+        self.groups = groups.into();
+        self.prefetch = PrefetchSlot::default();
 
         let bytes = encode_groups(&self.groups);
         let file_pages = (bytes.len() as u64).div_ceil(PAGE_SIZE).max(1);
@@ -222,7 +240,8 @@ impl Strategy for SnapBpf {
             now,
             Box::new(SnapBpfRestore {
                 offsets_file,
-                groups: self.groups.clone(),
+                groups: Arc::clone(&self.groups),
+                prefetch: Rc::clone(&self.prefetch),
                 function: func.workload.name().to_owned(),
                 snapshot: func.snapshot.clone(),
                 cow_policy: self.cow_policy,
@@ -245,7 +264,10 @@ struct SnapBpfRestore {
     /// `Some` when the eBPF prefetcher is enabled (already validated
     /// as recorded).
     offsets_file: Option<FileId>,
-    groups: Vec<WsGroup>,
+    /// The recording's groups, shared with the strategy.
+    groups: Arc<[WsGroup]>,
+    /// The recording's prefetch program, shared with the strategy.
+    prefetch: PrefetchSlot,
     /// Function name telemetry series are attributed to.
     function: String,
     snapshot: Snapshot,
@@ -299,15 +321,24 @@ impl RestoreOps for SnapBpfRestore {
                 // the cascade.
                 let ring = host.create_map(snapbpf_ebpf::telemetry_ring_def())?;
                 let stats = host.create_map(snapbpf_ebpf::telemetry_stats_def())?;
-                let prefetch = build_prefetch_program_telemetry(
-                    snap_file,
-                    map,
-                    self.groups.len() as u32,
-                    ring,
-                    stats,
-                );
                 host.register_telemetry(ring, stats, &self.function);
-                host.load_and_attach(PAGE_CACHE_ADD_HOOK, &prefetch)?;
+                {
+                    let mut slot = self.prefetch.borrow_mut();
+                    let program = match slot.as_mut() {
+                        Some(program) => {
+                            relocate_prefetch_program(program, map, ring, stats);
+                            program
+                        }
+                        None => slot.insert(build_prefetch_program_telemetry(
+                            snap_file,
+                            map,
+                            self.groups.len() as u32,
+                            ring,
+                            stats,
+                        )),
+                    };
+                    host.load_and_attach(PAGE_CACHE_ADD_HOOK, program)?;
+                }
                 host.trigger_access(now, snap_file, 0)?;
                 StepOutcome::done(now)
             }
@@ -422,6 +453,46 @@ mod tests {
         let bins = series.get("ebpf.prefetch.pages", "json").unwrap();
         let total: f64 = bins.values().map(|b| b.sum()).sum();
         assert_eq!(total, sb.ws_pages() as f64);
+    }
+
+    /// The groups, ring and stats maps the latest restore created:
+    /// the last three of the host's maps.
+    fn last_restore_maps(host: &HostKernel) -> [snapbpf_ebpf::MapId; 3] {
+        let n = host.maps().len() as u32;
+        [n - 3, n - 2, n - 1].map(snapbpf_ebpf::MapId::from_raw)
+    }
+
+    #[test]
+    fn restores_relocate_the_recordings_prefetch_program() {
+        let mut sb = SnapBpf::full();
+        let mut counts = Vec::new();
+        // Each recording on its own host: one host holds one offsets
+        // file per function.
+        for group_contiguous in [true, false] {
+            let (mut host, func) = test_env("json", 0.05);
+            let snap_file = func.snapshot.memory_file();
+            sb.group_contiguous = group_contiguous;
+            let mut t = sb.record(SimTime::ZERO, &mut host, &func).unwrap();
+            counts.push(sb.groups().len());
+            assert!(sb.prefetch.borrow().is_none(), "record builds nothing");
+            for owner in 0..3 {
+                host.drop_all_caches().unwrap();
+                let restored = sb
+                    .restore(t, &mut host, &func, OwnerId::new(owner))
+                    .unwrap();
+                t = restored.ready_at;
+                let [groups, ring, stats] = last_restore_maps(&host);
+                let fresh = build_prefetch_program_telemetry(
+                    snap_file,
+                    groups,
+                    sb.groups().len() as u32,
+                    ring,
+                    stats,
+                );
+                assert_eq!(sb.prefetch.borrow().as_ref(), Some(&fresh));
+            }
+        }
+        assert!(counts[0] < counts[1], "the re-record changed the clamp");
     }
 
     #[test]

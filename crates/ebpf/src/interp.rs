@@ -243,7 +243,8 @@ impl Interpreter {
         maps: &mut MapSet,
         kfuncs: &mut dyn KfuncHost,
     ) -> Result<RunOutcome, RunError> {
-        let insns = program.program().insns();
+        let insns: &[Insn] = program.image();
+        let slots = program.maps();
         let mut regs = [Value::Uninit; 11];
         regs[10] = Value::FramePtr;
         let mut stack = [0u8; STACK_SIZE];
@@ -328,8 +329,11 @@ impl Interpreter {
                     regs[dst.index()] = Value::Scalar(imm as u64);
                     pc += 1;
                 }
-                Insn::LoadMapRef { dst, map } => {
-                    regs[dst.index()] = Value::MapRef(map);
+                Insn::LoadMapRef { dst, map: slot } => {
+                    regs[dst.index()] = match slots.get(slot.as_u32() as usize) {
+                        Some(&map) => Value::MapRef(map),
+                        None => internal!("map slot out of range"),
+                    };
                     pc += 1;
                 }
                 Insn::LoadCtx { dst, index } => {
@@ -521,7 +525,7 @@ impl Interpreter {
                     _ => return Err(internal("r1 not a map ref")),
                 };
                 let def = maps.def(map)?;
-                let key = read_stack_buf(stack, &regs[Reg::R2.index()], def.key_size as usize)
+                let key = stack_bytes(stack, &regs[Reg::R2.index()], def.key_size as usize)
                     .ok_or_else(|| internal("bad key pointer"))?;
                 match def.kind {
                     MapKind::Array => {
@@ -563,9 +567,9 @@ impl Interpreter {
                 let size = regs[Reg::R3.index()]
                     .as_scalar()
                     .ok_or_else(|| internal("r3 not scalar"))? as usize;
-                let data = read_stack_buf(stack, &regs[Reg::R2.index()], size)
+                let data = stack_bytes(stack, &regs[Reg::R2.index()], size)
                     .ok_or_else(|| internal("bad data pointer"))?;
-                match maps.ring_push(map, &data) {
+                match maps.ring_push(map, data) {
                     Ok(()) => Value::Scalar(0),
                     Err(MapError::RingFull { .. }) => Value::Scalar((-28i64) as u64), // -ENOSPC
                     Err(MapError::RingRecordTooLarge { .. }) => {
@@ -606,7 +610,9 @@ fn stack_index(base: &Value, off: i16, size: AccessSize) -> Option<usize> {
     }
 }
 
-fn read_stack_buf(stack: &[u8; STACK_SIZE], ptr: &Value, len: usize) -> Option<Vec<u8>> {
+/// The `len` stack bytes `ptr` points at, or `None` when `ptr` is not
+/// a stack pointer or the bytes leave the stack.
+fn stack_bytes<'s>(stack: &'s [u8; STACK_SIZE], ptr: &Value, len: usize) -> Option<&'s [u8]> {
     let rel = match ptr {
         Value::FramePtr => 0i64,
         Value::StackPtr(p) => *p,
@@ -614,7 +620,7 @@ fn read_stack_buf(stack: &[u8; STACK_SIZE], ptr: &Value, len: usize) -> Option<V
     };
     let idx = STACK_SIZE as i64 + rel;
     if idx >= 0 && idx as usize + len <= STACK_SIZE {
-        Some(stack[idx as usize..idx as usize + len].to_vec())
+        Some(&stack[idx as usize..idx as usize + len])
     } else {
         None
     }

@@ -3,107 +3,130 @@
 //! A kernel verifies a program image once at load, not once per
 //! sandbox restore, and SnapBPF reloads an identical prefetch program
 //! (modulo fresh map ids) on every cold start. Verification and
-//! optimization are pure functions of the program's shape: the
-//! instructions with each map reference replaced by the referenced
-//! map's definition, plus the kfunc signature table. So
-//! [`LoadCache::load`] computes that shape once, and one entry per
-//! shape holds everything a load computes — the optimized image with
-//! its [`OptStats`], or the fact that the image failed
-//! re-verification — so a load that hits it does no analysis at all.
+//! optimization are pure functions of the program's shape: its image
+//! in slot form (each map reference holding its map's slot among the
+//! program's distinct maps, numbered by first occurrence; see
+//! [`VerifiedProgram`]), the definition of each slot's map, and the
+//! kfunc signature table. One entry per shape holds everything a load
+//! computes — the image to attach with its [`OptStats`], or the fact
+//! that the optimized image failed re-verification — so a load that
+//! hits it does no analysis at all.
+//!
+//! [`LoadCache::load`] hashes the incoming program's shape in one
+//! streaming pass, converting each instruction to slot form as it
+//! goes, and compares it exactly, in place, against the entries with
+//! that hash; only a miss materializes the shape. Every attach of a
+//! shape shares the entry's image and owns only its slot-to-map table,
+//! so a hit copies no instructions either.
 //!
 //! Keys are compared exactly, never by hash alone, so a collision can
 //! never smuggle an unverified program past the verifier. Failed
 //! verifications are never cached.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 
 use snapbpf_sim::WordState;
 
-use crate::insn::{Insn, Reg};
+use crate::insn::Insn;
 use crate::map::{MapDef, MapId, MapSet};
 use crate::opt::{OptStats, PassManager};
-use crate::program::Program;
+use crate::program::{slotted, Program};
 use crate::verify::{KfuncSig, VerifiedProgram, Verifier, VerifierStats, VerifyError};
 
-/// One instruction of a [`ShapeKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ShapeInsn {
-    /// Any instruction other than a map reference, verbatim.
-    Insn(Insn),
-    /// A map reference: the map's definition, and which of the
-    /// program's distinct maps it is (numbered by first occurrence),
-    /// so programs that alias their maps differently never share a
-    /// shape.
-    Map { dst: Reg, slot: u32, def: MapDef },
+/// The exact structural shape of a program as the loader sees it (see
+/// the module docs). The program's name and its concrete [`MapId`]s
+/// are not part of it. Two programs with equal shapes verify and
+/// optimize identically, up to renaming their maps.
+#[derive(Debug, PartialEq, Eq)]
+struct Shape {
+    kfuncs: Box<[KfuncSig]>,
+    /// The image in slot form.
+    insns: Arc<[Insn]>,
+    /// The definition of each slot's map.
+    defs: Box<[MapDef]>,
 }
 
-/// The exact structural shape of a program as the loader sees it:
-/// every instruction, with each map reference replaced by the
-/// referenced map's [`MapDef`] and its first-occurrence slot, plus
-/// the kfunc signature table. The program's name and its concrete
-/// [`MapId`]s are not part of it. Two programs with equal keys verify
-/// and optimize identically, up to renaming their maps.
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct ShapeKey {
-    kfuncs: Vec<KfuncSig>,
-    insns: Vec<ShapeInsn>,
-}
-
-impl ShapeKey {
-    /// The shape of `program` against `maps` and `kfuncs`, with the
-    /// program's distinct maps in slot order; `None` when it
-    /// references a map `maps` does not hold.
-    fn of(program: &Program, maps: &MapSet, kfuncs: &[KfuncSig]) -> Option<(ShapeKey, Vec<MapId>)> {
-        let mut order: Vec<MapId> = Vec::new();
-        let insns = program
-            .insns()
-            .iter()
-            .map(|insn| match *insn {
-                Insn::LoadMapRef { dst, map } => {
-                    let slot = match order.iter().position(|m| *m == map) {
-                        Some(slot) => slot,
-                        None => {
-                            order.push(map);
-                            order.len() - 1
-                        }
-                    };
-                    Some(ShapeInsn::Map {
-                        dst,
-                        slot: slot as u32,
-                        def: maps.def(map).ok()?,
-                    })
-                }
-                other => Some(ShapeInsn::Insn(other)),
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let key = ShapeKey {
-            kfuncs: kfuncs.to_vec(),
-            insns,
-        };
-        Some((key, order))
+impl Shape {
+    /// Whether `program`, whose distinct maps in slot order are
+    /// `order`, has this shape against `maps` and `kfuncs`.
+    fn matches(
+        &self,
+        program: &Program,
+        order: &mut Vec<MapId>,
+        maps: &MapSet,
+        kfuncs: &[KfuncSig],
+    ) -> bool {
+        *self.kfuncs == *kfuncs
+            && self.insns.len() == program.len()
+            && self.defs.len() == order.len()
+            && self
+                .defs
+                .iter()
+                .zip(order.iter())
+                .all(|(def, &map)| maps.def(map).ok() == Some(*def))
+            && self
+                .insns
+                .iter()
+                .zip(program.insns())
+                .all(|(&slot_insn, &insn)| slot_insn == slotted(insn, order))
     }
 }
 
-/// `insns` with every map reference `m` replaced by `f(m)`.
-fn remap(insns: &[Insn], f: impl Fn(MapId) -> MapId) -> Vec<Insn> {
-    insns
-        .iter()
-        .map(|insn| match *insn {
-            Insn::LoadMapRef { dst, map } => Insn::LoadMapRef { dst, map: f(map) },
-            other => other,
-        })
-        .collect()
+/// The hash of `program`'s shape against `maps` and `kfuncs`, filling
+/// `order` with the program's distinct maps in slot order; `None`
+/// when it references a map `maps` does not hold. Equal shapes hash
+/// equally.
+fn shape_hash(
+    program: &Program,
+    maps: &MapSet,
+    kfuncs: &[KfuncSig],
+    order: &mut Vec<MapId>,
+) -> Option<u64> {
+    let mut h = WordState::default().build_hasher();
+    kfuncs.hash(&mut h);
+    for &insn in program.insns() {
+        let seen = order.len();
+        slotted(insn, order).hash(&mut h);
+        if let Some(&map) = order.get(seen) {
+            maps.def(map).ok()?.hash(&mut h);
+        }
+    }
+    Some(h.finish())
 }
 
-/// Everything the first load of one shape computed.
+/// `optimized`'s image with its slots renumbered to index `maps`, the
+/// original program's slot table, so it resolves through any table
+/// of the original's shape.
+fn renumbered(optimized: &VerifiedProgram, maps: &[MapId]) -> Arc<[Insn]> {
+    if optimized.maps() == maps {
+        return Arc::clone(optimized.image());
+    }
+    let mut order = maps.to_vec();
+    let image = optimized
+        .resolved()
+        .into_iter()
+        .map(|insn| slotted(insn, &mut order))
+        .collect();
+    assert_eq!(
+        order.len(),
+        maps.len(),
+        "the optimizer only keeps or drops the program's map references"
+    );
+    image
+}
+
+/// One shape and everything its first load computed.
 #[derive(Debug)]
 struct ShapeEntry {
-    /// The optimized image in slot form: each map reference holds its
-    /// first-occurrence slot (`MapId::from_raw(slot)`), so it rebases
-    /// onto any program of the shape. `None` when the image failed
-    /// re-verification and the original is attached instead.
-    image: Option<Vec<Insn>>,
+    shape: Shape,
+    /// The image every load of the shape attaches, in slot form: the
+    /// optimized image, or the shape's own when the optimized one
+    /// failed re-verification.
+    image: Arc<[Insn]>,
     stats: OptStats,
+    reverify_rejected: bool,
 }
 
 /// What one [`LoadCache::load`] attached and what the kernel reports
@@ -129,13 +152,15 @@ pub struct Loaded {
 /// The shape-keyed memo of program loads (see the module docs).
 #[derive(Debug, Default)]
 pub struct LoadCache {
-    shapes: HashMap<ShapeKey, ShapeEntry, WordState>,
+    /// Entries by shape hash; a bucket holds more than one entry only
+    /// when distinct shapes collide.
+    shapes: HashMap<u64, Vec<ShapeEntry>, WordState>,
 }
 
 impl LoadCache {
     /// Loads `program` against `maps` and `kfuncs`: verifies it,
     /// optimizes it and re-verifies the optimized image, or replays
-    /// all three from the entry of its shape, rebased onto
+    /// all three from the entry of its shape, resolved through
     /// `program`'s maps. The re-verification reports nothing, so the
     /// optimizer never changes what the verifier reports about the
     /// program the author wrote. A program whose maps do not resolve
@@ -151,63 +176,75 @@ impl LoadCache {
         maps: &MapSet,
         kfuncs: &[KfuncSig],
     ) -> Result<Loaded, VerifyError> {
-        let shape = ShapeKey::of(program, maps, kfuncs);
-        if let Some((key, order)) = &shape {
-            if let Some(entry) = self.shapes.get(key) {
-                let attached = match &entry.image {
-                    Some(image) => Program::from_raw(
-                        program.name().to_string(),
-                        remap(image, |slot| order[slot.as_u32() as usize]),
-                    ),
-                    None => program.clone(),
-                };
-                return Ok(Loaded {
-                    attached: VerifiedProgram::proven(attached),
-                    verifier: VerifierStats::default(),
-                    opt: entry.stats.clone(),
-                    cache_hit: true,
-                    reverify_rejected: entry.image.is_none(),
-                });
-            }
+        let mut order = Vec::new();
+        let hash = shape_hash(program, maps, kfuncs, &mut order);
+        if let Some(entry) = hash
+            .and_then(|hash| self.shapes.get(&hash))
+            .and_then(|bucket| {
+                bucket
+                    .iter()
+                    .find(|e| e.shape.matches(program, &mut order, maps, kfuncs))
+            })
+        {
+            return Ok(Loaded {
+                attached: VerifiedProgram::proven(
+                    Arc::clone(&entry.image),
+                    order.into_boxed_slice(),
+                    VerifierStats::default(),
+                ),
+                verifier: VerifierStats::default(),
+                opt: entry.stats.clone(),
+                cache_hit: true,
+                reverify_rejected: entry.reverify_rejected,
+            });
         }
         let verifier = Verifier::new(maps, kfuncs);
         let verified = verifier.verify(program)?;
         let (optimized, stats) = PassManager::new().optimize(program, maps, kfuncs);
         let reverified = verifier.verify(&optimized).ok();
-        if let Some((key, order)) = shape {
-            let image = reverified.is_some().then(|| {
-                remap(optimized.insns(), |map| {
-                    let slot = order
-                        .iter()
-                        .position(|m| *m == map)
-                        .expect("the optimizer only keeps or drops the program's map references");
-                    MapId::from_raw(slot as u32)
-                })
-            });
-            self.shapes.insert(
-                key,
-                ShapeEntry {
-                    image,
-                    stats: stats.clone(),
+        let reverify_rejected = reverified.is_none();
+        let (image, attach_stats) = match &reverified {
+            Some(r) => (renumbered(r, verified.maps()), r.stats().clone()),
+            None => (Arc::clone(verified.image()), verified.stats().clone()),
+        };
+        if let Some(hash) = hash {
+            let defs = order
+                .iter()
+                .map(|&map| maps.def(map).expect("the shape hash resolved every map"))
+                .collect();
+            self.shapes.entry(hash).or_default().push(ShapeEntry {
+                shape: Shape {
+                    kfuncs: kfuncs.into(),
+                    insns: Arc::clone(verified.image()),
+                    defs,
                 },
-            );
+                image: Arc::clone(&image),
+                stats: stats.clone(),
+                reverify_rejected,
+            });
         }
         Ok(Loaded {
-            reverify_rejected: reverified.is_none(),
+            attached: VerifiedProgram::proven(image, verified.maps().into(), attach_stats),
             verifier: verified.stats().clone(),
-            attached: reverified.unwrap_or(verified),
             opt: stats,
             cache_hit: false,
+            reverify_rejected,
         })
+    }
+
+    /// How many shapes the cache holds.
+    #[cfg(test)]
+    fn shape_count(&self) -> usize {
+        self.shapes.values().map(Vec::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{AccessSize, HelperId, JmpCond};
+    use crate::insn::{AccessSize, HelperId, JmpCond, Reg};
     use crate::map::MapKind;
-    use crate::program::ProgramBuilder;
+    use crate::program::{slot_form, ProgramBuilder};
     use crate::verify::VerifyErrorKind;
 
     const KFUNCS: &[KfuncSig] = &[KfuncSig {
@@ -244,8 +281,20 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn key(program: &Program, maps: &MapSet, kfuncs: &[KfuncSig]) -> ShapeKey {
-        ShapeKey::of(program, maps, kfuncs).expect("maps resolve").0
+    /// The shape of `program` with its hash.
+    fn key(program: &Program, maps: &MapSet, kfuncs: &[KfuncSig]) -> (u64, Shape) {
+        let mut order = Vec::new();
+        let hash = shape_hash(program, maps, kfuncs, &mut order).expect("maps resolve");
+        let (insns, slots) = slot_form(program.insns());
+        assert_eq!(*slots, *order, "the hash pass numbers maps like slot_form");
+        let defs = slots.iter().map(|&m| maps.def(m).unwrap()).collect();
+        let shape = Shape {
+            kfuncs: kfuncs.into(),
+            insns,
+            defs,
+        };
+        assert!(shape.matches(program, &mut order, maps, kfuncs));
+        (hash, shape)
     }
 
     #[test]
@@ -258,7 +307,7 @@ mod tests {
         let first = cache.load(&lookup_program("p1", a, 0), &maps, &[]).unwrap();
         assert!(first.verifier.states_explored > 0, "first load walks");
         assert!(!first.cache_hit);
-        assert_eq!(cache.shapes.len(), 1);
+        assert_eq!(cache.shape_count(), 1);
 
         // Different map id, identical definition: verifier-equivalent.
         let second = cache.load(&lookup_program("p2", b, 0), &maps, &[]).unwrap();
@@ -268,7 +317,7 @@ mod tests {
             "cache hit does no work"
         );
         assert!(second.cache_hit);
-        assert_eq!(cache.shapes.len(), 1);
+        assert_eq!(cache.shape_count(), 1);
     }
 
     #[test]
@@ -285,7 +334,7 @@ mod tests {
                 "different max_entries is a different shape"
             );
         }
-        assert_eq!(cache.shapes.len(), 2);
+        assert_eq!(cache.shape_count(), 2);
     }
 
     #[test]
@@ -309,7 +358,7 @@ mod tests {
                 VerifyErrorKind::PossiblyNull(_)
             ));
         }
-        assert!(cache.shapes.is_empty());
+        assert_eq!(cache.shape_count(), 0);
     }
 
     #[test]
@@ -319,7 +368,7 @@ mod tests {
         let more_entries = maps.create(MapDef::array(8, 17)).unwrap();
         let other_kind = maps.create(MapDef::percpu_array(8, 16)).unwrap();
         let wider_value = maps.create(MapDef::array(16, 16)).unwrap();
-        let reference = key(&lookup_program("p", base, 0), &maps, KFUNCS);
+        let (_, reference) = key(&lookup_program("p", base, 0), &maps, KFUNCS);
         assert_eq!(maps.def(other_kind).unwrap().kind, MapKind::PerCpuArray);
         for (what, m, imm, kfuncs) in [
             ("max_entries", more_entries, 0, KFUNCS),
@@ -328,14 +377,14 @@ mod tests {
             ("kfunc table", base, 0, &[][..]),
             ("one immediate", base, 1, KFUNCS),
         ] {
-            let other = key(&lookup_program("p", m, imm), &maps, kfuncs);
+            let (_, other) = key(&lookup_program("p", m, imm), &maps, kfuncs);
             assert_ne!(reference, other, "{what} must change the shape");
         }
         let renamed = KfuncSig {
             name: "other",
             args: 3,
         };
-        let other = key(&lookup_program("p", base, 0), &maps, &[renamed]);
+        let (_, other) = key(&lookup_program("p", base, 0), &maps, &[renamed]);
         assert_ne!(reference, other, "kfunc names are part of the shape");
     }
 
@@ -374,41 +423,142 @@ mod tests {
         assert!(!miss.cache_hit && hit.cache_hit);
         assert_eq!(miss.opt, hit.opt);
         assert!(!hit.reverify_rejected);
-        assert_eq!(hit.attached.program().name(), "p2");
-        // Identical image up to the map id: the hit references the
-        // caller's map.
-        let renamed = remap(miss.attached.program().insns(), |m| {
-            assert_eq!(m, a);
-            b
-        });
-        assert_eq!(hit.attached.program().insns(), renamed.as_slice());
+        assert_eq!(miss.attached.maps(), [a]);
         assert_eq!(
-            Verifier::new(&maps, KFUNCS)
-                .verify(hit.attached.program())
-                .map(|v| v.stats().clone()),
-            Verifier::new(&maps, KFUNCS)
-                .verify(miss.attached.program())
-                .map(|v| v.stats().clone())
+            hit.attached.maps(),
+            [b],
+            "the hit resolves to the caller's map"
         );
+        // Identical image up to the map id.
+        let renamed: Vec<Insn> = miss
+            .attached
+            .resolved()
+            .into_iter()
+            .map(|insn| match insn {
+                Insn::LoadMapRef { dst, map } => {
+                    assert_eq!(map, a);
+                    Insn::LoadMapRef { dst, map: b }
+                }
+                other => other,
+            })
+            .collect();
+        assert_eq!(hit.attached.resolved(), renamed);
+        let stats = |loaded: &Loaded| {
+            let program = Program::from_raw("p".into(), loaded.attached.resolved());
+            Verifier::new(&maps, KFUNCS)
+                .verify(&program)
+                .map(|v| v.stats().clone())
+        };
+        assert_eq!(stats(&hit), stats(&miss));
     }
 
     #[test]
-    fn a_cached_reverify_rejection_keeps_the_original_on_every_hit() {
+    fn hits_of_one_shape_share_one_image() {
+        let mut maps = MapSet::new();
+        let ms: Vec<MapId> = (0..3)
+            .map(|_| maps.create(MapDef::array(8, 16)).unwrap())
+            .collect();
+        let mut cache = LoadCache::default();
+        let loads: Vec<Loaded> = ms
+            .iter()
+            .map(|&m| {
+                cache
+                    .load(&lookup_program("p", m, 0), &maps, KFUNCS)
+                    .unwrap()
+            })
+            .collect();
+        assert!(!loads[0].cache_hit && loads[1].cache_hit && loads[2].cache_hit);
+        for loaded in &loads[1..] {
+            assert!(Arc::ptr_eq(
+                loaded.attached.image(),
+                loads[0].attached.image()
+            ));
+        }
+    }
+
+    #[test]
+    fn a_hit_and_a_miss_of_one_shape_leave_identical_maps() {
+        use crate::interp::{Interpreter, NoKfuncs};
+        use crate::telemetry::telemetry_ring_def;
+
+        // Two copies of one map layout: a counter array and a ring.
+        let mut maps = MapSet::new();
+        let layout = |maps: &mut MapSet| {
+            let counts = maps.create(MapDef::array(8, 16)).unwrap();
+            let ring = maps.create(telemetry_ring_def()).unwrap();
+            (counts, ring)
+        };
+        let first = layout(&mut maps);
+        let second = layout(&mut maps);
+        let program = |(counts, ring): (MapId, MapId)| {
+            let mut b = ProgramBuilder::new("count_and_report");
+            let out = b.label();
+            b.store_imm(Reg::R10, -4, 3, AccessSize::B4)
+                .load_map(Reg::R1, counts)
+                .mov(Reg::R2, Reg::R10)
+                .add(Reg::R2, -4)
+                .call(HelperId::MapLookup)
+                .jump_if(JmpCond::Eq, Reg::R0, 0i64, out)
+                .load(Reg::R6, Reg::R0, 0, AccessSize::B8)
+                .add(Reg::R6, 7)
+                .store(Reg::R0, 0, Reg::R6, AccessSize::B8)
+                .store(Reg::R10, -16, Reg::R6, AccessSize::B8)
+                .load_map(Reg::R1, ring)
+                .mov(Reg::R2, Reg::R10)
+                .add(Reg::R2, -16)
+                .mov(Reg::R3, 8)
+                .mov(Reg::R4, 0)
+                .call(HelperId::RingbufOutput)
+                .bind(out)
+                .unwrap()
+                .mov(Reg::R0, 0)
+                .exit();
+            b.build().unwrap()
+        };
+        let mut cache = LoadCache::default();
+        let miss = cache.load(&program(first), &maps, &[]).unwrap();
+        let hit = cache.load(&program(second), &maps, &[]).unwrap();
+        assert!(!miss.cache_hit && hit.cache_hit);
+        for _ in 0..2 {
+            for loaded in [&miss, &hit] {
+                Interpreter::new()
+                    .run(&loaded.attached, &[], &mut maps, &mut NoKfuncs)
+                    .unwrap();
+            }
+        }
+        for (a, b) in [(first.0, second.0), (first.1, second.1)] {
+            assert_eq!(maps.array_raw(a).ok(), maps.array_raw(b).ok());
+        }
+        let drain = |maps: &mut MapSet, ring| {
+            std::iter::from_fn(|| maps.ring_pop(ring).unwrap()).collect::<Vec<_>>()
+        };
+        let records = drain(&mut maps, first.1);
+        assert_eq!(records.len(), 2, "each run reported once");
+        assert_eq!(records, drain(&mut maps, second.1));
+        assert_eq!(maps.array_load_u64(first.0, 3).unwrap(), 14);
+    }
+
+    #[test]
+    fn a_cached_reverify_rejection_shares_the_original_image() {
         let mut maps = MapSet::new();
         let a = maps.create(MapDef::array(8, 16)).unwrap();
+        let b = maps.create(MapDef::array(8, 16)).unwrap();
         let p = lookup_program("p", a, 0);
+        let (hash, shape) = key(&p, &maps, KFUNCS);
+        let original = Arc::clone(&shape.insns);
         let mut cache = LoadCache::default();
-        cache.shapes.insert(
-            key(&p, &maps, KFUNCS),
-            ShapeEntry {
-                image: None,
-                stats: OptStats::default(),
-            },
-        );
-        for _ in 0..2 {
+        cache.shapes.entry(hash).or_default().push(ShapeEntry {
+            shape,
+            image: Arc::clone(&original),
+            stats: OptStats::default(),
+            reverify_rejected: true,
+        });
+        for m in [a, b, a] {
+            let p = lookup_program("p", m, 0);
             let loaded = cache.load(&p, &maps, KFUNCS).unwrap();
             assert!(loaded.cache_hit && loaded.reverify_rejected);
-            assert_eq!(loaded.attached.program().insns(), p.insns());
+            assert!(Arc::ptr_eq(loaded.attached.image(), &original));
+            assert_eq!(loaded.attached.resolved(), p.insns());
         }
     }
 
@@ -425,7 +575,7 @@ mod tests {
                 .exit();
             p.build().unwrap()
         };
-        assert_ne!(key(&two(a, a), &maps, &[]), key(&two(a, b), &maps, &[]));
+        assert_ne!(key(&two(a, a), &maps, &[]).1, key(&two(a, b), &maps, &[]).1);
         assert_eq!(key(&two(a, b), &maps, &[]), key(&two(b, a), &maps, &[]));
     }
 
@@ -433,9 +583,9 @@ mod tests {
     fn unresolved_maps_have_no_shape() {
         let maps = MapSet::new();
         let p = lookup_program("p", MapId::from_raw(3), 0);
-        assert!(ShapeKey::of(&p, &maps, &[]).is_none());
+        assert!(shape_hash(&p, &maps, &[], &mut Vec::new()).is_none());
         let mut cache = LoadCache::default();
         assert!(cache.load(&p, &maps, &[]).is_err());
-        assert!(cache.shapes.is_empty());
+        assert_eq!(cache.shape_count(), 0);
     }
 }

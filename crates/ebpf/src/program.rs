@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::insn::{AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, MAX_INSNS};
 use crate::map::MapId;
@@ -49,6 +50,61 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.insns.is_empty()
     }
+
+    /// Points the program's map references at `maps`, in place: its
+    /// `i`-th distinct map, numbered by first occurrence, becomes
+    /// `maps[i]`. This is libbpf's map relocation: a loader builds an
+    /// object once and, at each load, rewrites its map references to
+    /// that load's maps instead of rebuilding the program.
+    ///
+    /// # Panics
+    ///
+    /// If the program references more distinct maps than `maps` holds.
+    pub fn relocate(&mut self, maps: &[MapId]) {
+        let mut order = Vec::with_capacity(maps.len());
+        for insn in &mut self.insns {
+            if let Insn::LoadMapRef { map, .. } = insn {
+                *map = maps[map_slot(&mut order, *map)];
+            }
+        }
+    }
+}
+
+/// The slot of `map` among a program's distinct maps numbered by
+/// first occurrence, where `order` holds the maps seen so far; a map
+/// seen for the first time is appended.
+fn map_slot(order: &mut Vec<MapId>, map: MapId) -> usize {
+    match order.iter().position(|&m| m == map) {
+        Some(slot) => slot,
+        None => {
+            order.push(map);
+            order.len() - 1
+        }
+    }
+}
+
+/// `insn` in *slot form*: a map reference holds its map's slot in
+/// `order` (see [`map_slot`]) as its [`MapId`]; any other instruction
+/// is unchanged. Two programs that differ only in which maps they
+/// reference have equal slot forms.
+pub(crate) fn slotted(insn: Insn, order: &mut Vec<MapId>) -> Insn {
+    match insn {
+        Insn::LoadMapRef { dst, map } => Insn::LoadMapRef {
+            dst,
+            map: MapId::from_raw(map_slot(order, map) as u32),
+        },
+        other => other,
+    }
+}
+
+/// `insns` in slot form, with the slot-to-map table that resolves it.
+pub(crate) fn slot_form(insns: &[Insn]) -> (Arc<[Insn]>, Box<[MapId]>) {
+    let mut order = Vec::new();
+    let image = insns
+        .iter()
+        .map(|&insn| slotted(insn, &mut order))
+        .collect();
+    (image, order.into_boxed_slice())
 }
 
 impl fmt::Display for Program {
@@ -433,6 +489,29 @@ mod tests {
             b.mov(Reg::R0, 0);
         }
         assert!(matches!(b.build(), Err(AsmError::TooLong(_))));
+    }
+
+    #[test]
+    fn relocate_rebinds_distinct_maps_in_first_occurrence_order() {
+        let program = |a: MapId, b: MapId| {
+            let mut p = ProgramBuilder::new("two");
+            p.load_map(Reg::R1, a)
+                .load_map(Reg::R2, b)
+                .load_map(Reg::R3, a)
+                .mov(Reg::R0, 0)
+                .exit();
+            p.build().unwrap()
+        };
+        let [m0, m1, m5, m7] = [0, 1, 5, 7].map(MapId::from_raw);
+        let mut p = program(m0, m1);
+        // The new ids overlap the old ones in swapped roles.
+        p.relocate(&[m1, m0]);
+        assert_eq!(p, program(m1, m0));
+        p.relocate(&[m5, m7]);
+        assert_eq!(p, program(m5, m7));
+        let (image, maps) = slot_form(p.insns());
+        assert_eq!(*maps, [m5, m7]);
+        assert_eq!(*image, *program(m0, m1).insns());
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use snapbpf_sim::WordHasher;
 
@@ -41,7 +42,7 @@ use crate::insn::{
 use crate::interp::{alu32, alu64};
 use crate::map::{MapId, MapKind, MapSet};
 use crate::opt::cfg::static_reachable;
-use crate::program::Program;
+use crate::program::{slot_form, Program};
 
 /// Maximum number of `(pc, state)` pairs explored before the
 /// verifier gives up, mirroring the kernel's
@@ -533,25 +534,51 @@ impl fmt::Display for VerifierLog {
 }
 
 /// A program that passed verification, ready to run or attach.
+///
+/// The image is held in *slot form*: each [`Insn::LoadMapRef`] holds
+/// its map's slot among the program's distinct maps, numbered by
+/// first occurrence, and a table of the program's own maps resolves
+/// each slot ([`Self::resolved`]). A program's shape fixes its slot
+/// form, so every attach of one shape through [`crate::LoadCache`]
+/// shares one image and owns only its slot table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifiedProgram {
-    program: Program,
+    image: Arc<[Insn]>,
+    maps: Box<[MapId]>,
     stats: VerifierStats,
 }
 
 impl VerifiedProgram {
-    /// The token for a program whose shape already verified: no walk
-    /// ran, so the statistics are empty.
-    pub(crate) fn proven(program: Program) -> Self {
-        VerifiedProgram {
-            program,
-            stats: VerifierStats::default(),
-        }
+    /// The token for `image` (in slot form) resolved through `maps`,
+    /// whose shape already verified; `stats` are those of whatever
+    /// walk proved it.
+    pub(crate) fn proven(image: Arc<[Insn]>, maps: Box<[MapId]>, stats: VerifierStats) -> Self {
+        VerifiedProgram { image, maps, stats }
     }
 
-    /// The underlying program.
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The image in slot form.
+    pub(crate) fn image(&self) -> &Arc<[Insn]> {
+        &self.image
+    }
+
+    /// The map each slot of the image resolves to.
+    pub(crate) fn maps(&self) -> &[MapId] {
+        &self.maps
+    }
+
+    /// The image with every slot resolved to its map: the
+    /// instructions the interpreter runs.
+    pub fn resolved(&self) -> Vec<Insn> {
+        self.image
+            .iter()
+            .map(|&insn| match insn {
+                Insn::LoadMapRef { dst, map } => Insn::LoadMapRef {
+                    dst,
+                    map: self.maps[map.as_u32() as usize],
+                },
+                other => other,
+            })
+            .collect()
     }
 
     /// How many `(pc, state)` pairs verification explored.
@@ -940,13 +967,8 @@ impl<'a> Verifier<'a> {
             )
         });
         log.stats = stats.clone();
-        (
-            Ok(VerifiedProgram {
-                program: program.clone(),
-                stats,
-            }),
-            log,
-        )
+        let (image, maps) = slot_form(insns);
+        (Ok(VerifiedProgram::proven(image, maps, stats)), log)
     }
 
     /// Executes one instruction abstractly, returning successor
