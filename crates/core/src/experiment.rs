@@ -11,8 +11,8 @@ use snapbpf_kernel::{HostKernel, KernelConfig, VmMemStats};
 use snapbpf_mem::{MemorySnapshot, OwnerId};
 use snapbpf_sim::{SimDuration, SimTime, Tracer};
 use snapbpf_storage::{BlockDevice, Disk, HddModel, SsdModel};
-use snapbpf_vmm::{run_concurrent, MicroVm, Snapshot, UffdResolver};
-use snapbpf_workloads::Workload;
+use snapbpf_vmm::{run_concurrent, InvocationResult, MicroVm, Snapshot, UffdResolver};
+use snapbpf_workloads::{InvocationTrace, Workload};
 
 use crate::restore::StageTimings;
 use crate::strategy::{FunctionCtx, RestoredVm, Strategy, StrategyError, StrategyKind};
@@ -191,7 +191,7 @@ impl RunResult {
     }
 }
 
-fn sum_stats(results: &[snapbpf_vmm::InvocationResult]) -> VmMemStats {
+fn sum_stats(results: &[InvocationResult]) -> VmMemStats {
     let mut total = VmMemStats::default();
     for r in results {
         total.hits += r.stats.hits;
@@ -236,23 +236,10 @@ pub fn run_one_with(
     run_one_inner(strategy, label, workload, cfg, &Tracer::disabled())
 }
 
-/// Like [`run_one`] but with a structured tracer installed on the
-/// host for the invocation phase (after the cache drop, at the same
-/// point the disk's read counters reset), so traces and metrics cover
-/// exactly what the run measures.
-///
-/// # Errors
-///
-/// As [`run_one`].
-pub fn run_one_traced(
-    kind: StrategyKind,
-    workload: &Workload,
-    cfg: &RunConfig,
-    tracer: &Tracer,
-) -> Result<RunResult, StrategyError> {
-    run_one_inner(kind.build().as_mut(), kind.label(), workload, cfg, tracer)
-}
-
+/// [`run_one_with`], with `tracer` installed on the host for the
+/// invocation phase (after the cache drop, at the same point the
+/// disk's read counters reset), so traces and metrics cover exactly
+/// what the run measures.
 fn run_one_inner(
     strategy: &mut dyn Strategy,
     label: &'static str,
@@ -290,7 +277,7 @@ fn run_one_inner(
     host.install_tracer(tracer);
 
     // Phase 2: restore `instances` sandboxes at the same instant.
-    let mut restored: Vec<RestoredVm> = (0..cfg.instances)
+    let restored: Vec<RestoredVm> = (0..cfg.instances)
         .map(|i| strategy.restore(t_rec, &mut host, &func, OwnerId::new(i as u32)))
         .collect::<Result<_, _>>()?;
     let offset_load_cost = restored
@@ -306,31 +293,18 @@ fn run_one_inner(
     // Phase 3: concurrent invocations — identical inputs by
     // default (the paper's methodology), or one input variant per
     // sandbox when configured.
-    let owned_traces: Vec<snapbpf_workloads::InvocationTrace> = if cfg.vary_inputs {
+    let owned_traces: Vec<InvocationTrace> = if cfg.vary_inputs {
         (0..cfg.instances)
             .map(|i| func.workload.trace_variant(i as u32))
             .collect()
     } else {
         vec![func.workload.trace()]
     };
-    let starts: Vec<SimTime> = restored.iter().map(|r| r.ready_at).collect();
-    let (mut vms, mut resolvers): (Vec<&mut MicroVm>, Vec<&mut dyn UffdResolver>) = restored
-        .iter_mut()
-        .map(|r| (&mut r.vm, r.resolver.as_mut() as &mut dyn UffdResolver))
-        .unzip();
-    let traces: Vec<&snapbpf_workloads::InvocationTrace> = (0..cfg.instances)
+    let traces: Vec<&InvocationTrace> = (0..cfg.instances)
         .map(|i| &owned_traces[if cfg.vary_inputs { i } else { 0 }])
         .collect();
-    let results = run_concurrent(&starts, &mut vms, &traces, &mut host, &mut resolvers)?;
-
-    // Phase 4: measure, then tear down.
-    let memory = host.memory_snapshot();
-    let invoke_read_bytes = host.disk().read_bytes();
+    let (results, memory, invoke_read_bytes) = invoke(&mut host, restored, &traces)?;
     let stats = sum_stats(&results);
-    for r in &mut restored {
-        r.vm.kvm_mut().teardown(&mut host)?;
-    }
-    debug_assert_eq!(host.accounting_discrepancy(), 0);
 
     Ok(RunResult {
         function: func.workload.name(),
@@ -403,29 +377,16 @@ pub fn run_colocated(
     host.disk_mut().reset_read_counts();
 
     // Restore one sandbox per function at the same instant.
-    let mut restored: Vec<RestoredVm> = funcs
+    let restored: Vec<RestoredVm> = funcs
         .iter()
         .zip(&mut strategies)
         .enumerate()
         .map(|(i, (func, strategy))| strategy.restore(t, &mut host, func, OwnerId::new(i as u32)))
         .collect::<Result<_, _>>()?;
 
-    let owned_traces: Vec<snapbpf_workloads::InvocationTrace> =
-        funcs.iter().map(|f| f.workload.trace()).collect();
-    let starts: Vec<SimTime> = restored.iter().map(|r| r.ready_at).collect();
-    let (mut vms, mut resolvers): (Vec<&mut MicroVm>, Vec<&mut dyn UffdResolver>) = restored
-        .iter_mut()
-        .map(|r| (&mut r.vm, r.resolver.as_mut() as &mut dyn UffdResolver))
-        .unzip();
-    let traces: Vec<&snapbpf_workloads::InvocationTrace> = owned_traces.iter().collect();
-    let results = run_concurrent(&starts, &mut vms, &traces, &mut host, &mut resolvers)?;
-
-    let memory = host.memory_snapshot();
-    let invoke_read_bytes = host.disk().read_bytes();
-    for r in &mut restored {
-        r.vm.kvm_mut().teardown(&mut host)?;
-    }
-    debug_assert_eq!(host.accounting_discrepancy(), 0);
+    let owned_traces: Vec<InvocationTrace> = funcs.iter().map(|f| f.workload.trace()).collect();
+    let traces: Vec<&InvocationTrace> = owned_traces.iter().collect();
+    let (results, memory, invoke_read_bytes) = invoke(&mut host, restored, &traces)?;
 
     Ok(ColocatedResult {
         strategy: kind.label(),
@@ -437,6 +398,30 @@ pub fn run_colocated(
         memory,
         invoke_read_bytes,
     })
+}
+
+/// The invocation phase: runs each restored sandbox's trace
+/// concurrently, each from its restore's ready time, measures memory
+/// and the phase's storage reads, then tears the sandboxes down.
+fn invoke(
+    host: &mut HostKernel,
+    mut restored: Vec<RestoredVm>,
+    traces: &[&InvocationTrace],
+) -> Result<(Vec<InvocationResult>, MemorySnapshot, u64), StrategyError> {
+    let starts: Vec<SimTime> = restored.iter().map(|r| r.ready_at).collect();
+    let (mut vms, mut resolvers): (Vec<&mut MicroVm>, Vec<&mut dyn UffdResolver>) = restored
+        .iter_mut()
+        .map(|r| (&mut r.vm, r.resolver.as_mut() as &mut dyn UffdResolver))
+        .unzip();
+    let results = run_concurrent(&starts, &mut vms, traces, host, &mut resolvers)?;
+
+    let memory = host.memory_snapshot();
+    let invoke_read_bytes = host.disk().read_bytes();
+    for r in &mut restored {
+        r.vm.kvm_mut().teardown(host)?;
+    }
+    debug_assert_eq!(host.accounting_discrepancy(), 0);
+    Ok((results, memory, invoke_read_bytes))
 }
 
 /// Total pages of `<function>.*` artifact files (everything but the
@@ -594,14 +579,18 @@ mod tests {
         let plain = run_one(StrategyKind::SnapBpf, &w, &cfg).unwrap();
 
         // A metrics-only (noop-sink) tracer must not perturb results.
+        let traced_run = |tracer: &Tracer| {
+            let kind = StrategyKind::SnapBpf;
+            run_one_inner(kind.build().as_mut(), kind.label(), &w, &cfg, tracer).unwrap()
+        };
         let noop = Tracer::noop();
-        let with_noop = run_one_traced(StrategyKind::SnapBpf, &w, &cfg, &noop).unwrap();
+        let with_noop = traced_run(&noop);
         assert_eq!(plain, with_noop);
         assert!(noop.counter("mem.cache.misses") > 0);
 
         // Neither must a full recording tracer.
         let rec = Tracer::recording();
-        let traced = run_one_traced(StrategyKind::SnapBpf, &w, &cfg, &rec).unwrap();
+        let traced = traced_run(&rec);
         assert_eq!(plain, traced);
 
         // Restore-stage spans reconcile exactly with the reported
@@ -697,7 +686,6 @@ mod tests {
         for err in [
             run_one(kind, &w, &cfg).unwrap_err(),
             run_one_with(kind.build().as_mut(), kind.label(), &w, &cfg).unwrap_err(),
-            run_one_traced(kind, &w, &cfg, &Tracer::recording()).unwrap_err(),
         ] {
             assert!(matches!(err, StrategyError::Config(_)), "got {err}");
             assert!(

@@ -60,8 +60,8 @@ mod testutil;
 mod wset;
 
 pub use experiment::{
-    kernel_config_for, run_colocated, run_one, run_one_traced, run_one_with, ColocatedResult,
-    DeviceKind, RunConfig, RunResult,
+    kernel_config_for, run_colocated, run_one, run_one_with, ColocatedResult, DeviceKind,
+    RunConfig, RunResult,
 };
 pub use programs::{
     build_capture_program, build_prefetch_program_telemetry, groups_map_def, groups_map_image,

@@ -1,16 +1,29 @@
 //! The bytecode interpreter.
 //!
-//! Runs [`VerifiedProgram`]s with real eBPF semantics: eleven 64-bit
-//! registers, a 512-byte stack, pointer values for the stack and map
-//! values, helper calls operating on the [`MapSet`], and kfunc calls
-//! dispatched to a host-provided [`KfuncHost`]. The interpreter
-//! trusts the verifier for memory safety but still carries defensive
-//! runtime checks (any violation is a bug and surfaces as a
-//! [`RunError`] rather than undefined behaviour).
+//! Runs [`VerifiedProgram`]s the way the kernel's `___bpf_prog_run`
+//! does: the verifier proved the program safe once, at load, so the
+//! interpreter keeps no register types and repeats none of its
+//! checks. Registers are eleven raw `u64`s over one flat address
+//! space. The high 32 bits of an address name a region and the low 32
+//! bits give a byte offset within it:
+//!
+//! - region 0 holds only the null pointer;
+//! - region 1 is the 512-byte stack, and `r10` points at its top;
+//! - region `slot + 2` is the whole value storage of the map in the
+//!   program's map slot `slot`: an array map's values, or a per-CPU
+//!   array's [`crate::NCPUS`] consecutive blocks of them. `LoadMapRef`
+//!   yields the region's base, and a lookup returns that base plus
+//!   (CPU lane + index) × `value_size`, or 0 for an index out of range.
+//!
+//! Loads and stores index one byte slice with safe indexing, so a
+//! verifier bug makes the run panic; it never touches the wrong
+//! memory. Helper calls operate on the [`MapSet`], and kfunc calls
+//! dispatch to a host-provided [`KfuncHost`]; both leave `r1`–`r5`
+//! zero.
 
 use std::fmt;
 
-use crate::insn::{AccessSize, AluOp, HelperId, Insn, JmpCond, Operand, Reg, STACK_SIZE};
+use crate::insn::{AluOp, HelperId, Insn, JmpCond, Operand, STACK_SIZE};
 use crate::map::{MapError, MapId, MapKind, MapSet};
 use crate::verify::VerifiedProgram;
 
@@ -20,6 +33,11 @@ use crate::verify::VerifiedProgram;
 /// (virtual) CPU — the analogue of the kernel's 1M-insn limit.
 /// Override per interpreter with [`Interpreter::set_insn_budget`].
 pub const INSN_BUDGET: u64 = 1 << 20;
+
+/// Address region of the stack (see the module docs).
+const STACK_REGION: u64 = 1;
+/// Address region of map slot 0; slot `s` is region `MAP_REGION + s`.
+const MAP_REGION: u64 = 2;
 
 /// Host side of kfunc calls.
 ///
@@ -46,63 +64,12 @@ impl KfuncHost for NoKfuncs {
     }
 }
 
-/// Runtime register value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)] // MapValue mirrors the verifier's term of art
-enum Value {
-    Uninit,
-    Scalar(u64),
-    FramePtr,
-    /// Stack pointer: byte offset relative to the frame pointer
-    /// (negative, in `[-512, 0]`).
-    StackPtr(i64),
-    MapRef(MapId),
-    /// Pointer into a map value.
-    MapValue {
-        map: MapId,
-        loc: MapLoc,
-        off: i64,
-    },
-}
-
-/// Where a map-value pointer points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MapLoc {
-    Array {
-        index: u32,
-    },
-    /// One CPU's slot of a per-CPU array; `cpu` is captured at
-    /// lookup time so the pointer stays valid even if the
-    /// interpreter migrates between invocations.
-    PerCpu {
-        index: u32,
-        cpu: u32,
-    },
-}
-
-impl Value {
-    fn as_scalar(&self) -> Option<u64> {
-        match self {
-            Value::Scalar(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
 /// Runtime failure of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// Per-invocation instruction budget exhausted (a verified
     /// bounded loop that still overruns its runtime allowance).
     BudgetExhausted,
-    /// A defensive runtime check failed; indicates a verifier or
-    /// interpreter bug.
-    Internal {
-        /// Instruction index.
-        at: usize,
-        /// Description.
-        what: String,
-    },
     /// A map operation failed at runtime (e.g. a map id the set
     /// does not hold).
     Map(MapError),
@@ -119,7 +86,6 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::BudgetExhausted => write!(f, "instruction budget exhausted"),
-            RunError::Internal { at, what } => write!(f, "internal error at insn {at}: {what}"),
             RunError::Map(e) => write!(f, "map error: {e}"),
             RunError::KfuncFailed { kfunc, message } => {
                 write!(f, "kfunc #{kfunc} failed: {message}")
@@ -143,10 +109,6 @@ pub struct RunOutcome {
     pub return_value: u64,
     /// Number of instructions executed.
     pub insns_executed: u64,
-    /// Number of helper calls made.
-    pub helper_calls: u64,
-    /// Number of kfunc calls made.
-    pub kfunc_calls: u64,
 }
 
 /// The interpreter. Stateless between runs; borrow it a map set and
@@ -233,9 +195,19 @@ impl Interpreter {
     ///
     /// # Errors
     ///
-    /// See [`RunError`]. For verified programs, only
-    /// [`RunError::Map`] (runtime map capacity) and
-    /// [`RunError::KfuncFailed`] are expected in practice.
+    /// - [`RunError::BudgetExhausted`] when the run executes the
+    ///   instruction budget without exiting;
+    /// - [`RunError::Map`] when `maps` does not hold a map the
+    ///   program was verified against, or a ring buffer push fails
+    ///   other than by being full or too small (those return an
+    ///   errno to the program);
+    /// - [`RunError::KfuncFailed`] when a kfunc reports an error.
+    ///
+    /// # Panics
+    ///
+    /// Only if the verifier accepted a program that reaches outside
+    /// its stack and map values, or `maps` gives a map the program
+    /// uses less value storage than the set it was verified against.
     pub fn run(
         &mut self,
         program: &VerifiedProgram,
@@ -245,101 +217,32 @@ impl Interpreter {
     ) -> Result<RunOutcome, RunError> {
         let insns: &[Insn] = program.image();
         let slots = program.maps();
-        let mut regs = [Value::Uninit; 11];
-        regs[10] = Value::FramePtr;
+        let mut regs = [0u64; 11];
+        regs[10] = (STACK_REGION << 32) + STACK_SIZE as u64;
         let mut stack = [0u8; STACK_SIZE];
         let mut pc = 0usize;
         let mut executed = 0u64;
-        let mut helper_calls = 0u64;
-        let mut kfunc_calls = 0u64;
-
-        macro_rules! internal {
-            ($($arg:tt)*) => {
-                return Err(RunError::Internal { at: pc, what: format!($($arg)*) })
-            };
-        }
 
         loop {
             if executed >= self.insn_budget {
                 return Err(RunError::BudgetExhausted);
             }
             executed += 1;
-            let insn = match insns.get(pc) {
-                Some(i) => *i,
-                None => internal!("pc out of range"),
-            };
-
-            match insn {
-                Insn::Alu64 { op, dst, src } | Insn::Alu32 { op, dst, src } => {
-                    let wide = matches!(insn, Insn::Alu64 { .. });
-                    let rhs = match src {
-                        Operand::Imm(v) => Value::Scalar(v as u64),
-                        Operand::Reg(r) => regs[r.index()],
-                    };
-                    let lhs = regs[dst.index()];
-                    let result = if op == AluOp::Mov {
-                        if wide {
-                            rhs
-                        } else {
-                            match rhs.as_scalar() {
-                                Some(v) => Value::Scalar(v as u32 as u64),
-                                None => internal!("mov32 of pointer"),
-                            }
-                        }
-                    } else {
-                        match (&lhs, &rhs) {
-                            (Value::Scalar(a), Value::Scalar(b)) => {
-                                let v = if wide {
-                                    alu64(op, *a, *b)
-                                } else {
-                                    alu32(op, *a as u32, *b as u32) as u64
-                                };
-                                Value::Scalar(v)
-                            }
-                            // Pointer arithmetic (verified to be
-                            // add/sub with constants).
-                            (Value::FramePtr, Value::Scalar(k)) => {
-                                let d = delta(op, *k);
-                                Value::StackPtr(d)
-                            }
-                            (Value::StackPtr(off), Value::Scalar(k)) => {
-                                Value::StackPtr(off + delta(op, *k))
-                            }
-                            (Value::MapValue { map, loc, off }, Value::Scalar(k)) => {
-                                Value::MapValue {
-                                    map: *map,
-                                    loc: *loc,
-                                    off: off + delta(op, *k),
-                                }
-                            }
-                            _ => internal!("alu on non-scalar operands"),
-                        }
-                    };
-                    regs[dst.index()] = result;
-                    pc += 1;
+            match insns[pc] {
+                Insn::Alu64 { op, dst, src } => {
+                    regs[dst.index()] = alu64(op, regs[dst.index()], operand(&regs, src));
                 }
-                Insn::Neg { dst } => {
-                    match regs[dst.index()].as_scalar() {
-                        Some(v) => regs[dst.index()] = Value::Scalar(v.wrapping_neg()),
-                        None => internal!("neg of non-scalar"),
-                    }
-                    pc += 1;
+                Insn::Alu32 { op, dst, src } => {
+                    let (a, b) = (regs[dst.index()] as u32, operand(&regs, src) as u32);
+                    regs[dst.index()] = alu32(op, a, b).into();
                 }
-                Insn::LoadImm64 { dst, imm } => {
-                    regs[dst.index()] = Value::Scalar(imm as u64);
-                    pc += 1;
-                }
+                Insn::Neg { dst } => regs[dst.index()] = regs[dst.index()].wrapping_neg(),
+                Insn::LoadImm64 { dst, imm } => regs[dst.index()] = imm as u64,
                 Insn::LoadMapRef { dst, map: slot } => {
-                    regs[dst.index()] = match slots.get(slot.as_u32() as usize) {
-                        Some(&map) => Value::MapRef(map),
-                        None => internal!("map slot out of range"),
-                    };
-                    pc += 1;
+                    regs[dst.index()] = (MAP_REGION + u64::from(slot.as_u32())) << 32;
                 }
                 Insn::LoadCtx { dst, index } => {
-                    regs[dst.index()] =
-                        Value::Scalar(ctx.get(index as usize).copied().unwrap_or(0));
-                    pc += 1;
+                    regs[dst.index()] = ctx.get(index as usize).copied().unwrap_or(0);
                 }
                 Insn::Load {
                     dst,
@@ -347,30 +250,9 @@ impl Interpreter {
                     off,
                     size,
                 } => {
-                    let v = match &regs[base.index()] {
-                        Value::FramePtr | Value::StackPtr(_) => {
-                            let idx = match stack_index(&regs[base.index()], off, size) {
-                                Some(i) => i,
-                                None => internal!("stack load out of bounds"),
-                            };
-                            read_le(&stack[idx..idx + size.bytes()])
-                        }
-                        Value::MapValue {
-                            map,
-                            loc,
-                            off: ptr_off,
-                        } => {
-                            let total = (*ptr_off + off as i64) as usize;
-                            let bytes = map_value_bytes(maps, *map, loc)?;
-                            match bytes.get(total..total + size.bytes()) {
-                                Some(b) => read_le(b),
-                                None => internal!("map value load out of bounds"),
-                            }
-                        }
-                        other => internal!("load through {other:?}"),
-                    };
-                    regs[dst.index()] = Value::Scalar(v);
-                    pc += 1;
+                    let at = regs[base.index()].wrapping_add_signed(off.into());
+                    let bytes = memory(&mut stack, maps, slots, at, size.bytes())?;
+                    regs[dst.index()] = read_le(bytes);
                 }
                 Insn::Store {
                     base,
@@ -378,12 +260,9 @@ impl Interpreter {
                     src,
                     size,
                 } => {
-                    let v = match regs[src.index()].as_scalar() {
-                        Some(v) => v,
-                        None => internal!("store of non-scalar"),
-                    };
-                    self.do_store(&mut stack, maps, &regs, base, off, size, v, pc)?;
-                    pc += 1;
+                    let at = regs[base.index()].wrapping_add_signed(off.into());
+                    let bytes = memory(&mut stack, maps, slots, at, size.bytes())?;
+                    write_le(bytes, regs[src.index()]);
                 }
                 Insn::StoreImm {
                     base,
@@ -391,277 +270,115 @@ impl Interpreter {
                     imm,
                     size,
                 } => {
-                    self.do_store(&mut stack, maps, &regs, base, off, size, imm as u64, pc)?;
-                    pc += 1;
+                    let at = regs[base.index()].wrapping_add_signed(off.into());
+                    let bytes = memory(&mut stack, maps, slots, at, size.bytes())?;
+                    write_le(bytes, imm as u64);
                 }
-                Insn::Jump { off } => {
-                    pc = (pc as i64 + 1 + off as i64) as usize;
-                }
+                Insn::Jump { off } => pc = pc.wrapping_add_signed(off as isize),
                 Insn::JumpIf {
                     cond,
                     dst,
                     src,
                     off,
                 } => {
-                    let a = match &regs[dst.index()] {
-                        Value::Scalar(v) => *v,
-                        // A null-checkable map-value pointer compares
-                        // as non-zero (a valid kernel address).
-                        Value::MapValue { .. } => 1,
-                        other => internal!("jump on {other:?}"),
-                    };
-                    let b = match src {
-                        Operand::Imm(v) => v as u64,
-                        Operand::Reg(r) => match regs[r.index()].as_scalar() {
-                            Some(v) => v,
-                            None => internal!("jump rhs non-scalar"),
-                        },
-                    };
-                    if jump_taken(cond, a, b) {
-                        pc = (pc as i64 + 1 + off as i64) as usize;
-                    } else {
-                        pc += 1;
+                    if jump_taken(cond, regs[dst.index()], operand(&regs, src)) {
+                        pc = pc.wrapping_add_signed(off as isize);
                     }
                 }
                 Insn::Call { helper } => {
-                    helper_calls += 1;
-                    self.call_helper(helper, &mut regs, &mut stack, maps, pc)?;
-                    pc += 1;
+                    regs[0] = self.call_helper(helper, &regs, &stack, maps, slots)?;
+                    regs[1..6].fill(0);
                 }
                 Insn::CallKfunc { kfunc } => {
-                    kfunc_calls += 1;
-                    let mut args = [0u64; 5];
-                    for (i, slot) in args.iter_mut().enumerate() {
-                        *slot = regs[i + 1].as_scalar().unwrap_or(0);
-                    }
-                    let ret = kfuncs
+                    let args = [regs[1], regs[2], regs[3], regs[4], regs[5]];
+                    regs[0] = kfuncs
                         .call_kfunc(kfunc, args)
                         .map_err(|message| RunError::KfuncFailed { kfunc, message })?;
-                    for r in regs.iter_mut().take(6).skip(1) {
-                        *r = Value::Uninit;
-                    }
-                    regs[0] = Value::Scalar(ret);
-                    pc += 1;
+                    regs[1..6].fill(0);
                 }
                 Insn::Exit => {
-                    let ret = match regs[0].as_scalar() {
-                        Some(v) => v,
-                        None => internal!("exit with non-scalar r0"),
-                    };
                     return Ok(RunOutcome {
-                        return_value: ret,
+                        return_value: regs[0],
                         insns_executed: executed,
-                        helper_calls,
-                        kfunc_calls,
                     });
                 }
             }
+            pc += 1;
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn do_store(
-        &mut self,
-        stack: &mut [u8; STACK_SIZE],
-        maps: &mut MapSet,
-        regs: &[Value; 11],
-        base: Reg,
-        off: i16,
-        size: AccessSize,
-        value: u64,
-        pc: usize,
-    ) -> Result<(), RunError> {
-        match &regs[base.index()] {
-            Value::FramePtr | Value::StackPtr(_) => {
-                let idx = stack_index(&regs[base.index()], off, size).ok_or_else(|| {
-                    RunError::Internal {
-                        at: pc,
-                        what: "stack store out of bounds".into(),
-                    }
-                })?;
-                write_le(&mut stack[idx..idx + size.bytes()], value);
-                Ok(())
-            }
-            Value::MapValue {
-                map,
-                loc,
-                off: ptr_off,
-            } => {
-                let total = (*ptr_off + off as i64) as usize;
-                let bytes = map_value_bytes_mut(maps, *map, loc)?;
-                let slot = bytes.get_mut(total..total + size.bytes()).ok_or_else(|| {
-                    RunError::Internal {
-                        at: pc,
-                        what: "map value store out of bounds".into(),
-                    }
-                })?;
-                write_le(slot, value);
-                Ok(())
-            }
-            other => Err(RunError::Internal {
-                at: pc,
-                what: format!("store through {other:?}"),
-            }),
-        }
-    }
-
+    /// Runs a helper over the argument registers and returns `r0`.
     fn call_helper(
-        &mut self,
+        &self,
         helper: HelperId,
-        regs: &mut [Value; 11],
-        stack: &mut [u8; STACK_SIZE],
+        regs: &[u64; 11],
+        stack: &[u8; STACK_SIZE],
         maps: &mut MapSet,
-        pc: usize,
-    ) -> Result<(), RunError> {
-        let internal = |what: &str| RunError::Internal {
-            at: pc,
-            what: what.to_string(),
-        };
-
-        let ret: Value = match helper {
+        slots: &[MapId],
+    ) -> Result<u64, RunError> {
+        let map = || slots[((regs[1] >> 32) - MAP_REGION) as usize];
+        Ok(match helper {
             HelperId::MapLookup => {
-                let map = match regs[Reg::R1.index()] {
-                    Value::MapRef(m) => m,
-                    _ => return Err(internal("r1 not a map ref")),
-                };
-                let def = maps.def(map)?;
-                let key = stack_bytes(stack, &regs[Reg::R2.index()], def.key_size as usize)
-                    .ok_or_else(|| internal("bad key pointer"))?;
-                match def.kind {
-                    MapKind::Array => {
-                        let index = u32::from_le_bytes(key[..4].try_into().expect("4-byte key"));
-                        if index < def.max_entries {
-                            Value::MapValue {
-                                map,
-                                loc: MapLoc::Array { index },
-                                off: 0,
-                            }
-                        } else {
-                            Value::Scalar(0)
-                        }
-                    }
-                    MapKind::PerCpuArray => {
-                        let index = u32::from_le_bytes(key[..4].try_into().expect("4-byte key"));
-                        if index < def.max_entries {
-                            Value::MapValue {
-                                map,
-                                loc: MapLoc::PerCpu {
-                                    index,
-                                    cpu: self.current_cpu,
-                                },
-                                off: 0,
-                            }
-                        } else {
-                            Value::Scalar(0)
-                        }
-                    }
-                    MapKind::RingBuf => return Err(internal("lookup on ringbuf")),
+                let def = maps.def(map())?;
+                let index = read_le(stack_bytes(stack, regs[2], def.key_size as usize));
+                if index >= u64::from(def.max_entries) {
+                    return Ok(0);
                 }
-            }
-            HelperId::KtimeGetNs => Value::Scalar(self.now_ns),
-            HelperId::RingbufOutput => {
-                let map = match regs[Reg::R1.index()] {
-                    Value::MapRef(m) => m,
-                    _ => return Err(internal("r1 not a map ref")),
-                };
-                let size = regs[Reg::R3.index()]
-                    .as_scalar()
-                    .ok_or_else(|| internal("r3 not scalar"))? as usize;
-                let data = stack_bytes(stack, &regs[Reg::R2.index()], size)
-                    .ok_or_else(|| internal("bad data pointer"))?;
-                match maps.ring_push(map, data) {
-                    Ok(()) => Value::Scalar(0),
-                    Err(MapError::RingFull { .. }) => Value::Scalar((-28i64) as u64), // -ENOSPC
-                    Err(MapError::RingRecordTooLarge { .. }) => {
-                        Value::Scalar((-7i64) as u64) // -E2BIG
+                let lane = match def.kind {
+                    MapKind::PerCpuArray => {
+                        u64::from(self.current_cpu) * u64::from(def.max_entries)
                     }
+                    _ => 0,
+                };
+                regs[1] + (lane + index) * u64::from(def.value_size)
+            }
+            HelperId::KtimeGetNs => self.now_ns,
+            HelperId::RingbufOutput => {
+                let data = stack_bytes(stack, regs[2], regs[3] as usize);
+                match maps.ring_push(map(), data) {
+                    Ok(()) => 0,
+                    Err(MapError::RingFull { .. }) => (-28i64) as u64, // -ENOSPC
+                    Err(MapError::RingRecordTooLarge { .. }) => (-7i64) as u64, // -E2BIG
                     Err(e) => return Err(e.into()),
                 }
             }
-        };
-
-        for r in regs.iter_mut().take(6).skip(1) {
-            *r = Value::Uninit;
-        }
-        regs[0] = ret;
-        Ok(())
+        })
     }
 }
 
-fn delta(op: AluOp, k: u64) -> i64 {
-    match op {
-        AluOp::Add => k as i64,
-        AluOp::Sub => -(k as i64),
-        _ => 0, // verifier guarantees add/sub only
+/// The value of an ALU or jump operand.
+fn operand(regs: &[u64; 11], src: Operand) -> u64 {
+    match src {
+        Operand::Imm(v) => v as u64,
+        Operand::Reg(r) => regs[r.index()],
     }
 }
 
-fn stack_index(base: &Value, off: i16, size: AccessSize) -> Option<usize> {
-    let rel = match base {
-        Value::FramePtr => off as i64,
-        Value::StackPtr(p) => p + off as i64,
-        _ => return None,
-    };
-    let idx = STACK_SIZE as i64 + rel;
-    if idx >= 0 && idx + size.bytes() as i64 <= STACK_SIZE as i64 {
-        Some(idx as usize)
-    } else {
-        None
-    }
-}
-
-/// The `len` stack bytes `ptr` points at, or `None` when `ptr` is not
-/// a stack pointer or the bytes leave the stack.
-fn stack_bytes<'s>(stack: &'s [u8; STACK_SIZE], ptr: &Value, len: usize) -> Option<&'s [u8]> {
-    let rel = match ptr {
-        Value::FramePtr => 0i64,
-        Value::StackPtr(p) => *p,
-        _ => return None,
-    };
-    let idx = STACK_SIZE as i64 + rel;
-    if idx >= 0 && idx as usize + len <= STACK_SIZE {
-        Some(&stack[idx as usize..idx as usize + len])
-    } else {
-        None
-    }
-}
-
-fn map_value_bytes<'m>(maps: &'m MapSet, map: MapId, loc: &MapLoc) -> Result<&'m [u8], RunError> {
-    match loc {
-        MapLoc::Array { index } => {
-            let (values, def) = maps.array_raw(map)?;
-            let vs = def.value_size as usize;
-            let start = *index as usize * vs;
-            Ok(&values[start..start + vs])
-        }
-        MapLoc::PerCpu { index, cpu } => {
-            let (values, def) = maps.percpu_raw(map, *cpu)?;
-            let vs = def.value_size as usize;
-            let start = *index as usize * vs;
-            Ok(&values[start..start + vs])
-        }
-    }
-}
-
-fn map_value_bytes_mut<'m>(
+/// The `len` bytes at address `at`: on the stack, or in the value
+/// storage of the map in `at`'s slot region. Indexing panics on bytes
+/// outside every region, which only a verifier bug produces.
+fn memory<'m>(
+    stack: &'m mut [u8; STACK_SIZE],
     maps: &'m mut MapSet,
-    map: MapId,
-    loc: &MapLoc,
-) -> Result<&'m mut [u8], RunError> {
-    match loc {
-        MapLoc::Array { index } => {
-            let (values, def) = maps.array_raw_mut(map)?;
-            let vs = def.value_size as usize;
-            let start = *index as usize * vs;
-            Ok(&mut values[start..start + vs])
-        }
-        MapLoc::PerCpu { index, cpu } => {
-            let (values, def) = maps.percpu_raw_mut(map, *cpu)?;
-            let vs = def.value_size as usize;
-            let start = *index as usize * vs;
-            Ok(&mut values[start..start + vs])
-        }
-    }
+    slots: &[MapId],
+    at: u64,
+    len: usize,
+) -> Result<&'m mut [u8], MapError> {
+    let region = at >> 32;
+    let bytes = if region == STACK_REGION {
+        &mut stack[..]
+    } else {
+        maps.values_mut(slots[(region - MAP_REGION) as usize])?
+    };
+    let off = at as u32 as usize;
+    Ok(&mut bytes[off..off + len])
+}
+
+/// The `len` stack bytes at address `at`; the verifier only lets
+/// helpers read buffers on the stack.
+fn stack_bytes(stack: &[u8; STACK_SIZE], at: u64, len: usize) -> &[u8] {
+    let off = (at - (STACK_REGION << 32)) as usize;
+    &stack[off..off + len]
 }
 
 fn read_le(bytes: &[u8]) -> u64 {
@@ -733,6 +450,7 @@ fn jump_taken(cond: JmpCond, a: u64, b: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::insn::{AccessSize, Reg};
     use crate::map::MapDef;
     use crate::program::ProgramBuilder;
     use crate::verify::Verifier;
@@ -913,10 +631,9 @@ mod tests {
         let p = Verifier::new(&maps, &[])
             .verify(&b.build().unwrap())
             .unwrap();
-        let out = Interpreter::new()
+        Interpreter::new()
             .run(&p, &[], &mut maps, &mut NoKfuncs)
             .unwrap();
-        assert_eq!(out.helper_calls, 1);
         assert_eq!(maps.array_load_u64(m, 2).unwrap(), 101);
     }
 
@@ -1013,7 +730,6 @@ mod tests {
             .run(&p, &[], &mut maps, &mut host)
             .unwrap();
         assert_eq!(out.return_value, 42);
-        assert_eq!(out.kfunc_calls, 1);
         assert_eq!(host.calls.len(), 1);
         assert_eq!(host.calls[0][0], 30);
     }
@@ -1103,8 +819,9 @@ mod tests {
             interp.run(&p, &[add], &mut maps, &mut NoKfuncs).unwrap();
         }
         // Each CPU's lane holds only the increments made on it.
-        for (cpu, want) in [(0u32, 5u64), (1, 0), (2, 8), (3, 100)] {
-            let (block, _) = maps.percpu_raw(m, cpu).unwrap();
+        let values = maps.values_mut(m).unwrap();
+        for (cpu, want) in [(0usize, 5u64), (1, 0), (2, 8), (3, 100)] {
+            let block = &values[cpu * 16..];
             assert_eq!(read_le(&block[0..8]), want, "cpu {cpu}");
         }
         // Userspace reads the lane-merged sum across all CPU slots.

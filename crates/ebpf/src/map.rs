@@ -579,26 +579,6 @@ impl MapSet {
         self.update(id, &index.to_le_bytes(), &value.to_le_bytes())
     }
 
-    /// Direct read of a byte range of an array map's backing store —
-    /// the interpreter's map-value pointers resolve through this.
-    pub(crate) fn array_raw(&self, id: MapId) -> Result<(&[u8], MapDef), MapError> {
-        let inst = self.instance(id)?;
-        match &inst.storage {
-            MapStorage::Array { values } => Ok((values, inst.def)),
-            _ => Err(MapError::WrongKind(id)),
-        }
-    }
-
-    /// Direct mutable access to an array map's backing store.
-    pub(crate) fn array_raw_mut(&mut self, id: MapId) -> Result<(&mut Vec<u8>, MapDef), MapError> {
-        let inst = self.instance_mut(id)?;
-        let def = inst.def;
-        match &mut inst.storage {
-            MapStorage::Array { values } => Ok((values, def)),
-            _ => Err(MapError::WrongKind(id)),
-        }
-    }
-
     /// Reads the merged (lane-summed across CPUs) `u64` at `index`
     /// of a per-CPU array map of 8-byte values — the userspace view
     /// telemetry drains consume.
@@ -631,36 +611,13 @@ impl MapSet {
         ))
     }
 
-    /// Direct read of one CPU's block of a per-CPU array map — the
-    /// interpreter's map-value pointers resolve through this.
-    pub(crate) fn percpu_raw(&self, id: MapId, cpu: u32) -> Result<(&[u8], MapDef), MapError> {
-        let inst = self.instance(id)?;
-        match &inst.storage {
-            MapStorage::PerCpuArray { values } => {
-                let stride = inst.def.max_entries as usize * inst.def.value_size as usize;
-                let cpu = (cpu % NCPUS) as usize;
-                Ok((&values[cpu * stride..(cpu + 1) * stride], inst.def))
-            }
-            _ => Err(MapError::WrongKind(id)),
-        }
-    }
-
-    /// Direct mutable access to one CPU's block of a per-CPU array
-    /// map.
-    pub(crate) fn percpu_raw_mut(
-        &mut self,
-        id: MapId,
-        cpu: u32,
-    ) -> Result<(&mut [u8], MapDef), MapError> {
-        let inst = self.instance_mut(id)?;
-        let def = inst.def;
-        match &mut inst.storage {
-            MapStorage::PerCpuArray { values } => {
-                let stride = def.max_entries as usize * def.value_size as usize;
-                let cpu = (cpu % NCPUS) as usize;
-                Ok((&mut values[cpu * stride..(cpu + 1) * stride], def))
-            }
-            _ => Err(MapError::WrongKind(id)),
+    /// The whole value storage of an array or per-CPU array map (a
+    /// per-CPU array's is [`NCPUS`] consecutive blocks of
+    /// `max_entries` values): the interpreter's map regions.
+    pub(crate) fn values_mut(&mut self, id: MapId) -> Result<&mut [u8], MapError> {
+        match &mut self.instance_mut(id)?.storage {
+            MapStorage::Array { values } | MapStorage::PerCpuArray { values } => Ok(values),
+            MapStorage::Ring { .. } => Err(MapError::WrongKind(id)),
         }
     }
 }
@@ -825,9 +782,9 @@ mod tests {
             vec![0u8; 16]
         );
         // Write distinct values into each CPU's slot of entry 2.
+        let (vs, stride) = (16, 4 * 16);
         for cpu in 0..NCPUS {
-            let (block, def) = maps.percpu_raw_mut(m, cpu).unwrap();
-            let vs = def.value_size as usize;
+            let block = &mut maps.values_mut(m).unwrap()[cpu as usize * stride..];
             block[2 * vs..2 * vs + 8].copy_from_slice(&(10 + cpu as u64).to_le_bytes());
             block[2 * vs + 8..2 * vs + 16].copy_from_slice(&(cpu as u64).to_le_bytes());
         }
@@ -843,8 +800,8 @@ mod tests {
     fn percpu_array_update_resets_every_slot() {
         let mut maps = MapSet::new();
         let m = maps.create(MapDef::percpu_array(8, 2)).unwrap();
-        for cpu in 0..NCPUS {
-            let (block, _) = maps.percpu_raw_mut(m, cpu).unwrap();
+        for cpu in 0..NCPUS as usize {
+            let block = &mut maps.values_mut(m).unwrap()[cpu * 16..];
             block[0..8].copy_from_slice(&7u64.to_le_bytes());
         }
         assert_eq!(maps.percpu_load_merged_u64(m, 0).unwrap(), 7 * NCPUS as u64);

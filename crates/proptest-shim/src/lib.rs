@@ -10,8 +10,9 @@
 //!
 //! Differences from upstream, by design:
 //!
-//! * **No shrinking.** A failing case reports the exact generated
-//!   inputs (they are always `Debug`) but does not minimize them.
+//! * **No shrinking.** A failing case, whether a `prop_assert*`
+//!   failed or the body panicked, reports the exact generated inputs
+//!   (they are always `Debug`) but does not minimize them.
 //! * **Fixed seeding.** Cases derive from a fixed seed and the case
 //!   index, so failures reproduce bit-identically on every run —
 //!   matching the repository's determinism contract (DESIGN.md §5).
@@ -40,6 +41,16 @@ pub mod test_runner {
         /// A failed property with an explanation.
         pub fn fail(msg: impl Into<String>) -> Self {
             TestCaseError { msg: msg.into() }
+        }
+
+        /// A case whose body panicked, from the panic's payload.
+        pub fn panicked(payload: &(dyn std::any::Any + Send)) -> Self {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("(non-string payload)");
+            TestCaseError::fail(format!("panicked: {msg}"))
         }
     }
 
@@ -609,12 +620,19 @@ macro_rules! proptest {
                 );
                 let values = ($($crate::Strategy::generate(&$strategy, &mut rng),)+);
                 let repr = format!("{:?}", values);
-                let result = (||
+                // A panicking body is reported like a failing one,
+                // with the case and its inputs.
+                let result = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(||
                     -> ::core::result::Result<(), $crate::test_runner::TestCaseError> {
                     let ($($pat,)+) = values;
                     $body
                     ::core::result::Result::Ok(())
-                })();
+                }))
+                .unwrap_or_else(|payload| {
+                    ::core::result::Result::Err($crate::test_runner::TestCaseError::panicked(
+                        payload.as_ref(),
+                    ))
+                });
                 if let ::core::result::Result::Err(e) = result {
                     panic!(
                         "proptest case {}/{} failed: {}\n  inputs: {}",
@@ -698,5 +716,27 @@ mod tests {
         fn default_config_runs(x in 0u8..10) {
             prop_assert!(x < 10);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        /// Panics on its first case (`x + v[0]` is always 10; the
+        /// condition keeps the body's end reachable). Run by the test
+        /// below.
+        fn panics_on_every_case(x in 3u8..4, v in prop::collection::vec(7u8..8, 2)) {
+            if x + v[0] == 10 {
+                panic!("boom at {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_case_reports_its_inputs() {
+        let payload = std::panic::catch_unwind(panics_on_every_case).unwrap_err();
+        let msg = payload.downcast_ref::<String>().expect("formatted report");
+        assert_eq!(
+            msg,
+            "proptest case 1/4 failed: panicked: boom at 3\n  inputs: (3, [7, 7])"
+        );
     }
 }
