@@ -37,7 +37,7 @@ pub const DEFAULT_COALESCE_GAP: u64 = 32;
 const PREFETCH_CHUNK_PAGES: u64 = 256;
 
 /// The FaaSnap strategy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Faasnap {
     coalesce_gap: u64,
     regions: Vec<WsGroup>,
@@ -205,6 +205,10 @@ impl Strategy for Faasnap {
                 vm: None,
             }),
         ))
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Strategy> {
+        Box::new(self.clone())
     }
 }
 

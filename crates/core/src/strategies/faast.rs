@@ -30,7 +30,7 @@ pub(crate) fn allocator_free_region(snapshot_pages: u64) -> std::ops::Range<u64>
 }
 
 /// The Faast strategy.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Faast {
     ws_order: Vec<u64>,
     ws_file: Option<FileId>,
@@ -166,6 +166,10 @@ impl Strategy for Faast {
                 owner,
             )),
         ))
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Strategy> {
+        Box::new(self.clone())
     }
 }
 

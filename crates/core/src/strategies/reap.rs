@@ -200,7 +200,7 @@ impl RestoreOps for UffdRestoreOps {
 }
 
 /// The REAP strategy.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Reap {
     /// Working-set pages in fault order (the ws file's layout).
     ws_order: Vec<u64>,
@@ -317,6 +317,10 @@ impl Strategy for Reap {
                 owner,
             )),
         ))
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Strategy> {
+        Box::new(self.clone())
     }
 }
 

@@ -62,6 +62,24 @@ pub struct SnapBpf {
 /// recording never hands its program to a later one.
 type PrefetchSlot = Rc<RefCell<Option<Program>>>;
 
+/// A copy restores on its own: it gets a new prefetch slot holding a
+/// copy of this one's program, so neither ever builds or relocates
+/// the other's.
+impl Clone for SnapBpf {
+    fn clone(&self) -> Self {
+        SnapBpf {
+            ebpf_prefetch: self.ebpf_prefetch,
+            pv_pte: self.pv_pte,
+            cow_policy: self.cow_policy,
+            group_contiguous: self.group_contiguous,
+            sort_by_access: self.sort_by_access,
+            groups: Arc::clone(&self.groups),
+            offsets_file: self.offsets_file,
+            prefetch: Rc::new(RefCell::new(self.prefetch.borrow().clone())),
+        }
+    }
+}
+
 impl SnapBpf {
     /// Full SnapBPF: eBPF prefetch + PV PTE marking, patched KVM.
     pub fn full() -> Self {
@@ -251,6 +269,10 @@ impl Strategy for SnapBpf {
                 vm: None,
             }),
         ))
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Strategy> {
+        Box::new(self.clone())
     }
 }
 

@@ -72,6 +72,10 @@ impl Strategy for Vanilla {
             }),
         ))
     }
+
+    fn boxed_clone(&self) -> Box<dyn Strategy> {
+        Box::new(*self)
+    }
 }
 
 /// Vanilla's restore state machine: apply the readahead switch, map

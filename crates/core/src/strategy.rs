@@ -19,7 +19,7 @@ use snapbpf_workloads::Workload;
 use crate::restore::{RestoreCursor, RestoreStage, StageTimings};
 
 /// A function under test: its workload model and its snapshot.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FunctionCtx {
     /// The workload model.
     pub workload: Workload,
@@ -140,7 +140,7 @@ pub struct Capabilities {
 }
 
 /// One snapshot-prefetching approach.
-pub trait Strategy {
+pub trait Strategy: fmt::Debug {
     /// Display name (figure legend label).
     fn name(&self) -> &'static str;
 
@@ -209,6 +209,16 @@ pub trait Strategy {
             cursor.step(host)?;
         }
         Ok(cursor.finish())
+    }
+
+    /// An independent copy of this strategy, recorded artifacts
+    /// included: restoring from the copy leaves this one untouched.
+    fn boxed_clone(&self) -> Box<dyn Strategy>;
+}
+
+impl Clone for Box<dyn Strategy> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
     }
 }
 

@@ -3,7 +3,8 @@
 //! exactly what the provided monolithic [`snapbpf::Strategy::restore`]
 //! default yields — same `ready_at`, same `offset_load_cost`, same
 //! per-stage breakdown, and an invocation replayed on the restored
-//! sandbox must produce identical metrics.
+//! sandbox must produce identical metrics. A cloned host and strategy
+//! must restore the same way again, without touching the original.
 
 use proptest::prelude::*;
 use snapbpf::{FunctionCtx, RestoredVm, StrategyKind};
@@ -81,6 +82,64 @@ fn assert_equivalent(kind: StrategyKind, name: &str, scale: f64) {
 fn staged_restore_matches_monolithic_for_every_kind() {
     for kind in StrategyKind::ALL {
         assert_equivalent(kind, "json", 0.05);
+    }
+}
+
+/// A recorded host and strategy cloned after `record` are an
+/// independent host: a restore and an invocation on the clone leave
+/// the template's kernel (page cache, memory, maps, probes, load
+/// cache, disk and its counters: its whole `Debug` state) and its
+/// strategy (SnapBPF's prefetch slot included) unchanged. The same
+/// restore and invocation on the template then reproduce the clone's
+/// results and end in the clone's state.
+#[test]
+fn a_clone_restores_like_the_original_without_touching_it() {
+    for kind in StrategyKind::ALL {
+        let (mut host, func, mut strategy, t) = recorded_env(kind, "json", 0.05);
+        let (host_before, strategy_before) = (format!("{host:?}"), format!("{strategy:?}"));
+
+        let mut host_c = host.clone();
+        let mut strategy_c = strategy.clone();
+        let restored_c = strategy_c
+            .restore(t, &mut host_c, &func, OwnerId::new(0))
+            .expect("restore on the clone");
+        let (ready_c, cost_c, stages_c) = (
+            restored_c.ready_at,
+            restored_c.offset_load_cost,
+            restored_c.stages,
+        );
+        let result_c = replay(&mut host_c, &func, restored_c);
+        assert!(
+            format!("{host:?}") == host_before,
+            "{kind:?}: work on the cloned kernel changed the template's"
+        );
+        assert!(
+            format!("{strategy:?}") == strategy_before,
+            "{kind:?}: a restore from the cloned strategy changed the template's"
+        );
+
+        let restored = strategy
+            .restore(t, &mut host, &func, OwnerId::new(0))
+            .expect("restore on the template");
+        assert_eq!(restored.ready_at, ready_c, "{kind:?}: ready_at");
+        assert_eq!(
+            restored.offset_load_cost, cost_c,
+            "{kind:?}: offset_load_cost"
+        );
+        assert_eq!(restored.stages, stages_c, "{kind:?}: per-stage breakdown");
+        assert_eq!(
+            replay(&mut host, &func, restored),
+            result_c,
+            "{kind:?}: invocation"
+        );
+        assert!(
+            format!("{host:?}") == format!("{host_c:?}"),
+            "{kind:?}: the template and its clone ended in different states"
+        );
+        assert!(
+            format!("{strategy:?}") == format!("{strategy_c:?}"),
+            "{kind:?}: the template strategy and its clone ended in different states"
+        );
     }
 }
 

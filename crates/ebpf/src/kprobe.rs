@@ -51,7 +51,7 @@ impl fmt::Display for ProbeError {
 
 impl std::error::Error for ProbeError {}
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Attached {
     hook: String,
     program: VerifiedProgram,
@@ -100,7 +100,7 @@ pub struct FireResult {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct KprobeRegistry {
     programs: Vec<Option<Attached>>,
     trace: Tracer,

@@ -39,7 +39,7 @@ use crate::verify::{KfuncSig, VerifiedProgram, Verifier, VerifierStats, VerifyEr
 /// the module docs). The program's name and its concrete [`MapId`]s
 /// are not part of it. Two programs with equal shapes verify and
 /// optimize identically, up to renaming their maps.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Shape {
     kfuncs: Box<[KfuncSig]>,
     /// The image in slot form.
@@ -118,7 +118,7 @@ fn renumbered(optimized: &VerifiedProgram, maps: &[MapId]) -> Arc<[Insn]> {
 }
 
 /// One shape and everything its first load computed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ShapeEntry {
     shape: Shape,
     /// The image every load of the shape attaches, in slot form: the
@@ -150,7 +150,7 @@ pub struct Loaded {
 }
 
 /// The shape-keyed memo of program loads (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadCache {
     /// Entries by shape hash; a bucket holds more than one entry only
     /// when distinct shapes collide.

@@ -7,7 +7,10 @@
 //! A cluster run generalizes the single-host fleet run: every host
 //! owns its own simulated kernel, disk, page cache, and keep-alive
 //! [`crate::SandboxPool`], all configured identically from the one
-//! [`FleetConfig`]. One global arrival schedule is drawn exactly as
+//! [`FleetConfig`]. Hosts start from one recorded world: each shard
+//! runs the record phase once and gives every host it owns a clone
+//! (`crate::host::World`), which the host then owns outright. One
+//! global arrival schedule is drawn exactly as
 //! the single-host path draws it; a [`PlacementPolicy`] then decides,
 //! per arrival, which host serves it.
 //!
@@ -30,7 +33,9 @@
 //! are routed for the new live set. `threads = 1` runs the hosts of a
 //! segment one after another; `threads > 1` sends one command per
 //! segment to each of a pool of workers, each owning a fixed subset
-//! of hosts (host `h` lives on worker `h % threads`).
+//! of hosts (host `h` lives on worker `h % threads`) cloned from a
+//! world the worker records itself, so a run records `threads`
+//! worlds, never one per host.
 //!
 //! Each host records into a private [`Tracer`] (`pid = host + 1`),
 //! its `cluster:place` instants included: one just before each
@@ -62,7 +67,7 @@ use snapbpf_sim::{
 use snapbpf_workloads::{FunctionSpec, Workload};
 
 use crate::config::{FaultKind, FleetConfig, RetryPolicy};
-use crate::host::{build_host, draw_arrivals, Host, Request};
+use crate::host::{build_world, draw_arrivals, Host, Request, World};
 use crate::metrics::FuncStats;
 use crate::placement::{HostView, PlacementPolicy};
 use snapbpf::StrategyError;
@@ -288,17 +293,11 @@ struct ShardHost<'a> {
 }
 
 impl<'a> ShardHost<'a> {
-    /// Builds host world `h`, returning it with the invocation-phase
-    /// start `t0`.
-    fn build(
-        cfg: &'a FleetConfig,
-        workloads: &[Workload],
-        class: TracerClass,
-        h: usize,
-    ) -> Result<(ShardHost<'a>, SimTime), StrategyError> {
+    /// Makes host `h` from `world`, with its own tracer and CPU.
+    fn new(cfg: &'a FleetConfig, world: World, class: TracerClass, h: usize) -> ShardHost<'a> {
         let tracer = Tracer::of_class(class);
         tracer.set_pid(h as u32 + 1);
-        let (mut host, t0) = build_host(cfg, workloads, &tracer)?;
+        let mut host = Host::from_world(world, cfg, &tracer);
         // Pin each host world to its own simulated CPU (wrapping at
         // NCPUS) so per-CPU map bumps from parallel shards land in
         // distinct lanes, exactly as distinct cores would.
@@ -309,12 +308,11 @@ impl<'a> ShardHost<'a> {
             tracer.name_thread(TID_DISK, "disk");
             tracer.name_thread(TID_KERNEL, "kernel");
         }
-        let sh = ShardHost {
+        ShardHost {
             index: h,
             tracer,
             host,
-        };
-        Ok((sh, t0))
+        }
     }
 
     /// Runs this host through `seg`: each of its arrivals at its
@@ -424,22 +422,44 @@ struct InlineShard<'a> {
     t0: SimTime,
 }
 
-impl<'a> InlineShard<'a> {
-    fn build(
+/// How a shard makes its hosts: from the run's config and workload
+/// list, the hosts with the given indices, each recording into a
+/// tracer of the given class.
+type BuildShard = for<'a> fn(
+    &'a FleetConfig,
+    &[Workload],
+    TracerClass,
+    Vec<usize>,
+) -> Result<InlineShard<'a>, StrategyError>;
+
+impl InlineShard<'_> {
+    /// Records one world and gives each host a clone of it.
+    fn build<'a>(
         cfg: &'a FleetConfig,
         workloads: &[Workload],
         class: TracerClass,
-        indices: impl ExactSizeIterator<Item = usize>,
+        indices: Vec<usize>,
     ) -> Result<InlineShard<'a>, StrategyError> {
-        let mut live = Vec::with_capacity(indices.len());
-        let mut t0 = SimTime::ZERO;
-        for h in indices {
-            let (host, t) = ShardHost::build(cfg, workloads, class, h)?;
-            t0 = t;
-            live.push(host);
-        }
+        let world = build_world(cfg, workloads)?;
+        let worlds = vec![world; indices.len()];
+        Ok(InlineShard::of_worlds(cfg, class, indices, worlds))
+    }
+
+    /// Hosts `indices`, host `indices[i]` made from `worlds[i]`.
+    fn of_worlds<'a>(
+        cfg: &'a FleetConfig,
+        class: TracerClass,
+        indices: Vec<usize>,
+        worlds: Vec<World>,
+    ) -> InlineShard<'a> {
+        let t0 = worlds.first().map_or(SimTime::ZERO, |w| w.t0);
+        let live: Vec<ShardHost<'a>> = indices
+            .into_iter()
+            .zip(worlds)
+            .map(|(h, world)| ShardHost::new(cfg, world, class, h))
+            .collect();
         let done = Vec::with_capacity(live.len());
-        Ok(InlineShard { live, done, t0 })
+        InlineShard { live, done, t0 }
     }
 }
 
@@ -515,16 +535,18 @@ enum Reply {
 /// Body of one worker thread: owns the hosts with index `≡ worker
 /// (mod threads)` for the whole run. `Host` is deliberately not
 /// `Send` (its tracer handles are `Rc`), so each worker **builds**
-/// its hosts locally and only plain data crosses the channels.
+/// its hosts locally, through `build`, and only plain data crosses
+/// the channels.
 fn worker_main(
     cfg: &FleetConfig,
     workloads: &[Workload],
     class: TracerClass,
     indices: Vec<usize>,
+    build: BuildShard,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
-    let mut hosts = match InlineShard::build(cfg, workloads, class, indices.into_iter()) {
+    let mut hosts = match build(cfg, workloads, class, indices) {
         Ok(hosts) => {
             if tx.send(Reply::Ready(Ok(hosts.t0))).is_err() {
                 return;
@@ -575,6 +597,7 @@ impl ThreadedShard {
         workloads: &'env [Workload],
         class: TracerClass,
         threads: usize,
+        build: BuildShard,
     ) -> Result<ThreadedShard, StrategyError> {
         let mut cmds = Vec::with_capacity(threads);
         let mut replies = Vec::with_capacity(threads);
@@ -582,7 +605,9 @@ impl ThreadedShard {
             let (cmd_tx, cmd_rx) = channel::<Cmd>();
             let (reply_tx, reply_rx) = channel::<Reply>();
             let indices: Vec<usize> = (w..cfg.hosts).step_by(threads).collect();
-            scope.spawn(move || worker_main(cfg, workloads, class, indices, cmd_rx, reply_tx));
+            scope.spawn(move || {
+                worker_main(cfg, workloads, class, indices, build, cmd_rx, reply_tx)
+            });
             cmds.push(cmd_tx);
             replies.push(reply_rx);
         }
@@ -890,14 +915,27 @@ pub(crate) fn cluster_impl(
     threads: usize,
     policy: &mut dyn PlacementPolicy,
 ) -> Result<ClusterResult, StrategyError> {
+    run_shards(cfg, workloads, tracer, threads, policy, InlineShard::build)
+}
+
+/// [`cluster_impl`] with every shard made by `build`.
+fn run_shards(
+    cfg: &FleetConfig,
+    workloads: &[Workload],
+    tracer: &Tracer,
+    threads: usize,
+    policy: &mut dyn PlacementPolicy,
+    build: BuildShard,
+) -> Result<ClusterResult, StrategyError> {
     validate(cfg, workloads)?;
     let threads = effective_threads(threads, cfg.hosts);
+    let class = tracer.class();
     if threads <= 1 {
-        let mut shard = InlineShard::build(cfg, workloads, tracer.class(), 0..cfg.hosts)?;
+        let mut shard = build(cfg, workloads, class, (0..cfg.hosts).collect())?;
         drive(cfg, workloads, tracer, policy, &mut shard)
     } else {
         std::thread::scope(|scope| {
-            let mut shard = ThreadedShard::start(scope, cfg, workloads, tracer.class(), threads)?;
+            let mut shard = ThreadedShard::start(scope, cfg, workloads, class, threads, build)?;
             drive(cfg, workloads, tracer, policy, &mut shard)
         })
     }
@@ -911,6 +949,7 @@ mod tests {
     use super::*;
     use crate::runner::Runner;
     use snapbpf::StrategyKind;
+    use snapbpf_sim::TraceEvent;
 
     fn run(cfg: &FleetConfig, w: &[Workload]) -> Result<ClusterResult, StrategyError> {
         Runner::new(cfg).workloads(w).run().map(|out| match out {
@@ -1097,7 +1136,7 @@ mod tests {
     fn segments_of(cfg: &FleetConfig, w: &[Workload]) -> (usize, usize, usize) {
         let tracer = Tracer::noop();
         let mut shard = CountingShard {
-            inner: InlineShard::build(cfg, w, tracer.class(), 0..cfg.hosts).unwrap(),
+            inner: InlineShard::build(cfg, w, tracer.class(), (0..cfg.hosts).collect()).unwrap(),
             segments: 0,
             routed: 0,
         };
@@ -1127,6 +1166,105 @@ mod tests {
         cfg.faults = FaultSchedule::none();
         cfg.placement = PlacementKind::LeastLoaded;
         assert_eq!(segments_of(&cfg, &w), (arrivals + 1, arrivals, arrivals));
+    }
+
+    /// The test hook: every host records its own world, as each host
+    /// did before a shard shared one.
+    fn build_per_host<'a>(
+        cfg: &'a FleetConfig,
+        workloads: &[Workload],
+        class: TracerClass,
+        indices: Vec<usize>,
+    ) -> Result<InlineShard<'a>, StrategyError> {
+        let worlds = indices
+            .iter()
+            .map(|_| build_world(cfg, workloads))
+            .collect::<Result<_, _>>()?;
+        Ok(InlineShard::of_worlds(cfg, class, indices, worlds))
+    }
+
+    /// One traced run with every shard made by `build`.
+    fn traced(
+        cfg: &FleetConfig,
+        w: &[Workload],
+        threads: usize,
+        build: BuildShard,
+    ) -> (ClusterResult, Vec<TraceEvent>) {
+        let tracer = Tracer::recording();
+        let mut policy = cfg.placement.build();
+        let r = run_shards(cfg, w, &tracer, threads, policy.as_mut(), build).unwrap();
+        (r, tracer.take_events())
+    }
+
+    /// Hosts cloned from one recorded world run exactly as hosts that
+    /// each recorded their own: the same result and the same trace
+    /// events, under every placement policy, local and remote
+    /// snapshots, a crash of host 0 that kills work and is retried,
+    /// on one thread and on two.
+    #[test]
+    fn shared_worlds_match_per_host_builds_exactly() {
+        use crate::config::{FaultSchedule, SnapshotDistribution};
+        use crate::placement::PlacementKind;
+        let w = snapbpf_testkit::small_suite();
+        let crash = FaultSchedule::none()
+            .crash(0, SimDuration::from_millis(10))
+            .retrying(SimDuration::from_millis(2));
+        for placement in PlacementKind::ALL {
+            for distribution in [
+                SnapshotDistribution::Local,
+                SnapshotDistribution::remote_10g(),
+            ] {
+                for faults in [FaultSchedule::none(), crash.clone()] {
+                    let mut cfg =
+                        FleetConfig::new(StrategyKind::SnapBpf, w.len(), 200.0).at_scale(0.02);
+                    cfg.duration = SimDuration::from_millis(500);
+                    cfg.hosts = 4;
+                    cfg.placement = placement;
+                    cfg.distribution = distribution;
+                    cfg.faults = faults;
+                    let what = format!("{} + {distribution:?}", placement.label());
+                    for threads in [1, 2] {
+                        let (shared, shared_events) = traced(&cfg, &w, threads, InlineShard::build);
+                        let (own, own_events) = traced(&cfg, &w, threads, build_per_host);
+                        if !cfg.faults.events.is_empty() {
+                            assert!(
+                                shared.aggregate.retried > 0,
+                                "{what}: the crash killed no work"
+                            );
+                        }
+                        assert_eq!(shared, own, "{what}, threads={threads}: results differ");
+                        assert!(
+                            shared_events == own_events,
+                            "{what}, threads={threads}: trace events differ"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A shard records its hosts' world once: an 8-host cluster on
+    /// one thread records one world, on two threads one per worker,
+    /// and a single-host fleet run one.
+    #[test]
+    fn each_shard_records_one_world() {
+        use crate::host::world_builds;
+        let w = snapbpf_testkit::small_suite();
+        let mut cfg = FleetConfig::new(StrategyKind::SnapBpf, w.len(), 50.0).at_scale(0.02);
+        cfg.duration = SimDuration::from_millis(100);
+        let builds = |cfg: &FleetConfig, threads: usize| {
+            let before = world_builds::of(&w);
+            Runner::new(cfg)
+                .workloads(&w)
+                .threads(threads)
+                .run()
+                .unwrap();
+            world_builds::of(&w) - before
+        };
+        assert_eq!(builds(&cfg, 1), 1, "a fleet run");
+        cfg.hosts = 8;
+        assert_eq!(builds(&cfg, 1), 1, "an inline cluster");
+        assert_eq!(builds(&cfg, 2), 2, "a two-thread cluster");
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! scheduling logic is identical in both cases — a cluster of one
 //! host reproduces a fleet run result-for-result (asserted in the
 //! cluster tests).
+//!
+//! Both paths make a host in two steps. [`build_world`] records a
+//! [`World`]: the kernel and, per function, the snapshot, the
+//! recorded strategy and the invocation trace, as they stand at the
+//! invocation-phase boundary. [`Host::from_world`] then installs the
+//! host's tracer and starts its pool and statistics. A world depends
+//! on the config and the workload list alone, so a cluster shard
+//! records one and gives each of its hosts a clone.
 
 use std::collections::VecDeque;
 
@@ -121,20 +129,33 @@ pub(crate) struct Host<'a> {
     draining: bool,
 }
 
-/// Builds one host world: a fresh kernel over the configured device,
-/// a snapshot + recorded strategy per workload (sequentially in
-/// virtual time, as the colocated runner does), caches dropped and
-/// I/O accounting reset at the invocation-phase boundary, and the
-/// caller's tracer installed from that boundary on.
-///
-/// Returns the host plus `t0`, the virtual time the invocation phase
-/// starts at. Deterministic: two hosts built from the same
-/// (config, workloads) are in identical states.
-pub(crate) fn build_host<'a>(
-    cfg: &'a FleetConfig,
+/// A host at the invocation-phase boundary: a kernel over the
+/// configured device holding a snapshot and a recorded strategy per
+/// function, with caches dropped and I/O accounting reset. Nothing in
+/// it depends on which host it becomes, so a cluster records one and
+/// gives each host a clone; a clone shares no mutable state with its
+/// template (`HostKernel` and `Strategy` clones are deep).
+#[derive(Clone)]
+pub(crate) struct World {
+    kernel: HostKernel,
+    funcs: Vec<FunctionCtx>,
+    strategies: Vec<Box<dyn Strategy>>,
+    traces: Vec<InvocationTrace>,
+    /// Virtual time the invocation phase starts at.
+    pub(crate) t0: SimTime,
+}
+
+/// Records one host world: a fresh kernel over the configured device,
+/// then a snapshot and a recorded strategy per workload (sequentially
+/// in virtual time, as the colocated runner does), then caches
+/// dropped and I/O accounting reset at the invocation-phase boundary.
+/// The record phase runs untraced.
+pub(crate) fn build_world(
+    cfg: &FleetConfig,
     workloads: &[Workload],
-    tracer: &Tracer,
-) -> Result<(Host<'a>, SimTime), StrategyError> {
+) -> Result<World, StrategyError> {
+    #[cfg(test)]
+    world_builds::note(workloads);
     let kernel_config = KernelConfig {
         page_cache_budget_pages: cfg.cache_budget_pages,
         ..KernelConfig::default()
@@ -160,38 +181,16 @@ pub(crate) fn build_host<'a>(
     }
 
     // The invocation phase starts cache-cold with fresh I/O
-    // accounting; tracing begins at the same boundary.
+    // accounting.
     kernel.drop_all_caches()?;
     kernel.disk_mut().reset_read_counts();
-    kernel.install_tracer(tracer);
-    let t0 = t;
-
-    let present = matches!(cfg.distribution, SnapshotDistribution::Local);
-    let n = workloads.len();
-    Ok((
-        Host {
-            kernel,
-            funcs,
-            strategies,
-            traces,
-            cfg,
-            pool: SandboxPool::new(cfg.pool_capacity, cfg.keepalive_ttl),
-            active: Vec::new(),
-            pending: VecDeque::new(),
-            per_func: workloads.iter().map(|w| FuncStats::new(w.name())).collect(),
-            owner_seq: 0,
-            mem_hwm_bytes: 0,
-            last_completion: t0,
-            t0,
-            trace: tracer.clone(),
-            snapshot_present: vec![present; n],
-            snapshot_fetches: 0,
-            placed: 0,
-            pool_hwm: 0,
-            draining: false,
-        },
-        t0,
-    ))
+    Ok(World {
+        kernel,
+        funcs,
+        strategies,
+        traces,
+        t0: t,
+    })
 }
 
 /// Pre-draws the whole arrival schedule: times from the arrival
@@ -230,7 +229,47 @@ fn invocation(
         .begin()
 }
 
-impl Host<'_> {
+impl<'a> Host<'a> {
+    /// Makes a host from a recorded world: installs `tracer` for the
+    /// invocation phase and starts an empty pool, per-function
+    /// statistics, and the snapshot-presence state `cfg`'s
+    /// distribution model sets.
+    pub(crate) fn from_world(world: World, cfg: &'a FleetConfig, tracer: &Tracer) -> Host<'a> {
+        let World {
+            mut kernel,
+            funcs,
+            strategies,
+            traces,
+            t0,
+        } = world;
+        kernel.install_tracer(tracer);
+        let present = matches!(cfg.distribution, SnapshotDistribution::Local);
+        Host {
+            kernel,
+            per_func: funcs
+                .iter()
+                .map(|f| FuncStats::new(f.workload.name()))
+                .collect(),
+            snapshot_present: vec![present; funcs.len()],
+            funcs,
+            strategies,
+            traces,
+            cfg,
+            pool: SandboxPool::new(cfg.pool_capacity, cfg.keepalive_ttl),
+            active: Vec::new(),
+            pending: VecDeque::new(),
+            owner_seq: 0,
+            mem_hwm_bytes: 0,
+            last_completion: t0,
+            t0,
+            trace: tracer.clone(),
+            snapshot_fetches: 0,
+            placed: 0,
+            pool_hwm: 0,
+            draining: false,
+        }
+    }
+
     pub(crate) fn teardown_parked(&mut self, parked: Vec<Parked>) -> Result<(), StrategyError> {
         for (mut vm, _resolver) in parked {
             vm.kvm_mut().teardown(&mut self.kernel)?;
@@ -698,5 +737,27 @@ impl Host<'_> {
             }
         }
         Ok(())
+    }
+}
+
+/// Test witness of how many worlds were recorded, keyed by the
+/// address of the workload list they were recorded from: concurrent
+/// tests hold distinct lists, so a test counts only its own builds.
+#[cfg(test)]
+pub(crate) mod world_builds {
+    use std::sync::Mutex;
+
+    use snapbpf_workloads::Workload;
+
+    static BUILDS: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+    pub(crate) fn note(workloads: &[Workload]) {
+        BUILDS.lock().unwrap().push(workloads.as_ptr() as usize);
+    }
+
+    /// Worlds recorded so far from `workloads`.
+    pub(crate) fn of(workloads: &[Workload]) -> usize {
+        let key = workloads.as_ptr() as usize;
+        BUILDS.lock().unwrap().iter().filter(|&&k| k == key).count()
     }
 }

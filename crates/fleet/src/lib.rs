@@ -120,7 +120,7 @@ pub use pool::SandboxPool;
 pub use runner::{RunOutput, Runner};
 pub use scenario::{conserves_invocations, Scenario, ScenarioParams};
 
-use host::{build_host, draw_arrivals};
+use host::{build_world, draw_arrivals, Host};
 
 /// Rejects a replayed trace whose points name a function index the
 /// workload list does not cover (a recorded schedule only makes
@@ -155,7 +155,9 @@ pub(crate) fn fleet_impl(
     workloads: &[Workload],
     tracer: &Tracer,
 ) -> Result<FleetResult, StrategyError> {
-    let (mut fleet, t0) = build_host(cfg, workloads, tracer)?;
+    let world = build_world(cfg, workloads)?;
+    let t0 = world.t0;
+    let mut fleet = Host::from_world(world, cfg, tracer);
     if tracer.events_enabled() {
         tracer.name_thread(TID_CONTROL, "scheduler");
         tracer.name_thread(TID_DISK, "disk");

@@ -168,6 +168,11 @@ impl KfuncHost for PrefetchSink<'_> {
 
 /// The simulated host kernel.
 ///
+/// A clone is an independent host in the same state: its own disk,
+/// page cache, memory, maps, probes and load cache. Only the tracer
+/// handle is shared, so install the clone's own with
+/// [`HostKernel::install_tracer`] before tracing it.
+///
 /// # Examples
 ///
 /// ```
@@ -190,7 +195,7 @@ impl KfuncHost for PrefetchSink<'_> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HostKernel {
     config: KernelConfig,
     disk: Disk,

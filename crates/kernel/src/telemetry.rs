@@ -41,7 +41,7 @@ pub struct DrainSummary {
 /// Stats slots are monotonic from the program's point of view; the
 /// drain keeps the last-seen merged value per slot and reports only
 /// deltas, so draining is idempotent across repeated calls.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TelemetryDrain {
     ring: MapId,
     stats: MapId,

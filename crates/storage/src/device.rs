@@ -143,6 +143,15 @@ pub trait BlockDevice: fmt::Debug {
     /// Resets all queue state (head position, channel busy times) as
     /// if freshly powered on. Counters are not part of the device.
     fn reset(&mut self);
+
+    /// An independent copy of this device, queue state included.
+    fn boxed_clone(&self) -> Box<dyn BlockDevice>;
+}
+
+impl Clone for Box<dyn BlockDevice> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
+    }
 }
 
 /// A pacing token bucket that enforces a command-rate (IOPS) ceiling.

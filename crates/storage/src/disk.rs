@@ -98,7 +98,7 @@ impl std::error::Error for DiskError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Disk {
     device: Box<dyn BlockDevice>,
     files: Vec<FileMeta>,

@@ -180,6 +180,10 @@ impl BlockDevice for HddModel {
         self.last_end = None;
         self.rng = SplitMix64::new(self.config.seed);
     }
+
+    fn boxed_clone(&self) -> Box<dyn BlockDevice> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]
